@@ -27,11 +27,10 @@ from .infer import read_mask_pgm, run_inference, write_mask_pgm
 from .metrics import (clear_mot, format_table, idf1, mots_metrics, track_masks,
                       write_report)
 from .mpn import ModelParams, mpn_config_from_dict
-from .synthdata import (attach_embeddings, attach_roi_grids, generate_scenario,
-                        load_gt_masks, load_mot_detections, load_tracks,
-                        scenario_config_from_dict, write_detections,
-                        write_embeddings, write_gt_masks, write_results,
-                        write_roi_grids)
+from .synthdata import (_int, _read_rows, attach_embeddings, attach_roi_grids,
+                        generate_scenario, load_gt_masks, load_mot_detections, load_tracks,
+                        scenario_config_from_dict, write_detections, write_embeddings,
+                        write_gt_masks, write_results, write_roi_grids)
 from .train import build_gradcheck_case, train_config_from_dict, train_loop, write_history
 
 LOG = logging.getLogger("mpnflow")
@@ -209,17 +208,13 @@ def cmd_infer(args) -> int:
 # eval
 
 def _load_track_assignment(path) -> list[list[int]]:
+    def parse(vals):
+        tid, nid = (_int(v) for v in vals)
+        return tid, nid
+
     tracks: dict[int, list[int]] = {}
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "track_id,node_id":
-            raise ConfigError(f"{path}: expected a track_id,node_id header")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            tid, nid = (int(v) for v in line.split(","))
-            tracks.setdefault(tid, []).append(nid)
+    for tid, nid in _read_rows(path, parse, header="track_id,node_id"):
+        tracks.setdefault(tid, []).append(nid)
     return [tracks[tid] for tid in sorted(tracks)]
 
 

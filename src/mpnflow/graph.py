@@ -5,7 +5,9 @@ could belong to the same object.  Candidate edges are limited by a frame
 gap and pruned to mutual top-k nearest neighbors in appearance space.
 Nodes are held in a content-keyed canonical order (frame, box, id) so a
 relabeling of node ids leaves every internal array, and therefore every
-downstream float operation, unchanged.
+downstream float operation, unchanged.  The flow constraints on edge labels
+(at most one active edge into the past and one into the future per node)
+are counted and checked here for training, inference and metrics alike.
 """
 
 from __future__ import annotations
@@ -45,12 +47,6 @@ class TrackGraph:
         """Edges as (node_id_earlier, node_id_later) pairs in edge order."""
         return [(int(self.node_ids[u]), int(self.node_ids[v]))
                 for u, v in zip(self.edge_src, self.edge_dst)]
-
-    def past_neighbors(self, pos: int) -> np.ndarray:
-        return self.edge_src[self.edge_dst == pos]
-
-    def fut_neighbors(self, pos: int) -> np.ndarray:
-        return self.edge_dst[self.edge_src == pos]
 
 
 def _canonical_order(detections: list[Detection]) -> list[Detection]:
@@ -202,16 +198,60 @@ def ground_truth_labels(graph: TrackGraph, scenario: Scenario) -> EdgeLabels:
     for pair in graph.edge_pairs():
         y[pair] = 1 if pair in positive else 0
     labels = EdgeLabels(y)
-    _check_label_feasibility(graph, labels)
+    _assert_feasible(graph, labels.as_array(graph), "ground-truth labels")
     return labels
 
 
-def _check_label_feasibility(graph: TrackGraph, labels: EdgeLabels) -> None:
-    # ground-truth labels must satisfy the unit in/out degree constraints
-    arr = labels.as_array(graph)
-    outdeg = np.zeros(graph.num_nodes)
-    indeg = np.zeros(graph.num_nodes)
-    np.add.at(outdeg, graph.edge_src, arr)
-    np.add.at(indeg, graph.edge_dst, arr)
-    if outdeg.max(initial=0) > 1 or indeg.max(initial=0) > 1:
-        raise FeasibilityError("ground-truth labels violate the degree constraints")
+# ---------------------------------------------------------------------------
+# flow constraints: at most one active edge into the past and one into the
+# future per node
+
+@dataclass
+class ConstraintReport:
+    violations: list[tuple[int, str, int]]   # (node_id, side, active degree)
+    satisfied: int
+    total: int
+
+    @property
+    def rate(self) -> float:
+        return 1.0 if self.total == 0 else self.satisfied / self.total
+
+
+def _degrees(graph: TrackGraph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Active (out, in) degree per node position under edge labels y."""
+    outdeg = np.zeros(graph.num_nodes, dtype=np.int64)
+    indeg = np.zeros(graph.num_nodes, dtype=np.int64)
+    active = np.asarray(y, dtype=np.int64)
+    np.add.at(outdeg, graph.edge_src, active)
+    np.add.at(indeg, graph.edge_dst, active)
+    return outdeg, indeg
+
+
+def _assert_feasible(graph: TrackGraph, y: np.ndarray, what: str) -> None:
+    outdeg, indeg = _degrees(graph, y)
+    if (outdeg > 1).any() or (indeg > 1).any():
+        raise FeasibilityError(f"{what} violate the degree constraints")
+
+
+def check_constraints(graph: TrackGraph, y: np.ndarray) -> ConstraintReport:
+    """Count the satisfied unit-degree inequalities, two per node."""
+    if len(y) != graph.num_edges:
+        raise ConfigError(f"got {len(y)} labels for {graph.num_edges} edges")
+    outdeg, indeg = _degrees(graph, y)
+    violations = []
+    for pos in range(graph.num_nodes):
+        nid = int(graph.node_ids[pos])
+        if indeg[pos] > 1:
+            violations.append((nid, "past", int(indeg[pos])))
+        if outdeg[pos] > 1:
+            violations.append((nid, "future", int(outdeg[pos])))
+    total = 2 * graph.num_nodes
+    return ConstraintReport(violations=violations, satisfied=total - len(violations),
+                            total=total)
+
+
+def violating_edges(graph: TrackGraph, y: np.ndarray) -> np.ndarray:
+    """Boolean mask of active edges that participate in a violated inequality."""
+    outdeg, indeg = _degrees(graph, y)
+    active = np.asarray(y, dtype=bool)
+    return active & ((outdeg[graph.edge_src] > 1) | (indeg[graph.edge_dst] > 1))

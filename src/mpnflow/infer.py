@@ -18,9 +18,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensorkit as tk
-from .errors import ConfigError, FeasibilityError
-from .graph import (TrackGraph, build_graph, detections_in_window, graph_from_edge_list,
-                    split_windows)
+from .errors import ConfigError, ParseError
+from .graph import (ConstraintReport, TrackGraph, _assert_feasible, _degrees, build_graph,
+                    check_constraints, detections_in_window, graph_from_edge_list,
+                    split_windows, violating_edges)
 from .mpn import ModelParams, mpn_forward, predict_masks
 from .synthdata import Box, Detection
 
@@ -30,50 +31,6 @@ def threshold(probs: np.ndarray, tau: float = 0.5) -> np.ndarray:
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must be in (0, 1), got {tau}")
     return (np.asarray(probs) >= tau).astype(np.int64)
-
-
-@dataclass
-class ConstraintReport:
-    violations: list[tuple[int, str, int]]   # (node_id, side, active degree)
-    satisfied: int
-    total: int
-
-    @property
-    def rate(self) -> float:
-        return 1.0 if self.total == 0 else self.satisfied / self.total
-
-
-def _degrees(graph: TrackGraph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    outdeg = np.zeros(graph.num_nodes, dtype=np.int64)
-    indeg = np.zeros(graph.num_nodes, dtype=np.int64)
-    active = np.asarray(y, dtype=np.int64)
-    np.add.at(outdeg, graph.edge_src, active)
-    np.add.at(indeg, graph.edge_dst, active)
-    return outdeg, indeg
-
-
-def check_constraints(graph: TrackGraph, y: np.ndarray) -> ConstraintReport:
-    """Count the satisfied unit-degree inequalities, two per node."""
-    if len(y) != graph.num_edges:
-        raise ConfigError(f"got {len(y)} labels for {graph.num_edges} edges")
-    outdeg, indeg = _degrees(graph, y)
-    violations = []
-    for pos in range(graph.num_nodes):
-        nid = int(graph.node_ids[pos])
-        if indeg[pos] > 1:
-            violations.append((nid, "past", int(indeg[pos])))
-        if outdeg[pos] > 1:
-            violations.append((nid, "future", int(outdeg[pos])))
-    total = 2 * graph.num_nodes
-    return ConstraintReport(violations=violations, satisfied=total - len(violations),
-                            total=total)
-
-
-def violating_edges(graph: TrackGraph, y: np.ndarray) -> np.ndarray:
-    """Boolean mask of active edges that participate in a violated inequality."""
-    outdeg, indeg = _degrees(graph, y)
-    active = np.asarray(y, dtype=bool)
-    return active & ((outdeg[graph.edge_src] > 1) | (indeg[graph.edge_dst] > 1))
 
 
 def exact_round(graph: TrackGraph, probs: np.ndarray, tau: float = 0.5) -> np.ndarray:
@@ -107,7 +64,7 @@ def exact_round(graph: TrackGraph, probs: np.ndarray, tau: float = 0.5) -> np.nd
         e = edge_at.get((int(i), int(j)))
         if e is not None:
             y[e] = 1
-    _assert_feasible(graph, y)
+    _assert_feasible(graph, y, "rounded labels")
     return y
 
 
@@ -129,14 +86,8 @@ def greedy_round(graph: TrackGraph, probs: np.ndarray, tau: float = 0.5) -> np.n
             keep[e] = 1
             out_used[u] += 1
             in_used[v] += 1
-    _assert_feasible(graph, keep)
+    _assert_feasible(graph, keep, "rounded labels")
     return keep
-
-
-def _assert_feasible(graph: TrackGraph, y: np.ndarray) -> None:
-    outdeg, indeg = _degrees(graph, y)
-    if (outdeg > 1).any() or (indeg > 1).any():
-        raise FeasibilityError("rounding left a degree constraint violated")
 
 
 def extract_trajectories(graph: TrackGraph, y: np.ndarray) -> list[list[int]]:
@@ -145,9 +96,7 @@ def extract_trajectories(graph: TrackGraph, y: np.ndarray) -> list[list[int]]:
     Every node appears in exactly one trajectory; nodes without active
     edges become singletons.
     """
-    outdeg, indeg = _degrees(graph, y)
-    if (outdeg > 1).any() or (indeg > 1).any():
-        raise FeasibilityError("labels violate the degree constraints")
+    _assert_feasible(graph, y, "labels")
     succ = {}
     has_pred = np.zeros(graph.num_nodes, dtype=bool)
     for e in range(graph.num_edges):
@@ -313,9 +262,15 @@ def read_mask_pgm(path) -> np.ndarray:
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens or tokens[0] != "P2":
-        raise ConfigError(f"{path}: not an ASCII PGM file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    vals = np.asarray([int(t) for t in tokens[4:]], dtype=np.float64)
+        raise ParseError(f"{path}: not an ASCII PGM file")
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:4])
+        vals = np.asarray([int(t) for t in tokens[4:]], dtype=np.float64)
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
+    if min(w, h, maxval) < 1:
+        raise ParseError(f"{path}: width, height and maxval must be positive, "
+                         f"got {w}, {h}, {maxval}")
     if vals.size != w * h:
-        raise ConfigError(f"{path}: expected {w * h} pixels, got {vals.size}")
+        raise ParseError(f"{path}: expected {w * h} pixels, got {vals.size}")
     return vals.reshape(h, w) / maxval

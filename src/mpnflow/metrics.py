@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import MetricsError
-from .infer import check_constraints
+from .graph import check_constraints
 from .synthdata import Box
 
 

@@ -37,7 +37,6 @@ class MpnConfig:
     roi_w: int = 8
     d_roi: int = 4
     last_m_steps: int | None = None   # None resolves to min(num_steps, 6)
-    aggregation: str = "sum"
 
     def resolved_last_m(self) -> int:
         if self.num_steps == 0:
@@ -51,8 +50,6 @@ class MpnConfig:
             raise ConfigError(f"num_steps must be >= 0, got {self.num_steps}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.aggregation != "sum":
-            raise ConfigError(f"aggregation must be 'sum', got {self.aggregation!r}")
         for name in ("d_node", "d_edge", "hidden", "conv_hidden", "d_roi"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -142,7 +139,13 @@ class ModelParams:
         groups, extra = tk.load_checkpoint(path)
         if "model" not in extra or "d_app" not in extra:
             raise CheckpointError(f"{path}: missing model config metadata")
-        config = mpn_config_from_dict(extra["model"])
+        model = dict(extra["model"])
+        # checkpoints written while aggregation was a config field record its
+        # only legal value, "sum"; any other value names a model not built here
+        aggregation = model.pop("aggregation", "sum")
+        if aggregation != "sum":
+            raise CheckpointError(f"{path}: unsupported aggregation {aggregation!r}")
+        config = mpn_config_from_dict(model)
         params = cls(config, int(extra["d_app"]), seed=0)
         tk.assign_parameters(params.named_parameters(), groups)
         return params
@@ -153,7 +156,6 @@ class MpnState:
     """Embeddings and per-step outputs of one forward pass."""
 
     graph: TrackGraph
-    config: MpnConfig
     node_h: list[tk.Tensor] = field(default_factory=list)
     edge_h: list[tk.Tensor] = field(default_factory=list)
     tilde_h: list[tk.Tensor] = field(default_factory=list)
@@ -298,13 +300,10 @@ def _mask_step(state: MpnState, params: ModelParams, l: int) -> None:
     state.tilde_h.append(params.context_update(joined))
 
 
-def mpn_forward(graph: TrackGraph, params: ModelParams, config: MpnConfig | None = None) -> MpnState:
+def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
     """Run the full forward pass, recording probabilities for the last m steps."""
-    config = config or params.config
-    config.validate()
-    if config is not params.config and asdict(config) != asdict(params.config):
-        raise ConfigError("forward config does not match the parameters' config")
-    state = MpnState(graph=graph, config=config)
+    config = params.config
+    state = MpnState(graph=graph)
     state.node_h.append(encode_nodes(graph, params))
     state.edge_h.append(encode_edges(graph, params))
     if config.with_masks:
@@ -328,7 +327,7 @@ def mpn_forward(graph: TrackGraph, params: ModelParams, config: MpnConfig | None
 
 def predict_masks(state: MpnState, params: ModelParams, step: int | None = None) -> tk.Tensor:
     """Per-node (H, W) mask probabilities from the RoI embeddings of a step."""
-    if not state.config.with_masks:
+    if not params.config.with_masks:
         raise ConfigError("mask prediction requires with_masks=True")
     if step is None:
         step = len(state.tilde_h) - 1
@@ -337,4 +336,4 @@ def predict_masks(state: MpnState, params: ModelParams, step: int | None = None)
     joined = tk.concat([state.tilde_h[step], state.tilde_h[0]], axis=3)
     grids = params.mask_head(joined)
     n = state.graph.num_nodes
-    return tk.reshape(grids, (n, state.config.roi_h, state.config.roi_w))
+    return tk.reshape(grids, (n, params.config.roi_h, params.config.roi_w))

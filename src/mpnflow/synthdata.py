@@ -10,14 +10,12 @@ config reproduces byte-identical output.
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
-
-log = logging.getLogger(__name__)
 
 Box = tuple[float, float, float, float]  # x, y, w, h with top-left origin
 
@@ -109,9 +107,6 @@ class Scenario:
     detections: list[Detection]
     # identity -> node ids in frame order, true detections only
     gt_trajectories: dict[int, list[int]] = field(default_factory=dict)
-
-    def detection_by_id(self) -> dict[int, Detection]:
-        return {d.node_id: d for d in self.detections}
 
 
 def _render_mask(h: int, w: int, shape: str, fill: float) -> np.ndarray:
@@ -211,33 +206,67 @@ def scenario_config_from_dict(raw: dict) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
+# row reader shared by every comma-separated input file
+
+def _read_rows(path, parse_row, header: str | None = None) -> list:
+    """parse_row applied to the fields of every non-blank line of a CSV file.
+
+    Every field must be a finite number; parse_row receives them as floats
+    and reports a malformed row by raising ValueError.  Either failure
+    becomes a ParseError naming path:line.  With a header given, the first
+    line must equal it.
+    """
+    rows = []
+    with open(path) as fh:
+        if header is not None and fh.readline().strip() != header:
+            raise ParseError(f"{path}:1: expected the header {header!r}")
+        for ln, line in enumerate(fh, start=1 if header is None else 2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                vals = list(map(float, line.split(",")))
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError("values must be finite (no nan or inf)")
+                rows.append(parse_row(vals))
+            except ValueError as e:
+                raise ParseError(f"{path}:{ln}: {e}") from e
+    return rows
+
+
+def _int(v: float) -> int:
+    i = int(v)
+    if i != v:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return i
+
+
+def _dims(vals: list[float], n: int) -> tuple[int, ...]:
+    dims = tuple(_int(v) for v in vals)
+    if len(dims) != n or min(dims) < 1:
+        raise ValueError(f"expected {n} positive grid dimensions, got {dims}")
+    return dims
+
+
+# ---------------------------------------------------------------------------
 # detection and track files (MOTChallenge CSV layout)
 
 def load_mot_detections(path) -> list[Detection]:
     """Read frame,id,x,y,w,h,conf[,...] rows; id -1 means unknown identity."""
-    detections = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 7:
-                raise ParseError(f"{path}:{ln}: expected at least 7 fields, got {len(parts)}")
-            try:
-                frame = int(float(parts[0]))
-                ident = int(float(parts[1]))
-                x, y, w, h, conf = (float(v) for v in parts[2:7])
-            except ValueError as e:
-                raise ParseError(f"{path}:{ln}: {e}") from e
-            if w <= 0 or h <= 0:
-                raise ParseError(f"{path}:{ln}: box needs positive size, got w={w}, h={h}")
-            if frame < 0:
-                raise ParseError(f"{path}:{ln}: frame must be >= 0, got {frame}")
-            detections.append(Detection(
-                node_id=len(detections), frame=frame, box=(x, y, w, h),
-                confidence=conf, gt_identity=None if ident < 0 else ident))
-    return detections
+    def parse(vals):
+        if len(vals) < 7:
+            raise ValueError(f"expected at least 7 fields, got {len(vals)}")
+        frame, ident = _int(vals[0]), _int(vals[1])
+        x, y, w, h, conf = vals[2:7]
+        if w <= 0 or h <= 0:
+            raise ValueError(f"box needs positive size, got w={w}, h={h}")
+        if frame < 0:
+            raise ValueError(f"frame must be >= 0, got {frame}")
+        return frame, ident, (x, y, w, h), conf
+
+    return [Detection(node_id=i, frame=frame, box=box, confidence=conf,
+                      gt_identity=None if ident < 0 else ident)
+            for i, (frame, ident, box, conf) in enumerate(_read_rows(path, parse))]
 
 
 def write_detections(detections: list[Detection], path) -> None:
@@ -291,26 +320,20 @@ def write_embeddings(detections: list[Detection], path) -> None:
 
 def attach_embeddings(detections: list[Detection], path) -> None:
     """Fill detection.appearance from a node_id,v0,...,vk CSV in place."""
-    table: dict[int, np.ndarray] = {}
     width = None
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ParseError(f"{path}:{ln}: expected node_id plus at least one value")
-            try:
-                nid = int(parts[0])
-                vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as e:
-                raise ParseError(f"{path}:{ln}: {e}") from e
-            if width is None:
-                width = vec.size
-            elif vec.size != width:
-                raise ParseError(f"{path}:{ln}: dimension {vec.size} does not match earlier {width}")
-            table[nid] = vec
+
+    def parse(vals):
+        nonlocal width
+        if len(vals) < 2:
+            raise ValueError("expected node_id plus at least one value")
+        vec = np.asarray(vals[1:], dtype=np.float64)
+        if width is None:
+            width = vec.size
+        elif vec.size != width:
+            raise ValueError(f"dimension {vec.size} does not match earlier {width}")
+        return _int(vals[0]), vec
+
+    table = dict(_read_rows(path, parse))
     missing = [d.node_id for d in detections if d.node_id not in table]
     if missing:
         raise ParseError(f"{path}: no embedding for node ids {missing[:5]}"
@@ -330,21 +353,14 @@ def write_roi_grids(detections: list[Detection], path) -> None:
 
 
 def attach_roi_grids(detections: list[Detection], path) -> None:
-    table: dict[int, np.ndarray] = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                nid, h, w, c = (int(v) for v in parts[:4])
-                grid = np.asarray([float(v) for v in parts[4:]], dtype=np.float64)
-            except (ValueError, IndexError) as e:
-                raise ParseError(f"{path}:{ln}: {e}") from e
-            if grid.size != h * w * c:
-                raise ParseError(f"{path}:{ln}: expected {h * w * c} values, got {grid.size}")
-            table[nid] = grid.reshape(h, w, c)
+    def parse(vals):
+        h, w, c = _dims(vals[1:4], 3)
+        grid = np.asarray(vals[4:], dtype=np.float64)
+        if grid.size != h * w * c:
+            raise ValueError(f"expected {h * w * c} values, got {grid.size}")
+        return _int(vals[0]), grid.reshape(h, w, c)
+
+    table = dict(_read_rows(path, parse))
     for d in detections:
         if d.node_id in table:
             d.roi_grid = table[d.node_id]
@@ -365,19 +381,12 @@ def write_gt_masks(detections: list[Detection], path) -> None:
 
 def load_gt_masks(path) -> dict[int, tuple[int, int, np.ndarray]]:
     """Read node_id -> (identity, frame, mask) from a mask CSV."""
-    table: dict[int, tuple[int, int, np.ndarray]] = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                nid, ident, frame, h, w = (int(v) for v in parts[:5])
-                mask = np.asarray([float(v) for v in parts[5:]], dtype=np.float64)
-            except (ValueError, IndexError) as e:
-                raise ParseError(f"{path}:{ln}: {e}") from e
-            if mask.size != h * w:
-                raise ParseError(f"{path}:{ln}: expected {h * w} values, got {mask.size}")
-            table[nid] = (ident, frame, mask.reshape(h, w))
-    return table
+    def parse(vals):
+        nid, ident, frame = (_int(v) for v in vals[:3])
+        h, w = _dims(vals[3:5], 2)
+        mask = np.asarray(vals[5:], dtype=np.float64)
+        if mask.size != h * w:
+            raise ValueError(f"expected {h * w} values, got {mask.size}")
+        return nid, (ident, frame, mask.reshape(h, w))
+
+    return dict(_read_rows(path, parse))

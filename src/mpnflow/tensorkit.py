@@ -11,31 +11,37 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import numpy as np
 
 from .errors import CheckpointError, GradientError, ShapeError
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    # per thread, so no_grad blocks entered and left in interleaved order by
+    # worker threads cannot leave recording off for any other thread
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 def grad_enabled() -> bool:
     """Whether operations are currently recorded for backpropagation."""
-    return _GRAD_ENABLED
+    return _GRAD_MODE.enabled
 
 
 class no_grad:
-    """Context manager that suspends recording of backward closures."""
+    """Context manager that suspends recording in the calling thread."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._saved = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._saved = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._saved
+        _GRAD_MODE.enabled = self._saved
         return False
 
 
@@ -115,7 +121,7 @@ def _live(t: Tensor) -> bool:
 
 def _record(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(_live(p) for p in parents):
+    if _GRAD_MODE.enabled and any(_live(p) for p in parents):
         out._parents = parents
         out._backward = backward
     return out
@@ -439,7 +445,49 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-class DenseStack:
+class _LayerStack:
+    """Per-layer weight and bias parameters shared by the dense and conv stacks.
+
+    Layer k owns `<name>/<tag>k` (W for dense, K for conv) and `<name>/bk`;
+    parameters() lists them layer by layer, weight before bias.
+    """
+
+    def __init__(self, name: str, out_activation: str, activations: tuple[str, ...]):
+        if out_activation not in activations:
+            raise ShapeError(f"{name}: unknown activation {out_activation!r}")
+        self.name = name
+        self.out_activation = out_activation
+        self.weights: list[Tensor] = []
+        self.biases: list[Tensor] = []
+
+    def _add_layer(self, rng: np.random.Generator, tag: str, fan_in: int, fan_out: int,
+                   shape: tuple[int, int]) -> None:
+        k = len(self.weights)
+        self.weights.append(Tensor(glorot_uniform(rng, fan_in, fan_out, shape),
+                                   requires_grad=True, name=f"{self.name}/{tag}{k}"))
+        # biases use the same symmetric draw: exactly-zero biases let a
+        # dead ReLU row pin downstream pre-activations exactly onto the
+        # next kink, which is a non-differentiable point
+        self.biases.append(Tensor(glorot_uniform(rng, fan_in, fan_out, (shape[1],)),
+                                  requires_grad=True, name=f"{self.name}/b{k}"))
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        out = []
+        for w, b in zip(self.weights, self.biases):
+            out.append((w.name, w))
+            out.append((b.name, b))
+        return out
+
+    def _activate(self, h: Tensor, k: int) -> Tensor:
+        # ReLU between layers, out_activation after the last one
+        if k < len(self.weights) - 1 or self.out_activation == "relu":
+            return relu(h)
+        if self.out_activation == "sigmoid":
+            return sigmoid(h)
+        return h
+
+
+class DenseStack(_LayerStack):
     """Fully connected stack with ReLU between layers.
 
     sizes lists the feature widths, so [6, 32, 1] is a two-layer network.
@@ -450,28 +498,10 @@ class DenseStack:
                  rng: np.random.Generator, name: str):
         if len(sizes) < 2:
             raise ShapeError(f"{name}: need at least one layer, got sizes {sizes}")
-        if out_activation not in ("identity", "relu", "sigmoid"):
-            raise ShapeError(f"{name}: unknown activation {out_activation!r}")
-        self.name = name
+        super().__init__(name, out_activation, ("identity", "relu", "sigmoid"))
         self.sizes = list(sizes)
-        self.out_activation = out_activation
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for k, (fin, fout) in enumerate(zip(sizes[:-1], sizes[1:])):
-            self.weights.append(Tensor(glorot_uniform(rng, fin, fout, (fin, fout)),
-                                       requires_grad=True, name=f"{name}/W{k}"))
-            # biases use the same symmetric draw: exactly-zero biases let a
-            # dead ReLU row pin downstream pre-activations exactly onto the
-            # next kink, which is a non-differentiable point
-            self.biases.append(Tensor(glorot_uniform(rng, fin, fout, (fout,)),
-                                      requires_grad=True, name=f"{name}/b{k}"))
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append((w.name, w))
-            out.append((b.name, b))
-        return out
+        for fin, fout in zip(sizes[:-1], sizes[1:]):
+            self._add_layer(rng, "W", fin, fout, (fin, fout))
 
     def __call__(self, x) -> Tensor:
         return dense_forward(self, x)
@@ -484,19 +514,12 @@ def dense_forward(stack: DenseStack, x) -> Tensor:
             f"{stack.name}: input shape {x.data.shape} does not match "
             f"expected (n, {stack.sizes[0]})")
     h = x
-    last = len(stack.weights) - 1
     for k, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-        h = add(matmul(h, w), b)
-        if k < last:
-            h = relu(h)
-        elif stack.out_activation == "relu":
-            h = relu(h)
-        elif stack.out_activation == "sigmoid":
-            h = sigmoid(h)
+        h = stack._activate(add(matmul(h, w), b), k)
     return h
 
 
-class ConvStack:
+class ConvStack(_LayerStack):
     """Same-padded conv layers with ReLU between them.
 
     channels lists the channel widths per layer boundary; all kernels are
@@ -509,28 +532,12 @@ class ConvStack:
             raise ShapeError(f"{name}: need at least one conv layer")
         if kernel % 2 != 1:
             raise ShapeError(f"{name}: kernel must be odd, got {kernel}")
-        if out_activation not in ("identity", "sigmoid"):
-            raise ShapeError(f"{name}: unknown activation {out_activation!r}")
-        self.name = name
+        super().__init__(name, out_activation, ("identity", "sigmoid"))
         self.channels = list(channels)
         self.kernel = kernel
-        self.out_activation = out_activation
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
         taps = kernel * kernel
-        for k, (cin, cout) in enumerate(zip(channels[:-1], channels[1:])):
-            w = glorot_uniform(rng, taps * cin, taps * cout, (taps * cin, cout))
-            self.weights.append(Tensor(w, requires_grad=True, name=f"{name}/K{k}"))
-            self.biases.append(Tensor(glorot_uniform(rng, taps * cin, taps * cout,
-                                                     (cout,)),
-                                      requires_grad=True, name=f"{name}/b{k}"))
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append((w.name, w))
-            out.append((b.name, b))
-        return out
+        for cin, cout in zip(channels[:-1], channels[1:]):
+            self._add_layer(rng, "K", taps * cin, taps * cout, (taps * cin, cout))
 
     def __call__(self, x) -> Tensor:
         return conv_forward(self, x)
@@ -547,13 +554,8 @@ def conv_forward(stack: ConvStack, x) -> Tensor:
             f"{stack.name}: input shape {x.data.shape} does not match "
             f"expected (n, h, w, {stack.channels[0]})")
     h = x
-    last = len(stack.weights) - 1
     for k, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-        h = conv2d(h, w, b, stack.kernel)
-        if k < last:
-            h = relu(h)
-        elif stack.out_activation == "sigmoid":
-            h = sigmoid(h)
+        h = stack._activate(conv2d(h, w, b, stack.kernel), k)
     if squeeze:
         h = reshape(h, h.data.shape[1:])
     return h
@@ -697,8 +699,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: unsupported version {doc.get('version')!r}")
     groups = {}
     for name, spec in doc.get("groups", {}).items():
-        arr = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        groups[name] = arr
+        try:
+            groups[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: parameter group {name!r} is malformed ({e!r})") from e
     return groups, doc.get("extra", {})
 
 

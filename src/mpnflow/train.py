@@ -180,7 +180,7 @@ def joint_loss(state, params: ModelParams, labels_arr: np.ndarray,
     loss_e, w_pos, per_step = edge_loss(state.edge_probs, labels_arr)
     mask_val = 0.0
     total = loss_e
-    if state.config.with_masks:
+    if params.config.with_masks:
         masks_by_step = {l: predict_masks(state, params, step=l)
                          for l in state.recorded_steps()}
         loss_m, n_sup = mask_loss(masks_by_step, gt_masks or [])
@@ -192,7 +192,7 @@ def joint_loss(state, params: ModelParams, labels_arr: np.ndarray,
     return total, report
 
 
-def _sample_graph(scenario: Scenario, windows, cfg: TrainConfig, rng, mpn_cfg: MpnConfig):
+def _sample_graph(scenario: Scenario, windows, cfg: TrainConfig, rng):
     gap = cfg.max_frame_gap or cfg.frames_per_graph
     for _ in range(50):
         window = windows[rng.integers(len(windows))]
@@ -222,14 +222,8 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
     mpn_cfg.validate()
     if not scenarios or all(not s.detections for s in scenarios):
         raise ConfigError("training needs at least one scenario with detections")
-    d_app = None
-    for s in scenarios:
-        for d in s.detections:
-            if d.appearance is not None:
-                d_app = d.appearance.size
-                break
-        if d_app is not None:
-            break
+    d_app = next((d.appearance.size for s in scenarios for d in s.detections
+                  if d.appearance is not None), None)
     if d_app is None:
         raise ConfigError("training scenarios carry no appearance vectors")
     if params is None:
@@ -247,7 +241,7 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
                          per_step=[])
         for _ in range(cfg.graphs_per_step):
             scenario, windows = usable[rng.integers(len(usable))]
-            graph = _sample_graph(scenario, windows, cfg, rng, mpn_cfg)
+            graph = _sample_graph(scenario, windows, cfg, rng)
             labels = ground_truth_labels(graph, scenario)
             state = mpn_forward(graph, params)
             gt_masks = [d.gt_mask for d in graph.detections] if mpn_cfg.with_masks else None

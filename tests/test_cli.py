@@ -1,11 +1,19 @@
 import json
+import shutil
 import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mpnflow.cli import main
-from mpnflow.synthdata import attach_embeddings, attach_roi_grids, load_mot_detections
+from mpnflow.cli import _load_track_assignment, main
+from mpnflow.errors import ParseError
+from mpnflow.infer import read_mask_pgm
+from mpnflow.synthdata import (Detection, attach_embeddings, attach_roi_grids, load_gt_masks,
+                               load_mot_detections, load_tracks)
 
 
 def _write_config(path, **sections):
@@ -148,3 +156,119 @@ def test_console_script_installed():
     proc = subprocess.run(["mpnflow", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "gradcheck" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# malformed and non-finite input files
+
+@pytest.fixture(scope="module")
+def mask_run(tmp_path_factory):
+    """Generated data, a mask checkpoint and its infer output; read only."""
+    root = tmp_path_factory.mktemp("mask_run")
+    cfg = _write_config(root / "cfg.json", **SMALL)
+    data, model, run = (str(root / n) for n in ("data", "model", "run"))
+    assert main(["generate", "--out", data, "--config", cfg]) == 0
+    assert main(["train", "--data", data, "--out", model, "--config", cfg,
+                 "--with-masks", "--iterations", "2"]) == 0
+    assert main(["infer", "--data", data, "--checkpoint", f"{model}/checkpoint.json",
+                 "--out", run, "--config", cfg]) == 0
+    return root
+
+
+def _set_field(line_no, field, value):
+    """Edit replacing one comma-separated field of one line (1-based)."""
+    def edit(text):
+        lines = text.splitlines()
+        parts = lines[line_no - 1].split(",")
+        parts[field] = value
+        lines[line_no - 1] = ",".join(parts)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _edit_first_group(change):
+    def edit(text):
+        doc = json.loads(text)
+        change(next(iter(doc["groups"].values())))
+        return json.dumps(doc)
+    return edit
+
+
+def _negative_mask_dims(text):
+    # -1 x -(h*w) still multiplies out to the number of mask values
+    first, *rest = text.splitlines()
+    parts = first.split(",")
+    parts[3], parts[4] = "-1", str(-int(parts[3]) * int(parts[4]))
+    return "\n".join([",".join(parts)] + rest) + "\n"
+
+
+# case: (command, file under the mask_run copy, edit, line named in the error)
+MALFORMED = {
+    "det_box_nan": ("infer", "data/det.txt", _set_field(2, 2, "nan"), 2),
+    "det_confidence_inf": ("infer", "data/det.txt", _set_field(2, 6, "inf"), 2),
+    "det_frame_inf": ("infer", "data/det.txt", _set_field(3, 0, "inf"), 3),
+    "embedding_nan": ("infer", "data/embeddings.csv", _set_field(1, 3, "nan"), 1),
+    "roi_grid_inf": ("infer", "data/roi.csv", _set_field(2, 10, "-inf"), 2),
+    "gt_mask_nan": ("eval", "data/gt_masks.csv", _set_field(1, 6, "nan"), 1),
+    "gt_mask_negative_dims": ("eval", "data/gt_masks.csv", _negative_mask_dims, 1),
+    "tracks_non_integer": ("eval", "run/tracks.csv",
+                           lambda text: "track_id,node_id\n1,seven\n", 2),
+    "pgm_truncated": ("eval", "run/masks/node_00000.pgm", lambda text: "P2\n8 8\n", None),
+    "checkpoint_group_without_data": (
+        "infer", "model/checkpoint.json", _edit_first_group(lambda g: g.pop("data")), None),
+    "checkpoint_data_short_of_shape": (
+        "infer", "model/checkpoint.json", _edit_first_group(lambda g: g["data"].pop()), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_naming_the_file(case, mask_run, tmp_path, capsys):
+    command, name, edit, line = MALFORMED[case]
+    for sub in ("data", "model", "run"):
+        shutil.copytree(mask_run / sub, tmp_path / sub)
+    path = tmp_path / name
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    if command == "infer":
+        argv = ["infer", "--data", str(tmp_path / "data"), "--checkpoint",
+                str(tmp_path / "model" / "checkpoint.json"), "--out", str(tmp_path / "out"),
+                "--config", str(mask_run / "cfg.json")]
+    else:
+        argv = ["eval", "--data", str(tmp_path / "data"), "--run", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (str(path) if line is None else f"{path}:{line}:") in err
+
+
+FIELDS = st.sampled_from(["0", "1", "2", "-1", "3.5", "1e400", "nan", "-inf", "", "x",
+                          "P2", "track_id", "node_id", "64"])
+ROWS = st.lists(st.lists(FIELDS, min_size=1, max_size=12).map(",".join), max_size=6)
+TEXT = st.one_of(st.text(), ROWS.map("\n".join),
+                 ROWS.map(lambda rows: "track_id,node_id\n" + "\n".join(rows)),
+                 st.lists(FIELDS, max_size=12).map(lambda t: "P2 " + " ".join(t)))
+
+LOADERS = {
+    "load_mot_detections": load_mot_detections,
+    "load_tracks": load_tracks,
+    "attach_embeddings": lambda path: attach_embeddings([Detection(0, 1, (0.0, 0.0, 1.0, 1.0))],
+                                                        path),
+    "attach_roi_grids": lambda path: attach_roi_grids([Detection(0, 1, (0.0, 0.0, 1.0, 1.0))],
+                                                      path),
+    "load_gt_masks": load_gt_masks,
+    "load_track_assignment": _load_track_assignment,
+    "read_mask_pgm": read_mask_pgm,
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=TEXT)
+def test_loaders_return_or_raise_parse_error_on_any_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        for name, load in LOADERS.items():
+            try:
+                load(path)
+            except ParseError as e:
+                assert str(path) in str(e), name

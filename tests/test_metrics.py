@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mpnflow
 from mpnflow.errors import MetricsError
 from mpnflow.graph import graph_from_edge_list
 from mpnflow.metrics import (box_iou, clear_mot, constraint_rate, format_table,
@@ -185,3 +191,14 @@ def test_report_emitters(tmp_path):
     assert lines[0] == "metric,value"
     assert lines[1] == "mota,0.75"
     assert lines[2] == "idsw,1"
+
+
+def test_metrics_does_not_load_the_model_stack():
+    code = ("import sys, mpnflow.metrics; "
+            "print(sorted(m for m in ('mpnflow.tensorkit', 'mpnflow.mpn', 'mpnflow.infer') "
+            "if m in sys.modules))")
+    # import from wherever this suite imports mpnflow from
+    env = dict(os.environ, PYTHONPATH=str(Path(mpnflow.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,5 @@
+import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from mpnflow import graph as gr
 from mpnflow import mpn
 from mpnflow import synthdata as sd
 from mpnflow import tensorkit as tk
-from mpnflow.errors import ConfigError
+from mpnflow.errors import CheckpointError, ConfigError
 
 
 def det(nid, frame, box=(0.0, 0.0, 10.0, 10.0), app=None, rng=None, d_app=4):
@@ -283,13 +283,31 @@ def test_model_params_checkpoint_round_trip(tmp_path):
     assert np.array_equal(before, after)
 
 
-def test_forward_rejects_mismatched_config():
+def _checkpoint_with_aggregation(tmp_path, params, aggregation):
+    # the model metadata of checkpoints written while aggregation was a
+    # config field
+    path = tmp_path / f"model_{aggregation}.json"
+    params.save(path)
+    doc = json.loads(path.read_text())
+    doc["extra"]["model"]["aggregation"] = aggregation
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_checkpoint_with_sum_aggregation_loads_bit_identically(tmp_path):
     rng = np.random.default_rng(16)
-    _, g = path_graph(3, rng)
-    cfg = tiny_config()
-    params = mpn.ModelParams(cfg, d_app=4, seed=17)
-    with pytest.raises(ConfigError):
-        mpn.mpn_forward(g, params, replace(cfg, num_steps=5))
+    _, g = path_graph(4, rng)
+    params = mpn.ModelParams(tiny_config(), d_app=4, seed=17)
+    before = mpn.mpn_forward(g, params).final_probs()
+    loaded = mpn.ModelParams.load(_checkpoint_with_aggregation(tmp_path, params, "sum"))
+    assert loaded.config == params.config
+    assert np.array_equal(mpn.mpn_forward(g, loaded).final_probs(), before)
+
+
+def test_checkpoint_with_other_aggregation_is_rejected(tmp_path):
+    params = mpn.ModelParams(tiny_config(), d_app=4, seed=17)
+    with pytest.raises(CheckpointError, match="aggregation 'max'"):
+        mpn.ModelParams.load(_checkpoint_with_aggregation(tmp_path, params, "max"))
 
 
 def test_config_validation():
@@ -299,8 +317,6 @@ def test_config_validation():
         mpn.MpnConfig(num_steps=-1).validate()
     with pytest.raises(ConfigError):
         mpn.MpnConfig(num_steps=2, last_m_steps=3).validate()
-    with pytest.raises(ConfigError):
-        mpn.MpnConfig(aggregation="max").validate()
     with pytest.raises(ConfigError):
         mpn.mpn_config_from_dict({"nope": 1})
     assert mpn.MpnConfig(num_steps=8).resolved_last_m() == 6

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -312,6 +313,34 @@ def test_no_grad_suppresses_recording():
     assert y._backward is None
     y2 = tk.mul(x, x)
     assert y2._backward is not None
+
+
+def test_no_grad_is_per_thread_under_interleaving():
+    # force the order: A enters, B enters, A exits, B exits
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        with tk.no_grad():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def thread_b():
+        a_in.wait(10)
+        with tk.no_grad():
+            b_in.set()
+            a_out.wait(10)
+            seen["b_after_a_exit"] = tk.grad_enabled()
+        seen["b_after_own_exit"] = tk.grad_enabled()
+
+    threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert seen == {"b_after_a_exit": False, "b_after_own_exit": True}
+    assert tk.grad_enabled()
 
 
 def test_gradient_accumulates_across_backward_calls():
