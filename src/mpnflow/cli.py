@@ -22,7 +22,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import tensorkit as tk
-from .errors import ConfigError, MpnflowError
+from .errors import ConfigError, MpnflowError, ParseError, read_text
 from .infer import read_mask_pgm, run_inference, write_mask_pgm
 from .metrics import (clear_mot, format_table, idf1, mots_metrics, track_masks,
                       write_report)
@@ -48,8 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = json.loads(read_text(path))
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
     unknown = sorted(set(cfg) - set(CONFIG_SECTIONS))
@@ -106,9 +105,7 @@ def _scenario_from_dir(path: Path):
     spec = path / "scenario.json"
     if not spec.exists():
         raise ConfigError(f"{path}: no scenario.json; generate the data first")
-    with open(spec) as fh:
-        cfg = scenario_config_from_dict(json.load(fh))
-    return generate_scenario(cfg)
+    return generate_scenario(scenario_config_from_dict(json.loads(read_text(spec))))
 
 
 def cmd_train(args) -> int:
@@ -241,8 +238,10 @@ def cmd_eval(args) -> int:
                 (det_by_id[nid].box, mask >= 0.5)
         node_masks = {}
         for pgm in sorted(mask_dir.glob("node_*.pgm")):
-            nid = int(pgm.stem.split("_")[1])
-            node_masks[nid] = read_mask_pgm(pgm)
+            digits = pgm.stem[len("node_"):]
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(f"{pgm}: mask file names must be node_<id>.pgm")
+            node_masks[int(digits)] = read_mask_pgm(pgm)
         assignment = _load_track_assignment(tracks_file)
         pred_masks = track_masks(assignment, node_masks, detections,
                                  threshold=args.tau)
@@ -354,10 +353,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except MpnflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (MpnflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one text-file reader."""
 
 
 class MpnflowError(Exception):
@@ -35,3 +35,12 @@ class TrainingError(MpnflowError):
 
 class MetricsError(MpnflowError):
     """Metric inputs are degenerate (e.g. empty ground truth)."""
+
+
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file; undecodable bytes are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e

@@ -74,42 +74,31 @@ def build_graph(detections: list[Detection], max_frame_gap: int, top_k: int) -> 
             raise ConfigError(f"duplicate node id {d.node_id}")
         seen.add(d.node_id)
     ordered = _canonical_order(detections)
-    n = len(ordered)
-    if n == 0:
+    if not ordered:
         return TrackGraph([], np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-    frames = np.asarray([d.frame for d in ordered])
-    ids = np.asarray([d.node_id for d in ordered])
+    frames, ids = np.asarray([(d.frame, d.node_id) for d in ordered], dtype=np.int64).T
     app = np.stack([d.appearance for d in ordered])
+    finite = np.isfinite(app).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"detection {ids[np.argmin(finite)]} has a non-finite appearance vector")
     diff = app[:, None, :] - app[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
 
     gap = frames[None, :] - frames[:, None]
     candidate = (gap >= 1) & (gap <= max_frame_gap)   # u earlier than v
 
-    # per node: partners in either direction ranked by (distance, node id)
-    keep = [set() for _ in range(n)]
+    # per node: partners in either direction ranked by (distance, node id),
+    # non-partners last; keep[u, v] marks v among u's top_k partners
     partner_mask = candidate | candidate.T
-    for u in range(n):
-        partners = np.nonzero(partner_mask[u])[0]
-        if partners.size == 0:
-            continue
-        order = sorted(partners, key=lambda v: (dist[u, v], ids[v]))
-        keep[u] = set(order[:top_k])
+    rank_order = np.lexsort((np.broadcast_to(ids, dist.shape), dist, ~partner_mask), axis=1)
+    keep = np.zeros_like(partner_mask)
+    np.put_along_axis(keep, rank_order[:, :top_k], True, axis=1)
+    keep &= partner_mask
 
-    src, dst, d_app = [], [], []
-    for u in range(n):
-        for v in np.nonzero(candidate[u])[0]:
-            if v in keep[u] and u in keep[v]:
-                src.append(u)
-                dst.append(int(v))
-                d_app.append(dist[u, v])
-    order = sorted(range(len(src)), key=lambda e: (src[e], dst[e]))
-    return TrackGraph(
-        ordered,
-        np.asarray([src[e] for e in order], dtype=np.int64),
-        np.asarray([dst[e] for e in order], dtype=np.int64),
-        np.asarray([d_app[e] for e in order], dtype=np.float64),
-    )
+    # row-major nonzero order is already sorted by (src, dst)
+    src, dst = np.nonzero(candidate & keep & keep.T)
+    return TrackGraph(ordered, src.astype(np.int64), dst.astype(np.int64),
+                      dist[src, dst].astype(np.float64))
 
 
 def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
@@ -117,23 +106,15 @@ def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
     ordered = _canonical_order(detections)
     pos = {d.node_id: i for i, d in enumerate(ordered)}
     frames = {d.node_id: d.frame for d in ordered}
-    src, dst = [], []
-    seen = set()
+    edges = set()
     for i, j in pairs:
         if i not in pos or j not in pos:
             raise ConfigError(f"edge ({i}, {j}) references unknown node ids")
         if frames[i] == frames[j]:
             raise ConfigError(f"edge ({i}, {j}) connects detections in the same frame")
-        if frames[i] > frames[j]:
-            i, j = j, i
-        if (i, j) in seen:
-            continue
-        seen.add((i, j))
-        src.append(pos[i])
-        dst.append(pos[j])
-    order = sorted(range(len(src)), key=lambda e: (src[e], dst[e]))
-    src = np.asarray([src[e] for e in order], dtype=np.int64)
-    dst = np.asarray([dst[e] for e in order], dtype=np.int64)
+        edges.add((pos[i], pos[j]) if frames[i] < frames[j] else (pos[j], pos[i]))
+    edges = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0].copy(), edges[:, 1].copy()
     d_app = np.zeros(len(src))
     for e in range(len(src)):
         a, b = ordered[src[e]].appearance, ordered[dst[e]].appearance

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensorkit as tk
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, read_text
 from .graph import (ConstraintReport, TrackGraph, _assert_feasible, _degrees, build_graph,
                     check_constraints, detections_in_window, graph_from_edge_list,
                     split_windows, violating_edges)
@@ -259,8 +259,7 @@ def write_mask_pgm(path, grid: np.ndarray) -> None:
 
 def read_mask_pgm(path) -> np.ndarray:
     """Load an ASCII PGM back into a [0, 1] probability grid."""
-    with open(path) as fh:
-        tokens = fh.read().split()
+    tokens = read_text(path).split()
     if not tokens or tokens[0] != "P2":
         raise ParseError(f"{path}: not an ASCII PGM file")
     try:

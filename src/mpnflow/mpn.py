@@ -61,11 +61,19 @@ class MpnConfig:
                 f"last_m_steps={self.last_m_steps} out of range for num_steps={self.num_steps}")
 
 
+# accepted value types per MpnConfig annotation; bool is never an int here
+_CONFIG_TYPES = {"int": (int,), "str": (str,), "bool": (bool,), "int | None": (int, type(None))}
+
+
 def mpn_config_from_dict(raw: dict) -> MpnConfig:
-    known = {f.name for f in fields(MpnConfig)}
-    unknown = set(raw) - known
+    known = {f.name: f.type for f in fields(MpnConfig)}
+    unknown = set(raw) - set(known)
     if unknown:
         raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        kinds = _CONFIG_TYPES[known[key]]
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise ConfigError(f"model config key {key!r} must be {known[key]}, got {value!r}")
     cfg = MpnConfig(**raw)
     cfg.validate()
     return cfg
@@ -145,7 +153,10 @@ class ModelParams:
         aggregation = model.pop("aggregation", "sum")
         if aggregation != "sum":
             raise CheckpointError(f"{path}: unsupported aggregation {aggregation!r}")
-        config = mpn_config_from_dict(model)
+        try:
+            config = mpn_config_from_dict(model)
+        except ConfigError as e:
+            raise CheckpointError(f"{path}: {e}") from e
         params = cls(config, int(extra["d_app"]), seed=0)
         tk.assign_parameters(params.named_parameters(), groups)
         return params
@@ -176,28 +187,31 @@ def encode_geometry(det_i, det_j, appearance_distance: float) -> np.ndarray:
     Components: size-normalized x and y offsets, log height and width
     ratios, frame difference, appearance distance.
     """
-    xi, yi, wi, hi = det_i.box
-    xj, yj, wj, hj = det_j.box
-    if det_i.frame == det_j.frame:
-        raise ConfigError(f"edge ({det_i.node_id}, {det_j.node_id}) joins equal frames")
-    if min(wi, hi, wj, hj) <= 0:
-        raise ConfigError(f"edge ({det_i.node_id}, {det_j.node_id}) has non-positive box dims")
-    return np.asarray([
+    one_edge = TrackGraph([det_i, det_j], np.zeros(1, np.int64), np.ones(1, np.int64),
+                          np.asarray([appearance_distance], dtype=np.float64))
+    return edge_feature_matrix(one_edge)[0]
+
+
+def edge_feature_matrix(graph: TrackGraph) -> np.ndarray:
+    """encode_geometry of every edge, one row per edge, computed per column."""
+    boxes = np.asarray([d.box for d in graph.detections], dtype=np.float64).reshape(-1, 4)
+    u, v = graph.edge_src, graph.edge_dst
+    box_u, box_v = boxes[u], boxes[v]
+    equal_frames = graph.frames[u] == graph.frames[v]
+    bad = equal_frames | (box_u[:, 2:] <= 0).any(axis=1) | (box_v[:, 2:] <= 0).any(axis=1)
+    if bad.any():
+        e = int(np.argmax(bad))
+        why = "joins equal frames" if equal_frames[e] else "has non-positive box dims"
+        raise ConfigError(f"edge ({graph.node_ids[u[e]]}, {graph.node_ids[v[e]]}) {why}")
+    (xi, yi, wi, hi), (xj, yj, wj, hj) = box_u.T, box_v.T
+    return np.stack([
         2.0 * (xj - xi) / (hi + hj),
         2.0 * (yj - yi) / (hi + hj),
         np.log(hi / hj),
         np.log(wi / wj),
-        float(det_j.frame - det_i.frame),
-        float(appearance_distance),
-    ])
-
-
-def edge_feature_matrix(graph: TrackGraph) -> np.ndarray:
-    feats = np.zeros((graph.num_edges, EDGE_FEATURE_DIM))
-    for e, (u, v) in enumerate(zip(graph.edge_src, graph.edge_dst)):
-        feats[e] = encode_geometry(graph.detections[u], graph.detections[v],
-                                   graph.edge_app_dist[e])
-    return feats
+        (graph.frames[v] - graph.frames[u]).astype(np.float64),
+        graph.edge_app_dist,
+    ], axis=1)
 
 
 def encode_nodes(graph: TrackGraph, params: ModelParams) -> tk.Tensor:

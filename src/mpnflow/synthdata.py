@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, read_text
 
 Box = tuple[float, float, float, float]  # x, y, w, h with top-left origin
 
@@ -216,21 +216,22 @@ def _read_rows(path, parse_row, header: str | None = None) -> list:
     becomes a ParseError naming path:line.  With a header given, the first
     line must equal it.
     """
+    lines = read_text(path).split("\n")
+    if header is not None and lines[0].strip() != header:
+        raise ParseError(f"{path}:1: expected the header {header!r}")
+    first = 0 if header is None else 1
     rows = []
-    with open(path) as fh:
-        if header is not None and fh.readline().strip() != header:
-            raise ParseError(f"{path}:1: expected the header {header!r}")
-        for ln, line in enumerate(fh, start=1 if header is None else 2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vals = list(map(float, line.split(",")))
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError("values must be finite (no nan or inf)")
-                rows.append(parse_row(vals))
-            except ValueError as e:
-                raise ParseError(f"{path}:{ln}: {e}") from e
+    for ln, line in enumerate(lines[first:], start=first + 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            vals = list(map(float, line.split(",")))
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("values must be finite (no nan or inf)")
+            rows.append(parse_row(vals))
+        except ValueError as e:
+            raise ParseError(f"{path}:{ln}: {e}") from e
     return rows
 
 

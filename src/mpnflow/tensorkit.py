@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 
-from .errors import CheckpointError, GradientError, ShapeError
+from .errors import CheckpointError, GradientError, ShapeError, read_text
 
 
 class _GradMode(threading.local):
@@ -688,11 +688,10 @@ def save_checkpoint(path, params: list[tuple[str, Tensor]], extra: dict | None =
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint, returning (name -> array, extra metadata)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"{path}: not valid JSON ({e})") from e
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: missing or wrong format header")
     if doc.get("version") != CHECKPOINT_VERSION:

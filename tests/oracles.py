@@ -4,7 +4,8 @@ import itertools
 
 import numpy as np
 
-from mpnflow.graph import graph_from_edge_list
+from mpnflow.errors import ConfigError
+from mpnflow.graph import TrackGraph, _canonical_order, graph_from_edge_list
 from mpnflow.infer import threshold, violating_edges
 from mpnflow.synthdata import Detection
 
@@ -81,3 +82,81 @@ def random_rounding_instance(rng, max_active_sub=12):
         sub = violating_edges(graph, threshold(probs, 0.5))
         if 1 <= int(sub.sum()) <= max_active_sub:
             return graph, probs
+
+
+def reference_build_graph(detections, max_frame_gap, top_k):
+    """build_graph as per-node sorted() top-k plus a per-edge mutual check."""
+    if max_frame_gap < 1:
+        raise ConfigError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+    seen = set()
+    for d in detections:
+        if d.appearance is None:
+            raise ConfigError(f"detection {d.node_id} has no appearance vector")
+        if d.node_id in seen:
+            raise ConfigError(f"duplicate node id {d.node_id}")
+        seen.add(d.node_id)
+    ordered = _canonical_order(detections)
+    n = len(ordered)
+    if n == 0:
+        return TrackGraph([], np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    frames = np.asarray([d.frame for d in ordered])
+    ids = np.asarray([d.node_id for d in ordered])
+    app = np.stack([d.appearance for d in ordered])
+    diff = app[:, None, :] - app[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+
+    gap = frames[None, :] - frames[:, None]
+    candidate = (gap >= 1) & (gap <= max_frame_gap)   # u earlier than v
+
+    # per node: partners in either direction ranked by (distance, node id)
+    keep = [set() for _ in range(n)]
+    partner_mask = candidate | candidate.T
+    for u in range(n):
+        partners = np.nonzero(partner_mask[u])[0]
+        if partners.size == 0:
+            continue
+        order = sorted(partners, key=lambda v: (dist[u, v], ids[v]))
+        keep[u] = set(order[:top_k])
+
+    src, dst, d_app = [], [], []
+    for u in range(n):
+        for v in np.nonzero(candidate[u])[0]:
+            if v in keep[u] and u in keep[v]:
+                src.append(u)
+                dst.append(int(v))
+                d_app.append(dist[u, v])
+    order = sorted(range(len(src)), key=lambda e: (src[e], dst[e]))
+    return TrackGraph(
+        ordered,
+        np.asarray([src[e] for e in order], dtype=np.int64),
+        np.asarray([dst[e] for e in order], dtype=np.int64),
+        np.asarray([d_app[e] for e in order], dtype=np.float64),
+    )
+
+
+def reference_encode_geometry(det_i, det_j, appearance_distance):
+    """The edge feature 6-vector computed on Python scalars, one edge."""
+    xi, yi, wi, hi = det_i.box
+    xj, yj, wj, hj = det_j.box
+    if det_i.frame == det_j.frame:
+        raise ConfigError(f"edge ({det_i.node_id}, {det_j.node_id}) joins equal frames")
+    if min(wi, hi, wj, hj) <= 0:
+        raise ConfigError(f"edge ({det_i.node_id}, {det_j.node_id}) has non-positive box dims")
+    return np.asarray([
+        2.0 * (xj - xi) / (hi + hj),
+        2.0 * (yj - yi) / (hi + hj),
+        np.log(hi / hj),
+        np.log(wi / wj),
+        float(det_j.frame - det_i.frame),
+        float(appearance_distance),
+    ])
+
+
+def reference_edge_feature_matrix(graph, encode=reference_encode_geometry):
+    """Edge features by one encode(det_u, det_v, distance) call per edge."""
+    feats = np.zeros((graph.num_edges, 6))
+    for e, (u, v) in enumerate(zip(graph.edge_src, graph.edge_dst)):
+        feats[e] = encode(graph.detections[u], graph.detections[v], graph.edge_app_dist[e])
+    return feats

@@ -194,6 +194,18 @@ def _edit_first_group(change):
     return edit
 
 
+def _edit_model_metadata(change):
+    def edit(text):
+        doc = json.loads(text)
+        change(doc["extra"]["model"])
+        return json.dumps(doc)
+    return edit
+
+
+def _not_utf8(text):
+    return text.encode() + b"\xff\xfe1,2\n"
+
+
 def _negative_mask_dims(text):
     # -1 x -(h*w) still multiplies out to the number of mask values
     first, *rest = text.splitlines()
@@ -202,7 +214,8 @@ def _negative_mask_dims(text):
     return "\n".join([",".join(parts)] + rest) + "\n"
 
 
-# case: (command, file under the mask_run copy, edit, line named in the error)
+# case: (command, file under the mask_run copy, edit, line named in the error);
+# an edit returns the new text or bytes, and gets "" for a file it creates
 MALFORMED = {
     "det_box_nan": ("infer", "data/det.txt", _set_field(2, 2, "nan"), 2),
     "det_confidence_inf": ("infer", "data/det.txt", _set_field(2, 6, "inf"), 2),
@@ -218,6 +231,18 @@ MALFORMED = {
         "infer", "model/checkpoint.json", _edit_first_group(lambda g: g.pop("data")), None),
     "checkpoint_data_short_of_shape": (
         "infer", "model/checkpoint.json", _edit_first_group(lambda g: g["data"].pop()), None),
+    "checkpoint_num_steps_str": (
+        "infer", "model/checkpoint.json", _edit_model_metadata(lambda m: m.update(num_steps="2")),
+        None),
+    "checkpoint_with_masks_int": (
+        "infer", "model/checkpoint.json", _edit_model_metadata(lambda m: m.update(with_masks=1)),
+        None),
+    "mask_name_not_a_node_id": ("eval", "run/masks/node_x.pgm", lambda text: "P2\n1 1\n1\n1\n",
+                                None),
+    "det_not_utf8": ("infer", "data/det.txt", _not_utf8, None),
+    "pgm_not_utf8": ("eval", "run/masks/node_00000.pgm", _not_utf8, None),
+    "checkpoint_not_utf8": ("infer", "model/checkpoint.json", _not_utf8, None),
+    "config_not_utf8": ("infer", "cfg.json", _not_utf8, None),
 }
 
 
@@ -226,13 +251,15 @@ def test_malformed_input_exits_1_naming_the_file(case, mask_run, tmp_path, capsy
     command, name, edit, line = MALFORMED[case]
     for sub in ("data", "model", "run"):
         shutil.copytree(mask_run / sub, tmp_path / sub)
+    shutil.copy(mask_run / "cfg.json", tmp_path / "cfg.json")
     path = tmp_path / name
-    path.write_text(edit(path.read_text()))
+    edited = edit(path.read_text() if path.exists() else "")
+    path.write_bytes(edited if isinstance(edited, bytes) else edited.encode())
     capsys.readouterr()
     if command == "infer":
         argv = ["infer", "--data", str(tmp_path / "data"), "--checkpoint",
                 str(tmp_path / "model" / "checkpoint.json"), "--out", str(tmp_path / "out"),
-                "--config", str(mask_run / "cfg.json")]
+                "--config", str(tmp_path / "cfg.json")]
     else:
         argv = ["eval", "--data", str(tmp_path / "data"), "--run", str(tmp_path / "run")]
     assert main(argv) == 1
@@ -261,12 +288,17 @@ LOADERS = {
 }
 
 
+# UTF-8 text, arbitrary bytes, and text with a byte no UTF-8 text contains
+CONTENT = st.one_of(TEXT.map(str.encode), st.binary(),
+                    st.tuples(TEXT, st.binary()).map(lambda tb: tb[0].encode() + b"\xff" + tb[1]))
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=TEXT)
-def test_loaders_return_or_raise_parse_error_on_any_text(text):
+@given(content=CONTENT)
+def test_loaders_return_or_raise_parse_error_on_any_text(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(content)
         for name, load in LOADERS.items():
             try:
                 load(path)

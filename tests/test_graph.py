@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import reference_build_graph, reference_edge_feature_matrix
 
 from mpnflow import graph as gr
+from mpnflow import mpn
 from mpnflow import synthdata as sd
 from mpnflow.errors import ConfigError
 
@@ -48,6 +52,56 @@ def test_missing_appearance_rejected():
     d = sd.Detection(node_id=0, frame=1, box=(0, 0, 5, 5))
     with pytest.raises(ConfigError):
         gr.build_graph([d], max_frame_gap=2, top_k=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_appearance_rejected_naming_the_node(bad):
+    dets = [det(0, 1, app=(0.0, 1.0)), det(7, 2, app=(bad, 1.0)), det(2, 3, app=(1.0, 1.0))]
+    with pytest.raises(ConfigError, match="detection 7 "):
+        gr.build_graph(dets, max_frame_gap=2, top_k=3)
+
+
+# a few shared values force distance ties; huge ones overflow distances to inf
+APP_VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0, 1e200, -1e200]) | st.floats(-10, 10)
+
+
+@st.composite
+def detection_sets(draw):
+    n = draw(st.integers(0, 40))
+    palette = draw(st.lists(st.lists(APP_VALUES, min_size=2, max_size=2), min_size=1,
+                            max_size=8))
+    ids = draw(st.permutations(range(60)))[:n]
+    dets = []
+    for nid in ids:
+        x, y = draw(st.sampled_from([0.0, 5.0])), draw(st.floats(-50, 50))
+        w, h = draw(st.sampled_from([10.0, 20.0])), draw(st.floats(0.5, 80))
+        dets.append(sd.Detection(node_id=nid, frame=draw(st.integers(1, 8)), box=(x, y, w, h),
+                                 appearance=np.asarray(draw(st.sampled_from(palette)))))
+    return dets
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dets=detection_sets(), top_k=st.integers(1, 12), gap=st.integers(1, 6))
+def test_build_graph_matches_loop_reference_bit_for_bit(dets, top_k, gap):
+    with np.errstate(over="ignore"):
+        g = gr.build_graph(dets, max_frame_gap=gap, top_k=top_k)
+        ref = reference_build_graph(dets, max_frame_gap=gap, top_k=top_k)
+    assert g.edge_src.dtype == g.edge_dst.dtype == np.int64
+    assert g.edge_app_dist.dtype == np.float64
+    assert np.array_equal(g.edge_src, ref.edge_src)
+    assert np.array_equal(g.edge_dst, ref.edge_dst)
+    assert g.edge_app_dist.tobytes() == ref.edge_app_dist.tobytes()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dets=detection_sets(), top_k=st.integers(1, 12), gap=st.integers(1, 6))
+def test_edge_feature_matrix_matches_per_edge_loop_bit_for_bit(dets, top_k, gap):
+    with np.errstate(over="ignore"):
+        g = gr.build_graph(dets, max_frame_gap=gap, top_k=top_k)
+    feats = mpn.edge_feature_matrix(g)
+    assert feats.shape == (g.num_edges, mpn.EDGE_FEATURE_DIM)
+    assert feats.tobytes() == reference_edge_feature_matrix(g).tobytes()
+    assert feats.tobytes() == reference_edge_feature_matrix(g, mpn.encode_geometry).tobytes()
 
 
 def test_relabeling_gives_isomorphic_graph():

@@ -57,6 +57,17 @@ def test_encode_geometry_rejects_bad_inputs():
         mpn.encode_geometry(a, c, 0.0)
 
 
+def test_edge_feature_matrix_names_the_first_offending_edge():
+    dets = [det(0, 1), det(1, 2), det(2, 2), det(3, 3)]
+    dets[3].box = (0.0, 0.0, 10.0, -1.0)   # bypass construction check on purpose
+    g = gr.TrackGraph(dets, np.array([0, 1, 2]), np.array([1, 2, 3]), np.zeros(3))
+    with pytest.raises(ConfigError, match=r"edge \(1, 2\) joins equal frames"):
+        mpn.edge_feature_matrix(g)
+    g = gr.TrackGraph(dets, np.array([0, 2]), np.array([1, 3]), np.zeros(2))
+    with pytest.raises(ConfigError, match=r"edge \(2, 3\) has non-positive box dims"):
+        mpn.edge_feature_matrix(g)
+
+
 def test_classifier_logit_to_probability():
     assert abs(tk.sigmoid(tk.Tensor([0.8473])).data[0] - 0.7) < 1e-4
 
@@ -321,3 +332,19 @@ def test_config_validation():
         mpn.mpn_config_from_dict({"nope": 1})
     assert mpn.MpnConfig(num_steps=8).resolved_last_m() == 6
     assert mpn.MpnConfig(num_steps=0).resolved_last_m() == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("num_steps", "2"), ("num_steps", True), ("num_steps", 2.0), ("d_node", None),
+    ("with_masks", 1), ("with_masks", "true"), ("variant", 3), ("last_m_steps", "1"),
+    ("last_m_steps", False)])
+def test_config_from_dict_rejects_wrongly_typed_values_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=repr(key)):
+        mpn.mpn_config_from_dict({key: value})
+
+
+def test_config_from_dict_accepts_declared_types():
+    cfg = mpn.mpn_config_from_dict({"num_steps": 3, "with_masks": True, "variant": "vanilla",
+                                    "last_m_steps": None})
+    assert cfg == mpn.MpnConfig(num_steps=3, with_masks=True, variant="vanilla")
+    assert mpn.mpn_config_from_dict({"num_steps": 3, "last_m_steps": 2}).last_m_steps == 2
