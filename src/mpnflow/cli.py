@@ -22,7 +22,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import tensorkit as tk
-from .errors import ConfigError, MpnflowError, ParseError, read_text
+from .errors import ConfigError, MpnflowError, ParseError, check_config, read_text
 from .infer import read_mask_pgm, run_inference, write_mask_pgm
 from .metrics import (clear_mot, format_table, idf1, mots_metrics, track_masks,
                       write_report)
@@ -36,8 +36,12 @@ from .train import build_gradcheck_case, train_config_from_dict, train_loop, wri
 LOG = logging.getLogger("mpnflow")
 
 CONFIG_SECTIONS = ("scenario", "model", "train", "infer")
-INFER_DEFAULTS = {"frames_per_graph": 15, "top_k": 10, "max_frame_gap": None,
-                  "tau": 0.5, "rounder": "exact", "min_track_len": 2, "threads": 1}
+# infer option -> (declared type, default); threads is accepted for scripts
+# that pass it, but windows run one after another, so it must be 1
+INFER_OPTIONS = {"frames_per_graph": ("int", 15), "top_k": ("int", 10),
+                 "max_frame_gap": ("int | None", None), "tau": ("float", 0.5),
+                 "rounder": ("str", "exact"), "min_track_len": ("int", 2),
+                 "threads": ("int", 1)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +59,9 @@ def _load_config(path) -> dict:
     if unknown:
         raise ConfigError(f"{path}: unknown config sections {unknown}; "
                           f"expected a subset of {list(CONFIG_SECTIONS)}")
+    for name, section in cfg.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}: config section {name!r} must be a JSON object")
     return cfg
 
 
@@ -147,17 +154,17 @@ def cmd_train(args) -> int:
 # infer
 
 def _infer_options(args) -> dict:
-    opts = dict(INFER_DEFAULTS)
     section = _load_config(args.config).get("infer", {})
-    unknown = sorted(set(section) - set(INFER_DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown infer options {unknown}; "
-                          f"expected a subset of {sorted(INFER_DEFAULTS)}")
+    check_config("infer", section, {key: kind for key, (kind, _) in INFER_OPTIONS.items()})
+    opts = {key: default for key, (_, default) in INFER_OPTIONS.items()}
     opts.update(section)
-    for key in INFER_DEFAULTS:
+    for key in INFER_OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
             opts[key] = flag
+    threads = opts.pop("threads")
+    if threads != 1:
+        raise ConfigError(f"threads must be 1 (windows run one after another), got {threads}")
     return opts
 
 
@@ -325,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, help="classification threshold")
     p.add_argument("--rounder", choices=("exact", "greedy"))
     p.add_argument("--min-track-len", dest="min_track_len", type=int)
-    p.add_argument("--threads", type=int, help="parallel window workers")
+    p.add_argument("--threads", type=int, help="must be 1; windows run one after another")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score results against ground truth")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one text-file reader."""
+"""Exception types shared across the package, the one text-file reader and
+the one config-section check."""
+
+from dataclasses import fields
 
 
 class MpnflowError(Exception):
@@ -44,3 +47,29 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
+# accepted value types per declared field type; a bool is never an int or a float
+_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+          "int | None": (int, type(None))}
+
+
+def check_config(section: str, raw: dict, declared: dict[str, str]) -> None:
+    """Reject keys of a config section that are not declared, and values
+    that are not of their key's declared type."""
+    unknown = sorted(set(raw) - set(declared))
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {unknown}")
+    for key, value in raw.items():
+        kinds = _KINDS[declared[key]]
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise ConfigError(f"{section} config key {key!r} must be {declared[key]}, "
+                              f"got {value!r}")
+
+
+def config_from_dict(cls, section: str, raw: dict):
+    """The validated config dataclass cls built from one type-checked section."""
+    check_config(section, raw, {f.name: f.type for f in fields(cls)})
+    cfg = cls(**raw)
+    cfg.validate()
+    return cfg

@@ -55,6 +55,13 @@ def _canonical_order(detections: list[Detection]) -> list[Detection]:
     return sorted(detections, key=lambda d: (d.frame, d.box, d.node_id))
 
 
+def _app_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean appearance distance along the last axis, the one formula
+    every graph uses."""
+    diff = a - b
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def build_graph(detections: list[Detection], max_frame_gap: int, top_k: int) -> TrackGraph:
     """Connect detections across frames, then keep mutual top-k neighbors.
 
@@ -81,8 +88,7 @@ def build_graph(detections: list[Detection], max_frame_gap: int, top_k: int) -> 
     finite = np.isfinite(app).all(axis=1)
     if not finite.all():
         raise ConfigError(f"detection {ids[np.argmin(finite)]} has a non-finite appearance vector")
-    diff = app[:, None, :] - app[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = _app_dist(app[:, None, :], app[None, :, :])
 
     gap = frames[None, :] - frames[:, None]
     candidate = (gap >= 1) & (gap <= max_frame_gap)   # u earlier than v
@@ -115,11 +121,14 @@ def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
         edges.add((pos[i], pos[j]) if frames[i] < frames[j] else (pos[j], pos[i]))
     edges = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
     src, dst = edges[:, 0].copy(), edges[:, 1].copy()
+    # edges touching a detection without appearance keep distance 0
+    has_app = np.asarray([d.appearance is not None for d in ordered], dtype=bool)
+    both = has_app[src] & has_app[dst]
     d_app = np.zeros(len(src))
-    for e in range(len(src)):
-        a, b = ordered[src[e]].appearance, ordered[dst[e]].appearance
-        if a is not None and b is not None:
-            d_app[e] = float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+    if both.any():
+        app = np.stack([d.appearance for d in ordered if d.appearance is not None])
+        row = np.cumsum(has_app) - 1
+        d_app[both] = _app_dist(app[row[src[both]]], app[row[dst[both]]])
     return TrackGraph(ordered, src, dst, d_app)
 
 

@@ -11,8 +11,7 @@ interpolation over dropped frames.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -117,33 +116,6 @@ def extract_trajectories(graph: TrackGraph, y: np.ndarray) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # window-level inference
 
-@dataclass
-class WindowResult:
-    window: tuple[int, int]
-    edge_probs: dict[tuple[int, int], float]
-    node_masks: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def merge_windows(results: list[WindowResult]) -> tuple[dict[tuple[int, int], float],
-                                                        dict[int, np.ndarray]]:
-    """Average per-edge probabilities and per-node masks over windows.
-
-    Contributions are accumulated in window order, so the outcome does not
-    depend on the order the windows were processed in.
-    """
-    ordered = sorted(results, key=lambda r: r.window)
-    edge_acc: dict[tuple[int, int], list[float]] = {}
-    mask_acc: dict[int, list[np.ndarray]] = {}
-    for r in ordered:
-        for pair, p in sorted(r.edge_probs.items()):
-            edge_acc.setdefault(pair, []).append(p)
-        for nid, grid in sorted(r.node_masks.items()):
-            mask_acc.setdefault(nid, []).append(grid)
-    edge_probs = {pair: float(np.sum(vals) / len(vals)) for pair, vals in edge_acc.items()}
-    node_masks = {nid: np.sum(grids, axis=0) / len(grids) for nid, grids in mask_acc.items()}
-    return edge_probs, node_masks
-
-
 def interpolate_track(node_ids: list[int], det_by_id: dict[int, Detection]
                       ) -> list[tuple[int, Box, float]]:
     """Full per-frame series for a trajectory, filling frame gaps linearly.
@@ -182,41 +154,30 @@ ROUNDERS = ("exact", "greedy")
 
 def run_inference(detections: list[Detection], params: ModelParams, *,
                   frames_per_graph: int, top_k: int, max_frame_gap: int | None = None,
-                  tau: float = 0.5, rounder: str = "exact", min_track_len: int = 2,
-                  threads: int = 1) -> Solution:
-    """Window the sequence, classify, merge, round, and extract tracks."""
+                  tau: float = 0.5, rounder: str = "exact", min_track_len: int = 2) -> Solution:
+    """Classify each window, average every edge and node over its windows in
+    window order, round, and extract tracks."""
     if rounder not in ROUNDERS:
         raise ConfigError(f"rounder must be one of {ROUNDERS}, got {rounder!r}")
     if min_track_len < 1:
         raise ConfigError(f"min_track_len must be >= 1, got {min_track_len}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     gap = max_frame_gap or frames_per_graph
-    cfg = params.config
-    windows = split_windows(detections, frames_per_graph)
-
-    def process(window) -> WindowResult | None:
+    edge_acc: dict[tuple[int, int], list[float]] = {}
+    mask_acc: dict[int, list[np.ndarray]] = {}
+    for window in split_windows(detections, frames_per_graph):
         dets_w = detections_in_window(detections, window)
         if len(dets_w) < 2:
-            return None
+            continue
         g = build_graph(dets_w, max_frame_gap=gap, top_k=top_k)
         with tk.no_grad():
             state = mpn_forward(g, params)
-            probs = state.final_probs()
-            masks = {}
-            if cfg.with_masks:
-                grids = predict_masks(state, params).data
-                masks = {int(g.node_ids[i]): grids[i] for i in range(g.num_nodes)}
-        edge_probs = {pair: float(p) for pair, p in zip(g.edge_pairs(), probs)}
-        return WindowResult(window=window, edge_probs=edge_probs, node_masks=masks)
-
-    if threads == 1:
-        raw = [process(w) for w in windows]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(process, windows))
-    results = [r for r in raw if r is not None]
-    edge_probs, node_masks = merge_windows(results)
+            grids = predict_masks(state, params).data if params.config.with_masks else []
+        for pair, p in zip(g.edge_pairs(), state.final_probs()):
+            edge_acc.setdefault(pair, []).append(float(p))
+        for nid, grid in zip(g.node_ids, grids):
+            mask_acc.setdefault(int(nid), []).append(grid)
+    edge_probs = {pair: float(np.sum(vals) / len(vals)) for pair, vals in edge_acc.items()}
+    node_masks = {nid: np.sum(grids, axis=0) / len(grids) for nid, grids in mask_acc.items()}
 
     union = graph_from_edge_list(detections, list(edge_probs))
     probs_arr = np.asarray([edge_probs[pair] for pair in union.edge_pairs()])

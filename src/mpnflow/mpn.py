@@ -12,12 +12,12 @@ classifier and the attention weights.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensorkit as tk
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, config_from_dict
 from .graph import TrackGraph
 
 EDGE_FEATURE_DIM = 6
@@ -61,22 +61,8 @@ class MpnConfig:
                 f"last_m_steps={self.last_m_steps} out of range for num_steps={self.num_steps}")
 
 
-# accepted value types per MpnConfig annotation; bool is never an int here
-_CONFIG_TYPES = {"int": (int,), "str": (str,), "bool": (bool,), "int | None": (int, type(None))}
-
-
 def mpn_config_from_dict(raw: dict) -> MpnConfig:
-    known = {f.name: f.type for f in fields(MpnConfig)}
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        kinds = _CONFIG_TYPES[known[key]]
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            raise ConfigError(f"model config key {key!r} must be {known[key]}, got {value!r}")
-    cfg = MpnConfig(**raw)
-    cfg.validate()
-    return cfg
+    return config_from_dict(MpnConfig, "model", raw)
 
 
 class ModelParams:

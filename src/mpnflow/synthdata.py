@@ -11,11 +11,11 @@ config reproduces byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, read_text
+from .errors import ConfigError, ParseError, config_from_dict, read_text
 
 Box = tuple[float, float, float, float]  # x, y, w, h with top-left origin
 
@@ -196,13 +196,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
 
 def scenario_config_from_dict(raw: dict) -> ScenarioConfig:
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown scenario config keys: {sorted(unknown)}")
-    cfg = ScenarioConfig(**raw)
-    cfg.validate()
-    return cfg
+    return config_from_dict(ScenarioConfig, "scenario", raw)
 
 
 # ---------------------------------------------------------------------------

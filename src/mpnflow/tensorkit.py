@@ -251,16 +251,6 @@ def sigmoid(a) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def exp(a) -> Tensor:
-    a = astensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out)
-
-    return _record(out, (a,), bwd)
-
-
 def log(a) -> Tensor:
     a = astensor(a)
 
@@ -358,19 +348,6 @@ def segment_sum(a, seg, num_segments: int) -> Tensor:
 
     def bwd(g):
         _accum(a, g[seg])
-
-    return _record(out, (a,), bwd)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = astensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accum(a, out * (g - inner))
 
     return _record(out, (a,), bwd)
 

@@ -10,12 +10,12 @@ are enabled.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensorkit as tk
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, config_from_dict
 from .graph import build_graph, detections_in_window, ground_truth_labels, split_windows
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from .synthdata import Detection, Scenario, ScenarioConfig, generate_scenario
@@ -66,13 +66,7 @@ class TrainConfig:
 
 
 def train_config_from_dict(raw: dict) -> TrainConfig:
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    cfg = TrainConfig(**raw)
-    cfg.validate()
-    return cfg
+    return config_from_dict(TrainConfig, "train", raw)
 
 
 @dataclass

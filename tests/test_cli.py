@@ -268,6 +268,56 @@ def test_malformed_input_exits_1_naming_the_file(case, mask_run, tmp_path, capsy
     assert (str(path) if line is None else f"{path}:{line}:") in err
 
 
+# case: (command, config sections, text the error must contain)
+BAD_CONFIGS = {
+    "scenario_int_as_str": ("generate", {"scenario": {"num_frames": "10"}}, "num_frames"),
+    "scenario_float_as_bool": ("generate", {"scenario": {"speed_max": True}}, "speed_max"),
+    "scenario_not_object": ("generate", {"scenario": 3}, "scenario"),
+    "model_not_object": ("train", {"model": [1]}, "model"),
+    "train_int_as_str": ("train", {"train": {"iterations": "2"}}, "iterations"),
+    "train_float_as_str": ("train", {"train": {"lr": "0.1"}}, "lr"),
+    "infer_int_as_str": ("infer", {"infer": {"top_k": "3"}}, "top_k"),
+    "infer_float_as_str": ("infer", {"infer": {"tau": "0.5"}}, "tau"),
+    "infer_unknown_key": ("infer", {"infer": {"typo": 1}}, "typo"),
+    "infer_threads_2": ("infer", {"infer": {"threads": 2}}, "threads"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_wrongly_typed_config_exits_1_naming_the_key(case, mask_run, tmp_path, capsys):
+    command, sections, named = BAD_CONFIGS[case]
+    cfg = _write_config(tmp_path / "bad.json", **sections)
+    data, out = str(mask_run / "data"), str(tmp_path / "out")
+    argv = {"generate": ["generate", "--out", out],
+            "train": ["train", "--data", data, "--out", out],
+            "infer": ["infer", "--data", data, "--out", out,
+                      "--checkpoint", str(mask_run / "model" / "checkpoint.json")]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--config", cfg]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_config_float_fields_accept_ints(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", scenario={"num_frames": 3, "image_width": 300},
+                        train={"iterations": 1, "lr": 0})
+    data = str(tmp_path / "data")
+    assert main(["generate", "--out", data, "--config", cfg]) == 0
+    assert main(["train", "--data", data, "--out", str(tmp_path / "m"), "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("threads, code", [("1", 0), ("2", 1)])
+def test_infer_threads_flag_accepts_only_1(threads, code, mask_run, tmp_path, capsys):
+    argv = ["infer", "--data", str(mask_run / "data"), "--out", str(tmp_path / "out"),
+            "--checkpoint", str(mask_run / "model" / "checkpoint.json"),
+            "--config", str(mask_run / "cfg.json"), "--threads", threads]
+    capsys.readouterr()
+    assert main(argv) == code
+    if code:
+        assert "threads" in capsys.readouterr().err
+    else:
+        assert (tmp_path / "out" / "edges.csv").exists()
+
+
 FIELDS = st.sampled_from(["0", "1", "2", "-1", "3.5", "1e400", "nan", "-inf", "", "x",
                           "P2", "track_id", "node_id", "64"])
 ROWS = st.lists(st.lists(FIELDS, min_size=1, max_size=12).map(",".join), max_size=6)

@@ -68,7 +68,8 @@ APP_VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0, 1e200, -1e200]) | st.flo
 @st.composite
 def detection_sets(draw):
     n = draw(st.integers(0, 40))
-    palette = draw(st.lists(st.lists(APP_VALUES, min_size=2, max_size=2), min_size=1,
+    dim = draw(st.sampled_from([2, 16]))
+    palette = draw(st.lists(st.lists(APP_VALUES, min_size=dim, max_size=dim), min_size=1,
                             max_size=8))
     ids = draw(st.permutations(range(60)))[:n]
     dets = []
@@ -86,11 +87,15 @@ def test_build_graph_matches_loop_reference_bit_for_bit(dets, top_k, gap):
     with np.errstate(over="ignore"):
         g = gr.build_graph(dets, max_frame_gap=gap, top_k=top_k)
         ref = reference_build_graph(dets, max_frame_gap=gap, top_k=top_k)
+        rebuilt = gr.graph_from_edge_list(dets, g.edge_pairs())
     assert g.edge_src.dtype == g.edge_dst.dtype == np.int64
     assert g.edge_app_dist.dtype == np.float64
     assert np.array_equal(g.edge_src, ref.edge_src)
     assert np.array_equal(g.edge_dst, ref.edge_dst)
     assert g.edge_app_dist.tobytes() == ref.edge_app_dist.tobytes()
+    # a graph rebuilt from its own pairs gets the same arrays, distances included
+    for name in ("edge_src", "edge_dst", "edge_app_dist"):
+        assert getattr(rebuilt, name).tobytes() == getattr(g, name).tobytes(), name
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -202,3 +207,13 @@ def test_graph_from_edge_list_dedupes_and_orients():
     assert g.edge_pairs() == [(0, 1), (1, 2)]
     with pytest.raises(ConfigError):
         gr.graph_from_edge_list(dets, [(0, 99)])
+
+
+def test_graph_from_edge_list_keeps_zero_distance_without_appearance():
+    dets = [det(0, 1, app=(0.0, 3.0)), det(1, 2, x=20, app=(4.0, 0.0)),
+            sd.Detection(node_id=2, frame=3, box=(40.0, 0.0, 10.0, 10.0)),
+            det(3, 4, x=60, app=(4.0, 3.0))]
+    g = gr.graph_from_edge_list(dets, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+    assert g.edge_pairs() == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert g.edge_app_dist.tolist() == [5.0, 4.0, 0.0, 3.0, 0.0]
+    assert gr.graph_from_edge_list(dets[2:3], []).num_edges == 0

@@ -4,12 +4,12 @@ import pytest
 from oracles import brute_force_round, random_rounding_instance, subgraph_objective
 
 from mpnflow.errors import ConfigError, FeasibilityError
-from mpnflow.graph import build_graph, graph_from_edge_list
-from mpnflow.infer import (WindowResult, check_constraints, exact_round,
-                           extract_trajectories, greedy_round, interpolate_track,
-                           merge_windows, read_mask_pgm, run_inference, threshold,
+from mpnflow.graph import build_graph, detections_in_window, graph_from_edge_list, split_windows
+from mpnflow.infer import (check_constraints, exact_round, extract_trajectories, greedy_round,
+                           interpolate_track, read_mask_pgm, run_inference, threshold,
                            violating_edges, write_mask_pgm)
-from mpnflow.mpn import ModelParams, MpnConfig
+from mpnflow.mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
+from mpnflow.tensorkit import no_grad
 from mpnflow.synthdata import Detection, ScenarioConfig, generate_scenario
 
 
@@ -105,20 +105,6 @@ def test_extract_trajectories_rejects_violations():
         extract_trajectories(g, np.array([1, 1]))
 
 
-def test_merge_windows_averages_and_is_order_invariant():
-    a = WindowResult(window=(1, 3), edge_probs={(0, 1): 0.8},
-                     node_masks={5: np.full((2, 2), 0.2)})
-    b = WindowResult(window=(2, 4), edge_probs={(0, 1): 0.6, (1, 2): 0.5},
-                     node_masks={5: np.full((2, 2), 0.4)})
-    probs1, masks1 = merge_windows([a, b])
-    probs2, masks2 = merge_windows([b, a])
-    assert probs1 == {(0, 1): 0.7, (1, 2): 0.5}
-    assert probs1 == probs2
-    assert np.array_equal(masks1[5], masks2[5])
-    assert masks1[5] == pytest.approx(np.full((2, 2), 0.3))
-    assert merge_windows([]) == ({}, {})
-
-
 def test_interpolation_fills_gap_linearly():
     dets = {
         0: Detection(node_id=0, frame=1, box=(0.0, 0.0, 4.0, 4.0),
@@ -180,17 +166,6 @@ def test_run_inference_produces_feasible_partition():
         assert frames == list(range(frames[0], frames[-1] + 1))
 
 
-def test_run_inference_thread_count_does_not_change_results():
-    scenario, params = _inference_fixture()
-    one = run_inference(scenario.detections, params, frames_per_graph=5, top_k=3,
-                        threads=1)
-    two = run_inference(scenario.detections, params, frames_per_graph=5, top_k=3,
-                        threads=3)
-    assert one.edge_probs == two.edge_probs
-    assert one.labels == two.labels
-    assert one.trajectories == two.trajectories
-
-
 def test_run_inference_greedy_rounder_feasible():
     scenario, params = _inference_fixture()
     sol = run_inference(scenario.detections, params, frames_per_graph=5, top_k=3,
@@ -216,3 +191,36 @@ def test_run_inference_emits_masks_when_enabled():
     for grid in sol.node_masks.values():
         assert grid.shape == (4, 4)
         assert np.all((grid >= 0.0) & (grid <= 1.0))
+
+
+def test_run_inference_averages_windows_in_window_order():
+    scenario = generate_scenario(ScenarioConfig(
+        num_frames=9, num_identities=3, detection_dropout=0.2, false_positive_rate=0.3,
+        d_app=6, roi_h=4, roi_w=4, d_roi=2, seed=4))
+    cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
+                    conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
+    params = ModelParams(cfg, d_app=6, seed=2)
+    sol = run_inference(scenario.detections, params, frames_per_graph=4, top_k=3)
+
+    probs: dict = {}
+    masks: dict = {}
+    windows = split_windows(scenario.detections, 4)
+    assert len(windows) > 3
+    for window in windows:
+        dets = detections_in_window(scenario.detections, window)
+        if len(dets) < 2:
+            continue
+        g = build_graph(dets, max_frame_gap=4, top_k=3)
+        with no_grad():
+            state = mpn_forward(g, params)
+            grids = predict_masks(state, params).data
+        for pair, p in zip(g.edge_pairs(), state.final_probs()):
+            probs.setdefault(pair, []).append(float(p))
+        for nid, grid in zip(g.node_ids, grids):
+            masks.setdefault(int(nid), []).append(grid)
+    assert max(len(v) for v in probs.values()) > 2
+    want = {pair: float(np.sum(v) / len(v)) for pair, v in probs.items()}
+    assert sol.edge_probs == want
+    assert set(sol.node_masks) == set(masks)
+    for nid, grids in masks.items():
+        assert sol.node_masks[nid].tobytes() == (np.sum(grids, axis=0) / len(grids)).tobytes()

@@ -140,18 +140,6 @@ def test_conv2d_gradients_match_finite_differences():
         assert np.allclose(t.grad, gn, atol=1e-5)
 
 
-def test_softmax_of_log2_and_zero():
-    out = tk.softmax(tk.Tensor([[math.log(2.0), 0.0]]))
-    assert np.allclose(out.data, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
-
-
-def test_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(5)
-    out = tk.softmax(tk.Tensor(rng.normal(size=(7, 5)) * 30.0))
-    assert np.all(out.data > 0)
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-
-
 def test_segment_softmax_sums_to_one_per_segment():
     rng = np.random.default_rng(6)
     logits = rng.normal(size=12) * 10.0
