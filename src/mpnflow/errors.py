@@ -51,7 +51,7 @@ def read_text(path) -> str:
 
 # accepted value types per declared field type; a bool is never an int or a float
 _KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
-          "int | None": (int, type(None))}
+          "int | None": (int, type(None)), "dict": (dict,)}
 
 
 def check_config(section: str, raw: dict, declared: dict[str, str]) -> None:

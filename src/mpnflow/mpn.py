@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensorkit as tk
-from .errors import CheckpointError, ConfigError, config_from_dict
+from .errors import CheckpointError, ConfigError, check_config, config_from_dict
 from .graph import TrackGraph
 
 EDGE_FEATURE_DIM = 6
@@ -133,18 +133,19 @@ class ModelParams:
         groups, extra = tk.load_checkpoint(path)
         if "model" not in extra or "d_app" not in extra:
             raise CheckpointError(f"{path}: missing model config metadata")
-        model = dict(extra["model"])
-        # checkpoints written while aggregation was a config field record its
-        # only legal value, "sum"; any other value names a model not built here
-        aggregation = model.pop("aggregation", "sum")
-        if aggregation != "sum":
-            raise CheckpointError(f"{path}: unsupported aggregation {aggregation!r}")
         try:
-            config = mpn_config_from_dict(model)
-        except ConfigError as e:
+            check_config("checkpoint metadata", {"model": extra["model"], "d_app": extra["d_app"]},
+                         {"model": "dict", "d_app": "int"})
+            model = dict(extra["model"])
+            # checkpoints written while aggregation was a config field record its
+            # only legal value, "sum"; any other value names a model not built here
+            aggregation = model.pop("aggregation", "sum")
+            if aggregation != "sum":
+                raise CheckpointError(f"unsupported aggregation {aggregation!r}")
+            params = cls(mpn_config_from_dict(model), extra["d_app"], seed=0)
+            tk.assign_parameters(params.named_parameters(), groups)
+        except (ConfigError, CheckpointError) as e:
             raise CheckpointError(f"{path}: {e}") from e
-        params = cls(config, int(extra["d_app"]), seed=0)
-        tk.assign_parameters(params.named_parameters(), groups)
         return params
 
 

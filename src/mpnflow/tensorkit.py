@@ -379,7 +379,17 @@ def conv2d(x, w, b, kernel: int) -> Tensor:
     """Same-padded 2-D convolution on (N, H, W, Cin) with an odd square kernel.
 
     The kernel matrix w is stored flattened as (kernel*kernel*Cin, Cout) with
-    taps ordered row-major over (dy, dx).
+    taps ordered row-major over (dy, dx).  The im2col matrix has one row per
+    output pixel (n, i, j) and column t*Cin + c, t = dy*kernel + dx, holding
+    the zero-padded input at (n, i + dy - pad, j + dx - pad, c), so the
+    forward is a single GEMM against w.
+
+    The input gradient adds each tap's columns back in that same row-major
+    (dy, dx) order into a +0.0-initialised array, skipping the parts of a
+    tap that fall in the padding.  Each element thus sums the same terms in
+    the same order as a scatter into a padded buffer followed by a crop, and
+    a running sum that starts at +0.0 never becomes -0.0, so the two forms
+    agree bit for bit; a different tap order would not.
     """
     x, w, b = astensor(x), astensor(w), astensor(b)
     if kernel % 2 != 1 or kernel < 1:
@@ -392,12 +402,13 @@ def conv2d(x, w, b, kernel: int) -> Tensor:
         raise ShapeError(f"kernel matrix {w.data.shape} does not match {taps}x{cin} taps")
     cout = w.data.shape[1]
     pad = kernel // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    cols = np.concatenate(
-        [xp[:, dy:dy + h, dx:dx + wd, :] for dy in range(kernel) for dx in range(kernel)],
-        axis=3,
-    )
-    flat = cols.reshape(-1, taps * cin)
+    xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin))
+    xp[:, pad:pad + h, pad:pad + wd, :] = x.data
+    # (n, h, w, cin, dy, dx) window view, moved to (n, h, w, dy, dx, cin) and
+    # copied once into a fresh C-ordered buffer: a reshape alone can return a
+    # strided view for size-1 dims, and the GEMMs round differently on one
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(1, 2))
+    flat = windows.transpose(0, 1, 2, 4, 5, 3).copy().reshape(-1, taps * cin)
     out = (flat @ w.data + b.data).reshape(n, h, wd, cout)
 
     def bwd(g):
@@ -406,10 +417,16 @@ def conv2d(x, w, b, kernel: int) -> Tensor:
         _accum(b, gflat.sum(axis=0))
         if _live(x):
             gcols = (gflat @ w.data.T).reshape(n, h, wd, taps * cin)
-            gxp = np.zeros_like(xp)
-            for t_i, (dy, dx) in enumerate((dy, dx) for dy in range(kernel) for dx in range(kernel)):
-                gxp[:, dy:dy + h, dx:dx + wd, :] += gcols[:, :, :, t_i * cin:(t_i + 1) * cin]
-            _accum(x, gxp[:, pad:pad + h, pad:pad + wd, :])
+            gx = np.zeros_like(x.data)
+            for t_i in range(taps):
+                oy, ox = t_i // kernel - pad, t_i % kernel - pad
+                if abs(oy) >= h or abs(ox) >= wd:
+                    continue
+                # source pixel (i, j) of this tap feeds input pixel (i + oy, j + ox)
+                gx[:, max(oy, 0):h + min(oy, 0), max(ox, 0):wd + min(ox, 0), :] += \
+                    gcols[:, max(-oy, 0):h - max(oy, 0), max(-ox, 0):wd - max(ox, 0),
+                          t_i * cin:(t_i + 1) * cin]
+            _accum(x, gx)
 
     return _record(out, (x, w, b), bwd)
 
@@ -673,13 +690,16 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: missing or wrong format header")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {doc.get('version')!r}")
+    for key in ("groups", "extra"):
+        if not isinstance(doc.get(key), dict):
+            raise CheckpointError(f"{path}: {key!r} must be a JSON object, got {doc.get(key)!r}")
     groups = {}
-    for name, spec in doc.get("groups", {}).items():
+    for name, spec in doc["groups"].items():
         try:
             groups[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: parameter group {name!r} is malformed ({e!r})") from e
-    return groups, doc.get("extra", {})
+    return groups, doc["extra"]
 
 
 def assign_parameters(params: list[tuple[str, Tensor]], groups: dict[str, np.ndarray]) -> None:

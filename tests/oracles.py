@@ -4,10 +4,11 @@ import itertools
 
 import numpy as np
 
-from mpnflow.errors import ConfigError
+from mpnflow.errors import ConfigError, ShapeError
 from mpnflow.graph import TrackGraph, _canonical_order, graph_from_edge_list
 from mpnflow.infer import threshold, violating_edges
 from mpnflow.synthdata import Detection
+from mpnflow.tensorkit import Tensor, _accum, _live, _record, astensor
 
 
 def subgraph_objective(graph, probs, tau, y):
@@ -160,3 +161,39 @@ def reference_edge_feature_matrix(graph, encode=reference_encode_geometry):
     for e, (u, v) in enumerate(zip(graph.edge_src, graph.edge_dst)):
         feats[e] = encode(graph.detections[u], graph.detections[v], graph.edge_app_dist[e])
     return feats
+
+
+def reference_conv2d(x, w, b, kernel: int) -> Tensor:
+    """conv2d as np.pad, a per-tap np.concatenate im2col, and a col2im that
+    scatters every tap into a padded gradient buffer before cropping it."""
+    x, w, b = astensor(x), astensor(w), astensor(b)
+    if kernel % 2 != 1 or kernel < 1:
+        raise ShapeError(f"kernel size must be odd and positive, got {kernel}")
+    if x.data.ndim != 4:
+        raise ShapeError(f"conv2d expects (N, H, W, C) input, got {x.data.shape}")
+    n, h, wd, cin = x.data.shape
+    taps = kernel * kernel
+    if w.data.shape[0] != taps * cin:
+        raise ShapeError(f"kernel matrix {w.data.shape} does not match {taps}x{cin} taps")
+    cout = w.data.shape[1]
+    pad = kernel // 2
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = np.concatenate(
+        [xp[:, dy:dy + h, dx:dx + wd, :] for dy in range(kernel) for dx in range(kernel)],
+        axis=3,
+    )
+    flat = cols.reshape(-1, taps * cin)
+    out = (flat @ w.data + b.data).reshape(n, h, wd, cout)
+
+    def bwd(g):
+        gflat = g.reshape(-1, cout)
+        _accum(w, flat.T @ gflat)
+        _accum(b, gflat.sum(axis=0))
+        if _live(x):
+            gcols = (gflat @ w.data.T).reshape(n, h, wd, taps * cin)
+            gxp = np.zeros_like(xp)
+            for t_i, (dy, dx) in enumerate((dy, dx) for dy in range(kernel) for dx in range(kernel)):
+                gxp[:, dy:dy + h, dx:dx + wd, :] += gcols[:, :, :, t_i * cin:(t_i + 1) * cin]
+            _accum(x, gxp[:, pad:pad + h, pad:pad + wd, :])
+
+    return _record(out, (x, w, b), bwd)

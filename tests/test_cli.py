@@ -186,20 +186,20 @@ def _set_field(line_no, field, value):
     return edit
 
 
-def _edit_first_group(change):
+def _edit_checkpoint(change):
     def edit(text):
         doc = json.loads(text)
-        change(next(iter(doc["groups"].values())))
+        change(doc)
         return json.dumps(doc)
     return edit
+
+
+def _edit_first_group(change):
+    return _edit_checkpoint(lambda doc: change(next(iter(doc["groups"].values()))))
 
 
 def _edit_model_metadata(change):
-    def edit(text):
-        doc = json.loads(text)
-        change(doc["extra"]["model"])
-        return json.dumps(doc)
-    return edit
+    return _edit_checkpoint(lambda doc: change(doc["extra"]["model"]))
 
 
 def _not_utf8(text):
@@ -237,6 +237,25 @@ MALFORMED = {
     "checkpoint_with_masks_int": (
         "infer", "model/checkpoint.json", _edit_model_metadata(lambda m: m.update(with_masks=1)),
         None),
+    "checkpoint_model_int": (
+        "infer", "model/checkpoint.json", _edit_checkpoint(lambda d: d["extra"].update(model=3)),
+        None),
+    "checkpoint_d_app_str": (
+        "infer", "model/checkpoint.json", _edit_checkpoint(lambda d: d["extra"].update(d_app="x")),
+        None),
+    "checkpoint_d_app_float": (
+        "infer", "model/checkpoint.json", _edit_checkpoint(lambda d: d["extra"].update(d_app=7.9)),
+        None),
+    "checkpoint_d_app_bool": (
+        "infer", "model/checkpoint.json", _edit_checkpoint(lambda d: d["extra"].update(d_app=True)),
+        None),
+    "checkpoint_d_app_of_other_model": (
+        "infer", "model/checkpoint.json", _edit_checkpoint(lambda d: d["extra"].update(d_app=7)),
+        None),
+    "checkpoint_groups_list": (
+        "infer", "model/checkpoint.json", _edit_checkpoint(lambda d: d.update(groups=[1])), None),
+    "checkpoint_extra_int": (
+        "infer", "model/checkpoint.json", _edit_checkpoint(lambda d: d.update(extra=3)), None),
     "mask_name_not_a_node_id": ("eval", "run/masks/node_x.pgm", lambda text: "P2\n1 1\n1\n1\n",
                                 None),
     "det_not_utf8": ("infer", "data/det.txt", _not_utf8, None),

@@ -3,6 +3,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import reference_conv2d
 
 from mpnflow import tensorkit as tk
 from mpnflow.errors import CheckpointError, GradientError, ShapeError
@@ -113,31 +116,73 @@ def test_conv2d_all_ones_kernel_counts_neighbors():
     assert np.array_equal(out, want)
 
 
-def test_conv2d_matches_brute_force_oracle():
+@pytest.mark.parametrize("kernel,h,w", [(1, 5, 4), (3, 5, 4), (5, 5, 4), (5, 3, 3)],
+                         ids=["k1_5x4", "k3_5x4", "k5_5x4", "k5_3x3"])
+def test_conv2d_matches_brute_force_oracle(kernel, h, w):
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 5, 4, 3))
-    kmat = rng.normal(size=(9 * 3, 2))
+    x = rng.normal(size=(2, h, w, 3))
+    kmat = rng.normal(size=(kernel * kernel * 3, 2))
     bias = rng.normal(size=2)
-    want = brute_conv2d(x, kmat, bias, 3)
-    got = tk.conv2d(tk.Tensor(x), tk.Tensor(kmat), tk.Tensor(bias), 3)
+    want = brute_conv2d(x, kmat, bias, kernel)
+    got = tk.conv2d(tk.Tensor(x), tk.Tensor(kmat), tk.Tensor(bias), kernel)
     assert np.allclose(got.data, want, atol=1e-10)
 
 
-def test_conv2d_gradients_match_finite_differences():
+@pytest.mark.parametrize("kernel", [1, 3, 5], ids=["k1", "k3", "k5"])
+def test_conv2d_gradients_match_finite_differences(kernel):
+    # a 3x3 image, so with kernel 5 some taps fall entirely outside it
     rng = np.random.default_rng(4)
+    taps = kernel * kernel
     x = tk.Tensor(rng.normal(size=(1, 3, 3, 2)), requires_grad=True)
-    w = tk.Tensor(rng.normal(size=(9 * 2, 2)) * 0.3, requires_grad=True)
+    w = tk.Tensor(rng.normal(size=(taps * 2, 2)) * 0.3, requires_grad=True)
     b = tk.Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
     coef = rng.normal(size=(1, 3, 3, 2))
 
     def loss_value():
-        return float((tk.conv2d(tk.Tensor(x.data), tk.Tensor(w.data), tk.Tensor(b.data), 3).data * coef).sum())
+        out = tk.conv2d(tk.Tensor(x.data), tk.Tensor(w.data), tk.Tensor(b.data), kernel)
+        return float((out.data * coef).sum())
 
-    loss = tk.tsum(tk.mul(tk.conv2d(x, w, b, 3), tk.Tensor(coef)))
+    loss = tk.tsum(tk.mul(tk.conv2d(x, w, b, kernel), tk.Tensor(coef)))
     tk.backward(loss)
     for t in (x, w, b):
         gn = numeric_grad(loss_value, t.data)
         assert np.allclose(t.grad, gn, atol=1e-5)
+
+
+@st.composite
+def conv_cases(draw):
+    n, h, w = draw(st.integers(0, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cin, cout = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kernel = draw(st.sampled_from([1, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # ReLU-style masking: masked negatives become -0.0 in the input and in
+    # the upstream gradient
+    x = rng.normal(size=(n, h, w, cin)) * (rng.random((n, h, w, cin)) < 0.7)
+    upstream = rng.normal(size=(n, h, w, cout)) * (rng.random((n, h, w, cout)) < 0.5)
+    kmat = rng.normal(size=(kernel * kernel * cin, cout))
+    bias = rng.normal(size=cout)
+    return x, kmat, bias, kernel, upstream, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=conv_cases())
+def test_conv2d_matches_reference_bit_for_bit(case):
+    x, kmat, bias, kernel, upstream, live_x = case
+    results = []
+    for conv in (tk.conv2d, reference_conv2d):
+        ts = (tk.Tensor(x.copy(), requires_grad=live_x), tk.Tensor(kmat.copy(), requires_grad=True),
+              tk.Tensor(bias.copy(), requires_grad=True))
+        out = conv(*ts, kernel)
+        tk.backward(tk.tsum(tk.mul(out, tk.Tensor(upstream))))
+        results.append([out.data] + [t.grad for t in ts])
+    (out, gx, gw, gb), (ref_out, ref_gx, ref_gw, ref_gb) = results
+    assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
+    if live_x:
+        assert gx.shape == x.shape and gx.tobytes() == ref_gx.tobytes()
+    else:
+        assert gx is None and ref_gx is None
+    assert gw.shape == kmat.shape and gw.tobytes() == ref_gw.tobytes()
+    assert gb.shape == bias.shape and gb.tobytes() == ref_gb.tobytes()
 
 
 def test_segment_softmax_sums_to_one_per_segment():
