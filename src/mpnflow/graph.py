@@ -155,21 +155,10 @@ def detections_in_window(detections: list[Detection], window: tuple[int, int]) -
     return [d for d in detections if lo <= d.frame <= hi]
 
 
-@dataclass
-class EdgeLabels:
-    """Binary target per edge, keyed by (node_id, node_id) in edge direction."""
-
-    y: dict[tuple[int, int], int]
-
-    def as_array(self, graph: TrackGraph) -> np.ndarray:
-        return np.asarray([self.y[pair] for pair in graph.edge_pairs()], dtype=np.float64)
-
-    def num_positive(self) -> int:
-        return sum(self.y.values())
-
-
-def ground_truth_labels(graph: TrackGraph, scenario: Scenario) -> EdgeLabels:
+def ground_truth_labels(graph: TrackGraph, scenario: Scenario) -> np.ndarray:
     """Mark edges joining consecutive same-identity detections as positive.
+
+    Returns one float64 target (0.0 or 1.0) per edge, in edge order.
 
     Consecutive means consecutive among the trajectory's detections that
     are present in the graph, so a dropped middle detection makes the
@@ -184,12 +173,9 @@ def ground_truth_labels(graph: TrackGraph, scenario: Scenario) -> EdgeLabels:
         present.sort(key=lambda i: frame_of[i])
         for a, b in zip(present, present[1:]):
             positive.add((a, b))
-    y = {}
-    for pair in graph.edge_pairs():
-        y[pair] = 1 if pair in positive else 0
-    labels = EdgeLabels(y)
-    _assert_feasible(graph, labels.as_array(graph), "ground-truth labels")
-    return labels
+    y = np.asarray([pair in positive for pair in graph.edge_pairs()], dtype=np.float64)
+    _assert_feasible(graph, y, "ground-truth labels")
+    return y
 
 
 # ---------------------------------------------------------------------------

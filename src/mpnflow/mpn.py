@@ -103,16 +103,18 @@ class ModelParams:
         else:
             self.context_update = None
             self.mask_head = None
+        # every stack is drawn above so the kept ones start the same at any
+        # depth; drop those whose output mpn_forward never reads
+        if config.num_steps < 1:
+            self.node_encoder = self.edge_update = self.context_update = None
+        if config.num_steps < 2:
+            self.node_update = self.node_update_past = self.node_update_fut = None
 
     def stacks(self):
-        out = [self.node_encoder, self.edge_encoder, self.edge_update]
-        if self.node_update_past is not None:
-            out.extend([self.node_update_past, self.node_update_fut])
-        out.append(self.node_update)
-        out.append(self.edge_logits)
-        if self.context_update is not None:
-            out.extend([self.context_update, self.mask_head])
-        return out
+        return [s for s in (self.node_encoder, self.edge_encoder, self.edge_update,
+                            self.node_update_past, self.node_update_fut, self.node_update,
+                            self.edge_logits, self.context_update, self.mask_head)
+                if s is not None]
 
     def named_parameters(self) -> list[tuple[str, tk.Tensor]]:
         params = []
@@ -151,7 +153,12 @@ class ModelParams:
 
 @dataclass
 class MpnState:
-    """Embeddings and per-step outputs of one forward pass."""
+    """Embeddings and per-step outputs of one forward pass.
+
+    With L message passing steps, edge_h and tilde_h hold steps 0..L and
+    node_h holds steps 0..L-1: the last step's node embeddings feed no
+    output, so they are not computed.
+    """
 
     graph: TrackGraph
     node_h: list[tk.Tensor] = field(default_factory=list)
@@ -201,12 +208,12 @@ def edge_feature_matrix(graph: TrackGraph) -> np.ndarray:
     ], axis=1)
 
 
-def encode_nodes(graph: TrackGraph, params: ModelParams) -> tk.Tensor:
+def _appearance(graph: TrackGraph, params: ModelParams) -> np.ndarray:
     app = np.stack([d.appearance for d in graph.detections]) if graph.num_nodes \
         else np.zeros((0, params.d_app))
     if app.shape[1] != params.d_app:
         raise ConfigError(f"appearance dim {app.shape[1]} does not match model {params.d_app}")
-    return params.node_encoder(tk.Tensor(app))
+    return app
 
 
 def encode_edges(graph: TrackGraph, params: ModelParams) -> tk.Tensor:
@@ -302,26 +309,34 @@ def _mask_step(state: MpnState, params: ModelParams, l: int) -> None:
 
 
 def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
-    """Run the full forward pass, recording probabilities for the last m steps."""
+    """Run the forward pass, recording probabilities for the last m steps.
+
+    Only what an output reads is computed: no node embeddings at depth 0,
+    and no node update in the last step.
+    """
     config = params.config
+    num_steps = config.num_steps
     state = MpnState(graph=graph)
-    state.node_h.append(encode_nodes(graph, params))
+    app = _appearance(graph, params)   # checked at every depth, encoded only if read
+    if num_steps:
+        state.node_h.append(params.node_encoder(tk.Tensor(app)))
     state.edge_h.append(encode_edges(graph, params))
     if config.with_masks:
         state.tilde_h.append(_roi_tensor(graph, config))
     m = config.resolved_last_m()
-    first_recorded = config.num_steps - m + 1
-    for l in range(1, config.num_steps + 1):
+    first_recorded = num_steps - m + 1
+    for l in range(1, num_steps + 1):
         _edge_step(state, params, l)
-        if config.variant == "vanilla":
-            _node_step_vanilla(state, params, l)
-        else:
-            _node_step_time_aware(state, params, l)
+        if l < num_steps:
+            if config.variant == "vanilla":
+                _node_step_vanilla(state, params, l)
+            else:
+                _node_step_time_aware(state, params, l)
         if config.with_masks:
             _mask_step(state, params, l)
         if l >= first_recorded:
             classify_edges(state, params, l)
-    if config.num_steps == 0:
+    if num_steps == 0:
         classify_edges(state, params, 0)
     return state
 

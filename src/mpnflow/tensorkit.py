@@ -81,9 +81,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __add__(self, other):
         return add(self, other)
 
@@ -577,27 +574,29 @@ class AdamState:
         self.v: dict[str, np.ndarray] = {}
 
 
-def adam_step(params: list[tuple[str, Tensor]], grads, state: AdamState) -> None:
-    """Apply one Adam update in place.
+def _checked_grad(name: str, p: Tensor) -> np.ndarray:
+    if p.grad is None:
+        raise GradientError(f"parameter group {name} received no gradient")
+    g = np.asarray(p.grad, dtype=np.float64)
+    if g.shape != p.data.shape:
+        raise GradientError(f"gradient shape {g.shape} does not match {name} {p.data.shape}")
+    if not np.all(np.isfinite(g)):
+        raise GradientError(f"non-finite gradient in parameter group {name}")
+    return g
 
-    grads may be None, in which case each parameter's .grad is used
-    (missing gradients count as zero).
+
+def adam_step(params: list[tuple[str, Tensor]], state: AdamState) -> None:
+    """Apply one Adam update in place from each parameter's .grad.
+
+    A gradient that is missing, misshapen or non-finite is a GradientError
+    naming its group, raised before any parameter moves.
     """
-    if grads is None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for _, p in params]
-    if len(grads) != len(params):
-        raise GradientError(f"got {len(grads)} gradients for {len(params)} parameters")
+    grads = [_checked_grad(name, p) for name, p in params]
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     for (name, p), g in zip(params, grads):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise GradientError(f"gradient shape {g.shape} does not match {name} {p.data.shape}")
-        if not np.all(np.isfinite(g)):
-            raise GradientError(f"non-finite gradient in parameter group {name}")
         g = g + state.weight_decay * p.data
         m = state.m.get(name)
         v = state.v.get(name)
@@ -624,14 +623,14 @@ def grad_check(f, params: list[tuple[str, Tensor]], fd_step: float = 1e-6) -> fl
     evaluation carries relative rounding of about 2e-16, so the quotient has
     absolute noise near eps * |loss| / (2 * fd_step) ~ 1e-10 * |loss|, and
     gradients below the floor are compared absolutely at that noise ceiling
-    instead of relatively.
+    instead of relatively.  A missing or non-finite analytic gradient is a
+    GradientError naming its group.
     """
     for _, p in params:
         p.grad = None
     loss = f()
     backward(loss)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                for _, p in params]
+    analytic = [_checked_grad(name, p).copy() for name, p in params]
     scale = 1e-5 * max(1.0, abs(loss.data.item()))
     worst = 0.0
     with no_grad():

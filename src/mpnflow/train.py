@@ -37,7 +37,6 @@ class TrainConfig:
     max_frame_gap: int | None = None     # None means frames_per_graph
     node_drop_p: float = 0.05
     box_shift_std: float = 1.0
-    shift_position_only: bool = False
     graphs_per_step: int = 1
     seed: int = 0
     checkpoint_every: int = 0            # 0 disables periodic snapshots
@@ -79,9 +78,9 @@ class LossReport:
     per_step: list[float]
 
 
-def edge_loss(probs_by_step: dict[int, tk.Tensor], y: np.ndarray,
-              m: int | None = None) -> tuple[tk.Tensor, float, list[float]]:
-    """Positive-weighted binary cross-entropy averaged over the last m steps.
+def edge_loss(probs_by_step: dict[int, tk.Tensor],
+              y: np.ndarray) -> tuple[tk.Tensor, float, list[float]]:
+    """Positive-weighted binary cross-entropy averaged over the recorded steps.
 
     The positive weight is edges/positives for this graph; with no positive
     edge it falls back to 1 with a warning.  Probabilities are clamped to
@@ -90,8 +89,6 @@ def edge_loss(probs_by_step: dict[int, tk.Tensor], y: np.ndarray,
     if not probs_by_step:
         raise ConfigError("edge_loss needs at least one recorded step")
     steps = sorted(probs_by_step)
-    if m is not None:
-        steps = steps[-m:]
     y = np.asarray(y, dtype=np.float64)
     n_edges = y.size
     if n_edges == 0:
@@ -116,21 +113,20 @@ def edge_loss(probs_by_step: dict[int, tk.Tensor], y: np.ndarray,
     return loss, w_pos, per_step
 
 
-def mask_loss(masks_by_step: dict[int, tk.Tensor], gt_masks: list[np.ndarray | None],
-              m: int | None = None) -> tuple[tk.Tensor, int]:
+def mask_loss(masks_by_step: dict[int, tk.Tensor],
+              gt_masks: list[np.ndarray | None]) -> tuple[tk.Tensor, int]:
     """Mean per-pixel cross-entropy over supervised nodes, averaged over steps.
 
-    Nodes without a ground-truth mask are excluded; with none at all the
-    loss is the constant zero.
+    Nodes without a ground-truth mask are excluded.  With none at all the
+    loss is zero times the last step's masks, so the mask stacks still get
+    a gradient, an all-zero one.
     """
     if not masks_by_step:
         raise ConfigError("mask_loss needs at least one recorded step")
     steps = sorted(masks_by_step)
-    if m is not None:
-        steps = steps[-m:]
     sup = [i for i, g in enumerate(gt_masks) if g is not None]
     if not sup:
-        return tk.Tensor(0.0), 0
+        return tk.mul(tk.tsum(masks_by_step[steps[-1]]), 0.0), 0
     target = tk.Tensor(np.stack([gt_masks[i] for i in sup]))
     inv_target = tk.Tensor(1.0 - target.data)
     idx = np.asarray(sup, dtype=np.intp)
@@ -144,7 +140,7 @@ def mask_loss(masks_by_step: dict[int, tk.Tensor], gt_masks: list[np.ndarray | N
 
 
 def augment(detections: list[Detection], p_drop: float, shift_std: float,
-            rng: np.random.Generator, position_only: bool = False) -> list[Detection]:
+            rng: np.random.Generator) -> list[Detection]:
     """Randomly drop detections and jitter surviving boxes.
 
     Widths and heights stay floored at one pixel.  Identities, appearance
@@ -157,10 +153,7 @@ def augment(detections: list[Detection], p_drop: float, shift_std: float,
             continue
         x, y, w, h = d.box
         dx, dy = rng.normal(0.0, shift_std, size=2)
-        if position_only:
-            dw = dh = 0.0
-        else:
-            dw, dh = rng.normal(0.0, shift_std, size=2)
+        dw, dh = rng.normal(0.0, shift_std, size=2)
         box = (x + dx, y + dy, max(w + dw, 1.0), max(h + dh, 1.0))
         out.append(Detection(node_id=d.node_id, frame=d.frame, box=box,
                              confidence=d.confidence, appearance=d.appearance,
@@ -177,10 +170,9 @@ def joint_loss(state, params: ModelParams, labels_arr: np.ndarray,
     if params.config.with_masks:
         masks_by_step = {l: predict_masks(state, params, step=l)
                          for l in state.recorded_steps()}
-        loss_m, n_sup = mask_loss(masks_by_step, gt_masks or [])
-        if n_sup:
-            mask_val = loss_m.item()
-            total = tk.add(loss_e, loss_m)
+        loss_m, _ = mask_loss(masks_by_step, gt_masks or [])
+        mask_val = loss_m.item()
+        total = tk.add(loss_e, loss_m)
     report = LossReport(iteration=0, edge=loss_e.item(), mask=mask_val,
                         total=loss_e.item() + mask_val, w_pos=w_pos, per_step=per_step)
     return total, report
@@ -191,8 +183,7 @@ def _sample_graph(scenario: Scenario, windows, cfg: TrainConfig, rng):
     for _ in range(50):
         window = windows[rng.integers(len(windows))]
         dets = detections_in_window(scenario.detections, window)
-        aug = augment(dets, cfg.node_drop_p, cfg.box_shift_std, rng,
-                      cfg.shift_position_only)
+        aug = augment(dets, cfg.node_drop_p, cfg.box_shift_std, rng)
         if len(aug) < 2:
             continue
         graph = build_graph(aug, max_frame_gap=gap, top_k=cfg.top_k)
@@ -239,7 +230,7 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
             labels = ground_truth_labels(graph, scenario)
             state = mpn_forward(graph, params)
             gt_masks = [d.gt_mask for d in graph.detections] if mpn_cfg.with_masks else None
-            total, report = joint_loss(state, params, labels.as_array(graph), gt_masks)
+            total, report = joint_loss(state, params, labels, gt_masks)
             if not np.isfinite(report.total):
                 raise TrainingError(f"non-finite loss at iteration {it}")
             tk.backward(tk.mul(total, 1.0 / cfg.graphs_per_step))
@@ -248,7 +239,7 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
             agg.total += report.total / cfg.graphs_per_step
             agg.w_pos += report.w_pos / cfg.graphs_per_step
             agg.per_step = report.per_step
-        tk.adam_step(named, None, adam)
+        tk.adam_step(named, adam)
         history.append(agg)
         if cfg.checkpoint_every and snapshot and it % cfg.checkpoint_every == 0:
             snapshot(it, params)
@@ -280,7 +271,7 @@ def build_gradcheck_case(with_masks: bool, seed: int = 0):
     dets = scenario.detections[:10]
     scenario = replace(scenario, detections=dets)
     graph = build_graph(dets, max_frame_gap=4, top_k=3)
-    labels = ground_truth_labels(graph, scenario).as_array(graph)
+    labels = ground_truth_labels(graph, scenario)
     mpn_cfg = MpnConfig(num_steps=2, variant="time_aware", with_masks=with_masks,
                         d_node=4, d_edge=3, hidden=4, conv_hidden=2,
                         roi_h=4, roi_w=4, d_roi=2)

@@ -263,7 +263,7 @@ def test_invariant_suite():
                               appearance=rng.normal(size=4),
                               roi_grid=rng.normal(size=(4, 4, 2))))
     g_iso = build_graph(iso_dets, max_frame_gap=3, top_k=2)
-    van_params = ModelParams(MpnConfig(num_steps=2, variant="vanilla",
+    van_params = ModelParams(MpnConfig(num_steps=3, variant="vanilla",
                                        d_node=6, d_edge=4, hidden=6),
                              d_app=4, seed=5)
     van_state = mpn_forward(g_iso, van_params)
@@ -298,7 +298,7 @@ def test_invariant_suite():
         g = build_graph(wdets, max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
         if g.num_edges == 0:
             continue
-        y = ground_truth_labels(g, scenario).as_array(g)
+        y = ground_truth_labels(g, scenario)
         feasible = feasible and check_constraints(g, y).violations == []
         windows += 1
     checks.append(("label feasibility", feasible and windows > 0))

@@ -234,6 +234,11 @@ MALFORMED = {
     "checkpoint_num_steps_str": (
         "infer", "model/checkpoint.json", _edit_model_metadata(lambda m: m.update(num_steps="2")),
         None),
+    # a depth-0 model has no node_encoder, edge_update, node_update* or
+    # context_update, so the depth-2 groups are unexpected names
+    "checkpoint_num_steps_zero": (
+        "infer", "model/checkpoint.json", _edit_model_metadata(lambda m: m.update(num_steps=0)),
+        None),
     "checkpoint_with_masks_int": (
         "infer", "model/checkpoint.json", _edit_model_metadata(lambda m: m.update(with_masks=1)),
         None),

@@ -163,14 +163,14 @@ def test_ground_truth_labels_consecutive_and_skip():
             for i, f in enumerate([1, 2, 3])]
     sc = make_scenario_by_hand({0: [0, 1, 2]}, dets)
     g = gr.build_graph(dets, max_frame_gap=2, top_k=5)
-    labels = gr.ground_truth_labels(g, sc)
-    assert labels.y[(0, 1)] == 1 and labels.y[(1, 2)] == 1
-    assert labels.y[(0, 2)] == 0
+    labels = dict(zip(g.edge_pairs(), gr.ground_truth_labels(g, sc)))
+    assert labels[(0, 1)] == 1 and labels[(1, 2)] == 1
+    assert labels[(0, 2)] == 0
 
     # drop the middle detection: the skip edge becomes the consecutive one
     g2 = gr.build_graph([dets[0], dets[2]], max_frame_gap=2, top_k=5)
-    labels2 = gr.ground_truth_labels(g2, sc)
-    assert labels2.y[(0, 2)] == 1
+    labels2 = dict(zip(g2.edge_pairs(), gr.ground_truth_labels(g2, sc)))
+    assert labels2[(0, 2)] == 1
 
 
 def test_background_nodes_keep_negative_labels():
@@ -181,9 +181,11 @@ def test_background_nodes_keep_negative_labels():
     sc = make_scenario_by_hand({0: [0, 2]}, dets)   # node 1 is clutter
     g = gr.build_graph(dets, max_frame_gap=1, top_k=5)
     labels = gr.ground_truth_labels(g, sc)
-    assert labels.y[(0, 2)] == 1
-    assert labels.y[(1, 2)] == 0
-    assert labels.num_positive() == 1
+    assert labels.dtype == np.float64 and labels.shape == (g.num_edges,)
+    by_pair = dict(zip(g.edge_pairs(), labels))
+    assert by_pair[(0, 2)] == 1.0
+    assert by_pair[(1, 2)] == 0.0
+    assert labels.sum() == 1
 
 
 def test_labels_respect_degree_constraints_on_random_scenarios():
@@ -194,8 +196,7 @@ def test_labels_respect_degree_constraints_on_random_scenarios():
         sc = sd.generate_scenario(cfg)
         g = gr.build_graph(sc.detections, max_frame_gap=12, top_k=4)
         labels = gr.ground_truth_labels(g, sc)   # raises if infeasible
-        arr = labels.as_array(g)
-        assert set(np.unique(arr)).issubset({0.0, 1.0})
+        assert set(np.unique(labels)).issubset({0.0, 1.0})
 
 
 def test_graph_from_edge_list_dedupes_and_orients():

@@ -76,7 +76,7 @@ def test_vanilla_update_matches_hand_formula():
     rng = np.random.default_rng(0)
     dets = [det(0, 1, rng=rng), det(1, 2, rng=rng), det(2, 4, rng=rng)]
     g = gr.graph_from_edge_list(dets, [(0, 1)])   # node 2 is isolated
-    cfg = tiny_config(variant="vanilla", num_steps=1)
+    cfg = tiny_config(variant="vanilla", num_steps=2)
     params = mpn.ModelParams(cfg, d_app=4, seed=1)
     state = mpn.mpn_forward(g, params)
 
@@ -99,7 +99,7 @@ def test_time_aware_update_matches_hand_formula():
     rng = np.random.default_rng(2)
     dets = [det(0, 1, rng=rng), det(1, 2, rng=rng)]
     g = gr.graph_from_edge_list(dets, [(0, 1)])
-    cfg = tiny_config(num_steps=1)
+    cfg = tiny_config(num_steps=2)
     params = mpn.ModelParams(cfg, d_app=4, seed=3)
     state = mpn.mpn_forward(g, params)
 
@@ -142,6 +142,15 @@ def test_zero_steps_classifies_initial_embeddings():
     logits = params.edge_logits(state.edge_h[0]).data.reshape(-1)
     want = 1.0 / (1.0 + np.exp(-logits))
     assert np.allclose(state.edge_probs[0].data, want, atol=1e-12)
+
+
+def test_zero_steps_still_checks_appearance_width():
+    rng = np.random.default_rng(5)
+    _, g = path_graph(3, rng, d_app=3)
+    params = mpn.ModelParams(tiny_config(num_steps=0), d_app=4, seed=6)
+    with pytest.raises(ConfigError) as e:
+        mpn.mpn_forward(g, params)
+    assert "appearance dim 3" in str(e.value)
 
 
 def test_attention_normalizes_per_node_per_side():

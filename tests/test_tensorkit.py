@@ -261,7 +261,8 @@ def test_clip_clamps_and_passes_gradient_inside():
 def test_adam_single_step_moves_by_learning_rate():
     p = tk.Tensor(np.array([1.0]), requires_grad=True, name="w")
     state = tk.AdamState(lr=0.1)
-    tk.adam_step([("w", p)], [np.array([1.0])], state)
+    p.grad = np.array([1.0])
+    tk.adam_step([("w", p)], state)
     # bias-corrected first step: delta = lr * 1 / (1 + eps)
     assert abs((1.0 - p.data[0]) - 0.1) < 1e-8
 
@@ -278,14 +279,16 @@ def test_adam_matches_hand_recurrence_for_two_steps():
         m = b1 * m + (1 - b1) * gv
         v = b2 * v + (1 - b2) * gv * gv
         theta -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
-        tk.adam_step([("w", p)], [g], state)
+        p.grad = g
+        tk.adam_step([("w", p)], state)
         assert abs(p.data[0] - theta) < 1e-12
 
 
 def test_adam_weight_decay_joins_gradient():
     p = tk.Tensor(np.array([2.0]), requires_grad=True, name="w")
     state = tk.AdamState(lr=0.1, weight_decay=0.5)
-    tk.adam_step([("w", p)], [np.array([0.0])], state)
+    p.grad = np.array([0.0])
+    tk.adam_step([("w", p)], state)
     # effective gradient is wd * theta = 1.0, so the step is about -lr
     assert abs((2.0 - p.data[0]) - 0.1) < 1e-6
 
@@ -294,16 +297,34 @@ def test_adam_zero_lr_keeps_parameters():
     p = tk.Tensor(np.array([1.5, -2.0]), requires_grad=True, name="w")
     state = tk.AdamState(lr=0.0, weight_decay=1e-4)
     for _ in range(5):
-        tk.adam_step([("w", p)], [np.array([0.3, 0.1])], state)
+        p.grad = np.array([0.3, 0.1])
+        tk.adam_step([("w", p)], state)
     assert np.array_equal(p.data, [1.5, -2.0])
 
 
 def test_adam_rejects_non_finite_gradient_naming_group():
+    q = tk.Tensor(np.array([2.0]), requires_grad=True, name="w")
     p = tk.Tensor(np.array([1.0]), requires_grad=True, name="enc/W0")
+    q.grad = np.array([0.5])
     state = tk.AdamState()
     with pytest.raises(GradientError) as e:
-        tk.adam_step([("enc/W0", p)], [np.array([np.nan])], state)
+        p.grad = np.array([np.nan])
+        tk.adam_step([("w", q), ("enc/W0", p)], state)
     assert "enc/W0" in str(e.value)
+    # nothing moved: every gradient is checked before the first update
+    assert q.data[0] == 2.0 and state.step == 0 and state.m == {}
+
+
+def test_adam_rejects_missing_gradient_naming_group():
+    p = tk.Tensor(np.array([1.0]), requires_grad=True, name="w")
+    q = tk.Tensor(np.array([2.0]), requires_grad=True, name="dead/b0")
+    p.grad = np.array([0.5])
+    state = tk.AdamState(lr=0.1)
+    with pytest.raises(GradientError) as e:
+        tk.adam_step([("w", p), ("dead/b0", q)], state)
+    assert "dead/b0" in str(e.value)
+    # nothing moved: the check runs before any update
+    assert p.data[0] == 1.0 and state.step == 0
 
 
 def test_grad_check_small_mlp_below_tolerance():
@@ -337,6 +358,25 @@ def test_grad_check_flags_sabotaged_gradient():
 
     err = tk.grad_check(f, stack.parameters(), fd_step=1e-6)
     assert err > 1e-2
+
+
+def test_grad_check_rejects_parameter_without_gradient():
+    rng = np.random.default_rng(12)
+    used = tk.DenseStack([2, 3, 1], rng=rng, name="used")
+    unused = tk.DenseStack([2, 1], rng=rng, name="unused")
+    x = tk.Tensor(rng.normal(size=(3, 2)))
+    with pytest.raises(GradientError) as e:
+        tk.grad_check(lambda: tk.tsum(tk.dense_forward(used, x)),
+                      used.parameters() + unused.parameters())
+    assert "unused/W0" in str(e.value)
+
+
+def test_grad_check_rejects_non_finite_analytic_gradient():
+    w = tk.Tensor(np.array([0.0]), requires_grad=True, name="w")
+    # clip cuts the -inf log to a finite loss; log's backward gives 0/0
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(GradientError) as e:
+        tk.grad_check(lambda: tk.tsum(tk.clip(tk.log(w), -10.0, 10.0)), [("w", w)])
+    assert "non-finite gradient in parameter group w" in str(e.value)
 
 
 def test_no_grad_suppresses_recording():

@@ -1,14 +1,17 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import FRAMES_PER_GRAPH, MAX_FRAME_GAP, TOP_K, bench_scenario_config
 
 from mpnflow import synthdata as sd
 from mpnflow import tensorkit as tk
 from mpnflow import train as tr
 from mpnflow.errors import ConfigError, TrainingError
-from mpnflow.mpn import MpnConfig, ModelParams
+from mpnflow.graph import build_graph, detections_in_window, ground_truth_labels, split_windows
+from mpnflow.mpn import MpnConfig, ModelParams, mpn_forward
 
 
 def test_edge_loss_single_positive_edge_at_half():
@@ -30,9 +33,9 @@ def test_edge_loss_four_edges_one_positive_frozen_value():
 
 
 def test_edge_loss_averages_last_m_steps():
-    probs = {1: tk.Tensor([0.5]), 2: tk.Tensor([0.25]), 3: tk.Tensor([0.75])}
+    probs = {2: tk.Tensor([0.25]), 3: tk.Tensor([0.75])}
     y = np.array([1.0])
-    loss, _, per_step = tr.edge_loss(probs, y, m=2)
+    loss, _, per_step = tr.edge_loss(probs, y)
     want = (-math.log(0.25) - math.log(0.75)) / 2
     assert abs(loss.item() - want) < 1e-12
     assert len(per_step) == 2
@@ -84,16 +87,12 @@ def test_augment_noop_and_full_drop():
     assert gone == []
 
 
-def test_augment_floors_box_size_and_respects_position_only():
+def test_augment_floors_box_size():
     d = sd.Detection(node_id=0, frame=1, box=(5.0, 5.0, 1.2, 1.2),
                      appearance=np.zeros(2))
     rng = np.random.default_rng(2)
     out = tr.augment([d] * 50, 0.0, 25.0, rng)
     assert all(b.box[2] >= 1.0 and b.box[3] >= 1.0 for b in out)
-    rng = np.random.default_rng(3)
-    pos_only = tr.augment([d] * 5, 0.0, 25.0, rng, position_only=True)
-    assert all(b.box[2] == 1.2 and b.box[3] == 1.2 for b in pos_only)
-    assert any(b.box[0] != 5.0 for b in pos_only)
 
 
 def easy_scenario(seed=0):
@@ -157,6 +156,70 @@ def test_train_loop_with_masks_runs_and_reports():
     params, history = tr.train_loop([sc], cfg, small_model(with_masks=True))
     assert all(r.mask > 0 for r in history)
     assert all(np.isfinite(r.total) for r in history)
+
+
+def test_train_loop_with_masks_on_unsupervised_windows_gives_mask_stacks_zero_gradients():
+    sc = sd.generate_scenario(sd.ScenarioConfig(
+        num_frames=6, num_identities=2, d_app=4, roi_h=4, roi_w=4, d_roi=2, seed=1))
+    sc = replace(sc, detections=[replace(d, gt_mask=None) for d in sc.detections])
+    cfg = quick_cfg(iterations=3, frames_per_graph=4)
+    params, history = tr.train_loop([sc], cfg, small_model(with_masks=True))
+    assert all(r.mask == 0.0 and np.isfinite(r.total) for r in history)
+    # the last iteration's gradients are left on the parameters
+    for stack in (params.context_update, params.mask_head):
+        for name, p in stack.parameters():
+            assert p.grad is not None and not p.grad.any(), name
+
+
+STACK_ORDER = ("node_encoder", "edge_encoder", "edge_update", "node_update_past",
+               "node_update_fut", "node_update", "edge_logits", "context_update", "mask_head")
+
+
+def live_stacks(num_steps: int, variant: str, with_masks: bool) -> list[str]:
+    """The stacks whose output reaches an edge probability or a mask."""
+    live = {"edge_encoder", "edge_logits"}
+    if num_steps >= 1:
+        live |= {"node_encoder", "edge_update"}
+    if num_steps >= 2:
+        live |= {"node_update"}
+        if variant == "time_aware":
+            live |= {"node_update_past", "node_update_fut"}
+    if with_masks:
+        live |= {"mask_head"} | ({"context_update"} if num_steps >= 1 else set())
+    return [name for name in STACK_ORDER if name in live]
+
+
+@pytest.fixture(scope="module")
+def bench_window():
+    scenario = sd.generate_scenario(bench_scenario_config(100))
+    window = split_windows(scenario.detections, FRAMES_PER_GRAPH)[0]
+    graph = build_graph(detections_in_window(scenario.detections, window),
+                        max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
+    return graph, ground_truth_labels(graph, scenario)
+
+
+@pytest.mark.parametrize("masks", ["off", "supervised", "unsupervised"])
+@pytest.mark.parametrize("variant", ["vanilla", "time_aware"])
+@pytest.mark.parametrize("num_steps", [0, 1, 2, 3])
+def test_every_listed_group_gets_a_gradient(num_steps, variant, masks, bench_window):
+    graph, labels = bench_window
+    with_masks = masks != "off"
+    params = ModelParams(MpnConfig(num_steps=num_steps, variant=variant, with_masks=with_masks),
+                         d_app=8, seed=0)
+    stacks = [name.split("/")[0] for name, _ in params.named_parameters()]
+    assert list(dict.fromkeys(stacks)) == live_stacks(num_steps, variant, with_masks)
+    gt_masks = [d.gt_mask for d in graph.detections] if masks == "supervised" else None
+    if masks == "supervised":
+        assert any(m is not None for m in gt_masks)
+    total, _ = tr.joint_loss(mpn_forward(graph, params), params, labels, gt_masks)
+    tk.backward(total)
+    assert [name for name, p in params.named_parameters() if p.grad is None] == []
+    # the kept groups are drawn exactly as when every stack was kept
+    full = ModelParams(MpnConfig(num_steps=3, variant=variant, with_masks=with_masks),
+                       d_app=8, seed=0)
+    full_groups = dict(full.named_parameters())
+    for name, p in params.named_parameters():
+        assert p.data.tobytes() == full_groups[name].data.tobytes(), name
 
 
 def test_train_config_validation():
