@@ -27,8 +27,8 @@ from .infer import read_mask_pgm, run_inference, write_mask_pgm
 from .metrics import (clear_mot, format_table, idf1, mots_metrics, track_masks,
                       write_report)
 from .mpn import ModelParams, mpn_config_from_dict
-from .synthdata import (_int, _read_rows, attach_embeddings, attach_roi_grids,
-                        generate_scenario, load_gt_masks, load_mot_detections, load_tracks,
+from .synthdata import (attach_embeddings, attach_roi_grids, generate_scenario, load_gt_masks,
+                        load_mot_detections, load_track_assignment, load_tracks,
                         scenario_config_from_dict, write_detections, write_embeddings,
                         write_gt_masks, write_results, write_roi_grids)
 from .train import build_gradcheck_case, train_config_from_dict, train_loop, write_history
@@ -185,11 +185,8 @@ def cmd_infer(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_results(solution.tracks, out / "results.txt")
-    # track ids in tracks.csv follow the same first-appearance numbering
-    # as results.txt
-    first_frame = [min(f for f, _, _ in series) for series in solution.tracks]
-    order = sorted(range(len(solution.tracks)), key=lambda i: (first_frame[i], i))
+    # tracks.csv numbers the tracks as results.txt does
+    order = write_results(solution.tracks, out / "results.txt")
     with open(out / "tracks.csv", "w") as fh:
         fh.write("track_id,node_id\n")
         for new_id, i in enumerate(order, start=1):
@@ -211,24 +208,13 @@ def cmd_infer(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-def _load_track_assignment(path) -> list[list[int]]:
-    def parse(vals):
-        tid, nid = (_int(v) for v in vals)
-        return tid, nid
-
-    tracks: dict[int, list[int]] = {}
-    for tid, nid in _read_rows(path, parse, header="track_id,node_id"):
-        tracks.setdefault(tid, []).append(nid)
-    return [tracks[tid] for tid in sorted(tracks)]
-
-
 def cmd_eval(args) -> int:
     data = Path(args.data)
     run = Path(args.run)
     gt = load_tracks(data / "gt.txt")
     pred = load_tracks(run / "results.txt")
     box_report = clear_mot(gt, pred, iou_min=args.iou_min)
-    values = box_report.as_dict()
+    values = asdict(box_report)
     values["idf1"] = idf1(gt, pred, iou_min=args.iou_min)
 
     gt_mask_file = data / "gt_masks.csv"
@@ -249,7 +235,7 @@ def cmd_eval(args) -> int:
             if not (digits.isascii() and digits.isdigit()):
                 raise ParseError(f"{pgm}: mask file names must be node_<id>.pgm")
             node_masks[int(digits)] = read_mask_pgm(pgm)
-        assignment = _load_track_assignment(tracks_file)
+        assignment = load_track_assignment(tracks_file)
         pred_masks = track_masks(assignment, node_masks, detections,
                                  threshold=args.tau)
         mots = mots_metrics(gt_masks, pred_masks, iou_min=args.iou_min)
@@ -273,8 +259,6 @@ def cmd_gradcheck(args) -> int:
     failed = False
     for with_masks in (False, True):
         f, params = build_gradcheck_case(with_masks=with_masks, seed=args.seed)
-        if os.environ.get("MPNFLOW_SABOTAGE_GRADCHECK"):
-            f = _sabotaged(f)
         error = tk.grad_check(f, params.named_parameters())
         label = "masks on" if with_masks else "masks off"
         verdict = "ok" if error < tolerance else "FAIL"
@@ -282,16 +266,6 @@ def cmd_gradcheck(args) -> int:
               f"(tolerance {tolerance:.0e}) {verdict}")
         failed = failed or error >= tolerance
     return 2 if failed else 0
-
-
-def _sabotaged(f):
-    """Skew the analytic pass only, so the check must report a mismatch."""
-    def wrapped():
-        loss = f()
-        if tk.grad_enabled():
-            loss = loss * 1.001
-        return loss
-    return wrapped
 
 
 # ---------------------------------------------------------------------------

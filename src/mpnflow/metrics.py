@@ -15,7 +15,7 @@ remain comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -133,9 +133,6 @@ class ClearMotReport:
     mostly_tracked: int
     mostly_lost: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def clear_mot(gt: dict, pred: dict, iou_min: float = 0.5) -> ClearMotReport:
     """Frame-level tracking accuracy against box ground truth."""
@@ -183,9 +180,6 @@ class MotsReport:
     fn: int
     idsw: int
     num_gt: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def mots_metrics(gt: dict, pred: dict, iou_min: float = 0.5) -> MotsReport:

@@ -175,19 +175,14 @@ class MpnState:
         return self.edge_probs[last].data.copy()
 
 
-def encode_geometry(det_i, det_j, appearance_distance: float) -> np.ndarray:
-    """Raw 6-vector of pairwise evidence for the edge (det_i -> det_j).
+def edge_feature_matrix(graph: TrackGraph) -> np.ndarray:
+    """Raw pairwise evidence, one 6-vector row per edge (u -> v).
 
     Components: size-normalized x and y offsets, log height and width
-    ratios, frame difference, appearance distance.
+    ratios, frame difference, appearance distance.  Computed per column; an
+    edge joining equal frames or a box with non-positive size is a
+    ConfigError naming the first such edge.
     """
-    one_edge = TrackGraph([det_i, det_j], np.zeros(1, np.int64), np.ones(1, np.int64),
-                          np.asarray([appearance_distance], dtype=np.float64))
-    return edge_feature_matrix(one_edge)[0]
-
-
-def edge_feature_matrix(graph: TrackGraph) -> np.ndarray:
-    """encode_geometry of every edge, one row per edge, computed per column."""
     boxes = np.asarray([d.box for d in graph.detections], dtype=np.float64).reshape(-1, 4)
     u, v = graph.edge_src, graph.edge_dst
     box_u, box_v = boxes[u], boxes[v]

@@ -272,12 +272,12 @@ def write_detections(detections: list[Detection], path) -> None:
             fh.write(f"{d.frame},{ident},{x:.2f},{y:.2f},{w:.2f},{h:.2f},{d.confidence:.2f},-1,-1,-1\n")
 
 
-def write_results(tracks, path) -> None:
+def write_results(tracks, path) -> list[int]:
     """Write track series as frame,track_id,x,y,w,h,conf,-1,-1,-1 rows.
 
     tracks is a list of series, each a list of (frame, box, conf); ids are
     reassigned 1..m in order of first appearance, boxes rounded to 2
-    decimals.
+    decimals.  Returns that order: tracks[order[k]] is written as id k + 1.
     """
     order = sorted(range(len(tracks)), key=lambda i: (min(f for f, _, _ in tracks[i]), i))
     rows = []
@@ -289,6 +289,7 @@ def write_results(tracks, path) -> None:
     with open(path, "w") as fh:
         for frame, tid, x, y, w, h, conf in rows:
             fh.write(f"{frame},{tid},{x:.2f},{y:.2f},{w:.2f},{h:.2f},{conf:.2f},-1,-1,-1\n")
+    return order
 
 
 def load_tracks(path) -> dict[int, dict[int, Box]]:
@@ -299,6 +300,18 @@ def load_tracks(path) -> dict[int, dict[int, Box]]:
             raise ParseError(f"{path}: row for frame {det.frame} lacks a track id")
         tracks.setdefault(det.gt_identity, {})[det.frame] = det.box
     return tracks
+
+
+def load_track_assignment(path) -> list[list[int]]:
+    """Read a track_id,node_id CSV into node id lists, ordered by track id."""
+    def parse(vals):
+        tid, nid = (_int(v) for v in vals)
+        return tid, nid
+
+    tracks: dict[int, list[int]] = {}
+    for tid, nid in _read_rows(path, parse, header="track_id,node_id"):
+        tracks.setdefault(tid, []).append(nid)
+    return [tracks[tid] for tid in sorted(tracks)]
 
 
 # ---------------------------------------------------------------------------

@@ -64,44 +64,10 @@ class Tensor:
         self._parents: tuple = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single element, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -268,18 +234,14 @@ def clip(a, lo: float, hi: float) -> Tensor:
     return _record(np.clip(a.data, lo, hi), (a,), bwd)
 
 
-def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """Sum of every element, as a scalar."""
     a = astensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
-    return _record(data, (a,), bwd)
+    return _record(a.data.sum(), (a,), bwd)
 
 
 def mean(a) -> Tensor:
@@ -440,14 +402,19 @@ class _LayerStack:
     """Per-layer weight and bias parameters shared by the dense and conv stacks.
 
     Layer k owns `<name>/<tag>k` (W for dense, K for conv) and `<name>/bk`;
-    parameters() lists them layer by layer, weight before bias.
+    parameters() lists them layer by layer, weight before bias.  Calling a
+    stack checks its input against expected_input, a tuple of named leading
+    axes closed by the required width, then applies the subclass's _layer op
+    per layer with ReLU between layers and out_activation ('identity' or
+    'sigmoid') after the last one.
     """
 
-    def __init__(self, name: str, out_activation: str, activations: tuple[str, ...]):
-        if out_activation not in activations:
+    def __init__(self, name: str, out_activation: str, expected_input: tuple):
+        if out_activation not in ("identity", "sigmoid"):
             raise ShapeError(f"{name}: unknown activation {out_activation!r}")
         self.name = name
         self.out_activation = out_activation
+        self.expected_input = expected_input
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
 
@@ -469,52 +436,47 @@ class _LayerStack:
             out.append((b.name, b))
         return out
 
-    def _activate(self, h: Tensor, k: int) -> Tensor:
-        # ReLU between layers, out_activation after the last one
-        if k < len(self.weights) - 1 or self.out_activation == "relu":
-            return relu(h)
-        if self.out_activation == "sigmoid":
-            return sigmoid(h)
+    def __call__(self, x) -> Tensor:
+        x = astensor(x)
+        expected = self.expected_input
+        if x.data.ndim != len(expected) or x.data.shape[-1] != expected[-1]:
+            raise ShapeError(
+                f"{self.name}: input shape {x.data.shape} does not match "
+                f"expected ({', '.join(map(str, expected))})")
+        h = x
+        last = len(self.weights) - 1
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = self._layer(h, w, b)
+            if k < last:
+                h = relu(h)
+            elif self.out_activation == "sigmoid":
+                h = sigmoid(h)
         return h
 
 
 class DenseStack(_LayerStack):
-    """Fully connected stack with ReLU between layers.
+    """Fully connected stack on (n, width) input.
 
     sizes lists the feature widths, so [6, 32, 1] is a two-layer network.
-    out_activation is 'identity', 'relu', or 'sigmoid'.
     """
 
     def __init__(self, sizes, out_activation: str = "identity", *,
                  rng: np.random.Generator, name: str):
         if len(sizes) < 2:
             raise ShapeError(f"{name}: need at least one layer, got sizes {sizes}")
-        super().__init__(name, out_activation, ("identity", "relu", "sigmoid"))
-        self.sizes = list(sizes)
+        super().__init__(name, out_activation, ("n", sizes[0]))
         for fin, fout in zip(sizes[:-1], sizes[1:]):
             self._add_layer(rng, "W", fin, fout, (fin, fout))
 
-    def __call__(self, x) -> Tensor:
-        return dense_forward(self, x)
-
-
-def dense_forward(stack: DenseStack, x) -> Tensor:
-    x = astensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != stack.sizes[0]:
-        raise ShapeError(
-            f"{stack.name}: input shape {x.data.shape} does not match "
-            f"expected (n, {stack.sizes[0]})")
-    h = x
-    for k, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-        h = stack._activate(add(matmul(h, w), b), k)
-    return h
+    def _layer(self, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        return add(matmul(h, w), b)
 
 
 class ConvStack(_LayerStack):
-    """Same-padded conv layers with ReLU between them.
+    """Same-padded conv layers on (n, h, w, channels) input.
 
     channels lists the channel widths per layer boundary; all kernels are
-    square with odd size.  out_activation is 'identity' or 'sigmoid'.
+    square with odd size.
     """
 
     def __init__(self, channels, kernel: int = 3, out_activation: str = "identity", *,
@@ -523,33 +485,14 @@ class ConvStack(_LayerStack):
             raise ShapeError(f"{name}: need at least one conv layer")
         if kernel % 2 != 1:
             raise ShapeError(f"{name}: kernel must be odd, got {kernel}")
-        super().__init__(name, out_activation, ("identity", "sigmoid"))
-        self.channels = list(channels)
+        super().__init__(name, out_activation, ("n", "h", "w", channels[0]))
         self.kernel = kernel
         taps = kernel * kernel
         for cin, cout in zip(channels[:-1], channels[1:]):
             self._add_layer(rng, "K", taps * cin, taps * cout, (taps * cin, cout))
 
-    def __call__(self, x) -> Tensor:
-        return conv_forward(self, x)
-
-
-def conv_forward(stack: ConvStack, x) -> Tensor:
-    x = astensor(x)
-    squeeze = False
-    if x.data.ndim == 3:
-        x = reshape(x, (1,) + x.data.shape)
-        squeeze = True
-    if x.data.ndim != 4 or x.data.shape[3] != stack.channels[0]:
-        raise ShapeError(
-            f"{stack.name}: input shape {x.data.shape} does not match "
-            f"expected (n, h, w, {stack.channels[0]})")
-    h = x
-    for k, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-        h = stack._activate(conv2d(h, w, b, stack.kernel), k)
-    if squeeze:
-        h = reshape(h, h.data.shape[1:])
-    return h
+    def _layer(self, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        return conv2d(h, w, b, self.kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -74,17 +74,21 @@ class LossReport:
     edge: float
     mask: float
     total: float
-    w_pos: float
-    per_step: list[float]
 
 
-def edge_loss(probs_by_step: dict[int, tk.Tensor],
-              y: np.ndarray) -> tuple[tk.Tensor, float, list[float]]:
+def _bce(p: tk.Tensor, pos_coef: tk.Tensor, neg_coef: tk.Tensor) -> tk.Tensor:
+    """Mean of -(pos_coef * log p + neg_coef * log(1 - p)), with p clamped to
+    [PROB_EPS, 1 - PROB_EPS] so the loss stays finite for any input."""
+    p = tk.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    return tk.neg(tk.mean(tk.add(tk.mul(pos_coef, tk.log(p)),
+                                 tk.mul(neg_coef, tk.log(tk.sub(1.0, p))))))
+
+
+def edge_loss(probs_by_step: dict[int, tk.Tensor], y: np.ndarray) -> tk.Tensor:
     """Positive-weighted binary cross-entropy averaged over the recorded steps.
 
     The positive weight is edges/positives for this graph; with no positive
-    edge it falls back to 1 with a warning.  Probabilities are clamped to
-    [1e-7, 1 - 1e-7] so the loss stays finite for any input.
+    edge it falls back to 1 with a warning.
     """
     if not probs_by_step:
         raise ConfigError("edge_loss needs at least one recorded step")
@@ -102,19 +106,14 @@ def edge_loss(probs_by_step: dict[int, tk.Tensor],
     pos_coef = tk.Tensor(w_pos * y)
     neg_coef = tk.Tensor(1.0 - y)
     total = None
-    per_step = []
     for l in steps:
-        p = tk.clip(probs_by_step[l], PROB_EPS, 1.0 - PROB_EPS)
-        ce = tk.neg(tk.mean(tk.add(tk.mul(pos_coef, tk.log(p)),
-                                   tk.mul(neg_coef, tk.log(tk.sub(1.0, p))))))
-        per_step.append(ce.item())
+        ce = _bce(probs_by_step[l], pos_coef, neg_coef)
         total = ce if total is None else tk.add(total, ce)
-    loss = tk.mul(total, 1.0 / len(steps))
-    return loss, w_pos, per_step
+    return tk.mul(total, 1.0 / len(steps))
 
 
 def mask_loss(masks_by_step: dict[int, tk.Tensor],
-              gt_masks: list[np.ndarray | None]) -> tuple[tk.Tensor, int]:
+              gt_masks: list[np.ndarray | None]) -> tk.Tensor:
     """Mean per-pixel cross-entropy over supervised nodes, averaged over steps.
 
     Nodes without a ground-truth mask are excluded.  With none at all the
@@ -126,17 +125,15 @@ def mask_loss(masks_by_step: dict[int, tk.Tensor],
     steps = sorted(masks_by_step)
     sup = [i for i, g in enumerate(gt_masks) if g is not None]
     if not sup:
-        return tk.mul(tk.tsum(masks_by_step[steps[-1]]), 0.0), 0
+        return tk.mul(tk.tsum(masks_by_step[steps[-1]]), 0.0)
     target = tk.Tensor(np.stack([gt_masks[i] for i in sup]))
     inv_target = tk.Tensor(1.0 - target.data)
     idx = np.asarray(sup, dtype=np.intp)
     total = None
     for l in steps:
-        p = tk.clip(tk.rows(masks_by_step[l], idx), PROB_EPS, 1.0 - PROB_EPS)
-        ce = tk.neg(tk.mean(tk.add(tk.mul(target, tk.log(p)),
-                                   tk.mul(inv_target, tk.log(tk.sub(1.0, p))))))
+        ce = _bce(tk.rows(masks_by_step[l], idx), target, inv_target)
         total = ce if total is None else tk.add(total, ce)
-    return tk.mul(total, 1.0 / len(steps)), len(sup)
+    return tk.mul(total, 1.0 / len(steps))
 
 
 def augment(detections: list[Detection], p_drop: float, shift_std: float,
@@ -164,17 +161,17 @@ def augment(detections: list[Detection], p_drop: float, shift_std: float,
 
 def joint_loss(state, params: ModelParams, labels_arr: np.ndarray,
                gt_masks: list[np.ndarray | None] | None) -> tuple[tk.Tensor, LossReport]:
-    loss_e, w_pos, per_step = edge_loss(state.edge_probs, labels_arr)
+    loss_e = edge_loss(state.edge_probs, labels_arr)
     mask_val = 0.0
     total = loss_e
     if params.config.with_masks:
         masks_by_step = {l: predict_masks(state, params, step=l)
                          for l in state.recorded_steps()}
-        loss_m, _ = mask_loss(masks_by_step, gt_masks or [])
+        loss_m = mask_loss(masks_by_step, gt_masks or [])
         mask_val = loss_m.item()
         total = tk.add(loss_e, loss_m)
     report = LossReport(iteration=0, edge=loss_e.item(), mask=mask_val,
-                        total=loss_e.item() + mask_val, w_pos=w_pos, per_step=per_step)
+                        total=loss_e.item() + mask_val)
     return total, report
 
 
@@ -222,8 +219,7 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
     history: list[LossReport] = []
     for it in range(1, cfg.iterations + 1):
         params.zero_grad()
-        agg = LossReport(iteration=it, edge=0.0, mask=0.0, total=0.0, w_pos=0.0,
-                         per_step=[])
+        agg = LossReport(iteration=it, edge=0.0, mask=0.0, total=0.0)
         for _ in range(cfg.graphs_per_step):
             scenario, windows = usable[rng.integers(len(usable))]
             graph = _sample_graph(scenario, windows, cfg, rng)
@@ -237,8 +233,6 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
             agg.edge += report.edge / cfg.graphs_per_step
             agg.mask += report.mask / cfg.graphs_per_step
             agg.total += report.total / cfg.graphs_per_step
-            agg.w_pos += report.w_pos / cfg.graphs_per_step
-            agg.per_step = report.per_step
         tk.adam_step(named, adam)
         history.append(agg)
         if cfg.checkpoint_every and snapshot and it % cfg.checkpoint_every == 0:

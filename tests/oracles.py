@@ -155,11 +155,12 @@ def reference_encode_geometry(det_i, det_j, appearance_distance):
     ])
 
 
-def reference_edge_feature_matrix(graph, encode=reference_encode_geometry):
-    """Edge features by one encode(det_u, det_v, distance) call per edge."""
+def reference_edge_feature_matrix(graph):
+    """Edge features by one reference_encode_geometry call per edge."""
     feats = np.zeros((graph.num_edges, 6))
     for e, (u, v) in enumerate(zip(graph.edge_src, graph.edge_dst)):
-        feats[e] = encode(graph.detections[u], graph.detections[v], graph.edge_app_dist[e])
+        feats[e] = reference_encode_geometry(graph.detections[u], graph.detections[v],
+                                             graph.edge_app_dist[e])
     return feats
 
 

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mpnflow.cli import _load_track_assignment, main
+from mpnflow import cli
+from mpnflow import tensorkit as tk
+from mpnflow.cli import main
 from mpnflow.errors import ParseError
 from mpnflow.infer import read_mask_pgm
 from mpnflow.synthdata import (Detection, attach_embeddings, attach_roi_grids, load_gt_masks,
-                               load_mot_detections, load_tracks)
+                               load_mot_detections, load_track_assignment, load_tracks)
+from mpnflow.train import build_gradcheck_case
 
 
 def _write_config(path, **sections):
@@ -121,13 +124,48 @@ def test_train_accepts_multiple_data_dirs(tmp_path):
                  "--config", cfg, "--iterations", "5"]) == 0
 
 
+def test_tracks_csv_numbers_tracks_as_results_txt(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", **SMALL)
+    data, model, run = (tmp_path / n for n in ("data", "model", "run"))
+    assert main(["generate", "--out", str(data), "--config", cfg]) == 0
+    assert main(["train", "--data", str(data), "--out", str(model), "--config", cfg,
+                 "--iterations", "100"]) == 0
+    assert main(["infer", "--data", str(data), "--checkpoint", str(model / "checkpoint.json"),
+                 "--out", str(run), "--config", cfg]) == 0
+    det_by_id = {d.node_id: d for d in load_mot_detections(data / "det.txt")}
+    results = load_tracks(run / "results.txt")
+    lines = (run / "tracks.csv").read_text().splitlines()
+    assert lines[0] == "track_id,node_id"
+    rows = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
+    assert {tid for tid, _ in rows} == set(results) and len(results) > 1
+    for tid, nid in rows:
+        det = det_by_id[nid]
+        assert results[tid][det.frame] == det.box, (tid, nid)
+
+
 def test_gradcheck_exit_codes(monkeypatch, capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert out.count("max relative error") == 2
-    monkeypatch.setenv("MPNFLOW_SABOTAGE_GRADCHECK", "1")
+
+    def skewed_case(with_masks, seed):
+        f, params = build_gradcheck_case(with_masks=with_masks, seed=seed)
+
+        def skewed():
+            # scale the analytic pass only, so the check must find a mismatch
+            return tk.mul(f(), 1.001) if tk.grad_enabled() else f()
+
+        return skewed, params
+
+    monkeypatch.setattr(cli, "build_gradcheck_case", skewed_case)
     assert main(["gradcheck"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_reads_no_sabotage_variable(monkeypatch, capsys):
+    monkeypatch.setenv("MPNFLOW_SABOTAGE_GRADCHECK", "1")
+    assert main(["gradcheck"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -357,7 +395,7 @@ LOADERS = {
     "attach_roi_grids": lambda path: attach_roi_grids([Detection(0, 1, (0.0, 0.0, 1.0, 1.0))],
                                                       path),
     "load_gt_masks": load_gt_masks,
-    "load_track_assignment": _load_track_assignment,
+    "load_track_assignment": load_track_assignment,
     "read_mask_pgm": read_mask_pgm,
 }
 

@@ -106,7 +106,6 @@ def test_edge_feature_matrix_matches_per_edge_loop_bit_for_bit(dets, top_k, gap)
     feats = mpn.edge_feature_matrix(g)
     assert feats.shape == (g.num_edges, mpn.EDGE_FEATURE_DIM)
     assert feats.tobytes() == reference_edge_feature_matrix(g).tobytes()
-    assert feats.tobytes() == reference_edge_feature_matrix(g, mpn.encode_geometry).tobytes()
 
 
 def test_relabeling_gives_isomorphic_graph():

@@ -31,17 +31,24 @@ def path_graph(n_nodes, rng, d_app=4):
     return dets, gr.graph_from_edge_list(dets, [(i, i + 1) for i in range(n_nodes - 1)])
 
 
+def one_edge_features(det_i, det_j, app_dist):
+    # edge_feature_matrix of the two-node graph with the single edge i -> j
+    g = gr.TrackGraph([det_i, det_j], np.zeros(1, np.int64), np.ones(1, np.int64),
+                      np.array([app_dist]))
+    return mpn.edge_feature_matrix(g)[0]
+
+
 def test_encode_geometry_identical_boxes():
     a = det(0, 1)
     b = det(1, 2)
-    feats = mpn.encode_geometry(a, b, 0.0)
+    feats = one_edge_features(a, b, 0.0)
     assert np.array_equal(feats, [0, 0, 0, 0, 1, 0])
 
 
 def test_encode_geometry_log_height_ratio():
     a = det(0, 1, box=(0, 0, 10, 20))
     b = det(1, 2, box=(0, 0, 10, 10))
-    feats = mpn.encode_geometry(a, b, 0.5)
+    feats = one_edge_features(a, b, 0.5)
     assert abs(feats[2] - math.log(2.0)) < 1e-12
     assert feats[5] == 0.5
 
@@ -50,11 +57,11 @@ def test_encode_geometry_rejects_bad_inputs():
     a = det(0, 1)
     b = det(1, 1)
     with pytest.raises(ConfigError):
-        mpn.encode_geometry(a, b, 0.0)
+        one_edge_features(a, b, 0.0)
     c = det(2, 3)
     c.box = (0.0, 0.0, -5.0, 10.0)   # bypass construction check on purpose
     with pytest.raises(ConfigError):
-        mpn.encode_geometry(a, c, 0.0)
+        one_edge_features(a, c, 0.0)
 
 
 def test_edge_feature_matrix_names_the_first_offending_edge():

@@ -77,7 +77,7 @@ def test_dense_forward_identity_layer_is_identity():
     stack.weights[0].data = np.eye(3)
     stack.biases[0].data = np.zeros(3)
     x = np.array([[0.5, -1.0, 2.0]])
-    out = tk.dense_forward(stack, tk.Tensor(x))
+    out = stack(tk.Tensor(x))
     assert np.array_equal(out.data, x)
 
 
@@ -89,15 +89,30 @@ def test_dense_forward_two_layer_matches_hand_computation():
     w1, b1 = stack.weights[1].data, stack.biases[1].data
     hidden = np.maximum(x @ w0 + b0, 0.0)
     want = hidden @ w1 + b1
-    got = tk.dense_forward(stack, tk.Tensor(x))
+    got = stack(tk.Tensor(x))
     assert np.allclose(got.data, want, atol=1e-12)
 
 
 def test_dense_forward_input_width_mismatch():
     rng = np.random.default_rng(2)
     stack = tk.DenseStack([4, 2], rng=rng, name="t")
-    with pytest.raises(ShapeError):
-        tk.dense_forward(stack, tk.Tensor(np.zeros((5, 3))))
+    with pytest.raises(ShapeError) as e:
+        stack(tk.Tensor(np.zeros((5, 3))))
+    assert str(e.value) == "t: input shape (5, 3) does not match expected (n, 4)"
+
+
+@pytest.mark.parametrize("kind,shape", [("dense", (2, 5, 4)), ("conv", (4, 4, 3)),
+                                        ("conv", (1, 4, 4, 2))],
+                         ids=["dense_rank", "conv_rank", "conv_width"])
+def test_stacks_reject_wrong_input_rank_and_width(kind, shape):
+    rng = np.random.default_rng(3)
+    if kind == "dense":
+        stack, want = tk.DenseStack([4, 2], rng=rng, name="probe"), "(n, 4)"
+    else:
+        stack, want = tk.ConvStack([3, 2], rng=rng, name="probe"), "(n, h, w, 3)"
+    with pytest.raises(ShapeError) as e:
+        stack(tk.Tensor(np.zeros(shape)))
+    assert str(e.value) == f"probe: input shape {shape} does not match expected {want}"
 
 
 def test_conv2d_all_ones_kernel_counts_neighbors():
@@ -334,7 +349,7 @@ def test_grad_check_small_mlp_below_tolerance():
     target = tk.Tensor(rng.uniform(0.2, 0.8, size=(4, 1)))
 
     def f():
-        p = tk.clip(tk.dense_forward(stack, x), 1e-7, 1 - 1e-7)
+        p = tk.clip(stack(x), 1e-7, 1 - 1e-7)
         return tk.neg(tk.mean(tk.add(tk.mul(target, tk.log(p)),
                                      tk.mul(tk.sub(1.0, target), tk.log(tk.sub(1.0, p))))))
 
@@ -350,7 +365,7 @@ def test_grad_check_flags_sabotaged_gradient():
 
     def f():
         calls["n"] += 1
-        out = tk.tsum(tk.dense_forward(stack, x))
+        out = tk.tsum(stack(x))
         if calls["n"] == 1:
             # sabotage: scale the forward output only on the analytic pass
             out = tk.mul(out, 2.0)
@@ -366,7 +381,7 @@ def test_grad_check_rejects_parameter_without_gradient():
     unused = tk.DenseStack([2, 1], rng=rng, name="unused")
     x = tk.Tensor(rng.normal(size=(3, 2)))
     with pytest.raises(GradientError) as e:
-        tk.grad_check(lambda: tk.tsum(tk.dense_forward(used, x)),
+        tk.grad_check(lambda: tk.tsum(used(x)),
                       used.parameters() + unused.parameters())
     assert "unused/W0" in str(e.value)
 

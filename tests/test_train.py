@@ -16,18 +16,15 @@ from mpnflow.mpn import MpnConfig, ModelParams, mpn_forward
 
 def test_edge_loss_single_positive_edge_at_half():
     probs = {1: tk.Tensor([0.5])}
-    loss, w_pos, per_step = tr.edge_loss(probs, np.array([1.0]))
+    loss = tr.edge_loss(probs, np.array([1.0]))
     assert abs(loss.item() - 0.6931) < 1e-4
-    assert w_pos == 1.0
-    assert len(per_step) == 1
 
 
 def test_edge_loss_four_edges_one_positive_frozen_value():
     probs = {1: tk.Tensor([0.5, 0.5, 0.5, 0.5])}
     y = np.array([1.0, 0.0, 0.0, 0.0])
-    loss, w_pos, _ = tr.edge_loss(probs, y)
-    assert w_pos == 4.0
-    # (4 * log 2 + 3 * log 2) / 4
+    loss = tr.edge_loss(probs, y)
+    # (4 * log 2 + 3 * log 2) / 4: the positive edge carries weight 4
     assert abs(loss.item() - 1.2130) < 1e-4
     assert abs(loss.item() - 7 * math.log(2.0) / 4) < 1e-12
 
@@ -35,17 +32,15 @@ def test_edge_loss_four_edges_one_positive_frozen_value():
 def test_edge_loss_averages_last_m_steps():
     probs = {2: tk.Tensor([0.25]), 3: tk.Tensor([0.75])}
     y = np.array([1.0])
-    loss, _, per_step = tr.edge_loss(probs, y)
+    loss = tr.edge_loss(probs, y)
     want = (-math.log(0.25) - math.log(0.75)) / 2
     assert abs(loss.item() - want) < 1e-12
-    assert len(per_step) == 2
 
 
 def test_edge_loss_no_positives_falls_back_with_warning(caplog):
     probs = {0: tk.Tensor([0.3, 0.6])}
     with caplog.at_level(logging.WARNING):
-        loss, w_pos, _ = tr.edge_loss(probs, np.zeros(2))
-    assert w_pos == 1.0
+        loss = tr.edge_loss(probs, np.zeros(2))
     assert any("positive" in r.message for r in caplog.records)
     want = (-math.log(0.7) - math.log(0.4)) / 2
     assert abs(loss.item() - want) < 1e-12
@@ -53,7 +48,7 @@ def test_edge_loss_no_positives_falls_back_with_warning(caplog):
 
 def test_edge_loss_is_finite_under_saturation():
     probs = {0: tk.Tensor([0.0, 1.0])}
-    loss, _, _ = tr.edge_loss(probs, np.array([1.0, 0.0]))
+    loss = tr.edge_loss(probs, np.array([1.0, 0.0]))
     assert np.isfinite(loss.item())
 
 
@@ -61,8 +56,7 @@ def test_mask_loss_frozen_value():
     grid = np.array([[0.9, 0.1], [0.8, 0.2]])
     gt = np.array([[1.0, 0.0], [1.0, 0.0]])
     masks = {1: tk.Tensor(grid[None, :, :])}
-    loss, n_sup = tr.mask_loss(masks, [gt])
-    assert n_sup == 1
+    loss = tr.mask_loss(masks, [gt])
     assert abs(loss.item() - 0.1643) < 1e-4
 
 
@@ -70,11 +64,11 @@ def test_mask_loss_skips_unsupervised_nodes():
     grid = np.stack([np.full((2, 2), 0.5), np.full((2, 2), 0.99)])
     masks = {0: tk.Tensor(grid)}
     gt_all_half = [np.ones((2, 2)), None]
-    loss, n_sup = tr.mask_loss(masks, gt_all_half)
-    assert n_sup == 1
+    # log 2 only if the 0.99 node is skipped
+    loss = tr.mask_loss(masks, gt_all_half)
     assert abs(loss.item() - math.log(2.0)) < 1e-12
-    loss_none, n_none = tr.mask_loss(masks, [None, None])
-    assert n_none == 0 and loss_none.item() == 0.0
+    loss_none = tr.mask_loss(masks, [None, None])
+    assert loss_none.item() == 0.0
 
 
 def test_augment_noop_and_full_drop():
@@ -232,7 +226,7 @@ def test_train_config_validation():
 
 
 def test_write_history_format(tmp_path):
-    history = [tr.LossReport(1, 0.5, 0.25, 0.75, 2.0, [0.5])]
+    history = [tr.LossReport(1, 0.5, 0.25, 0.75)]
     path = tmp_path / "hist.csv"
     tr.write_history(history, path)
     lines = path.read_text().strip().splitlines()
