@@ -88,10 +88,14 @@ def build_graph(detections: list[Detection], max_frame_gap: int, top_k: int) -> 
     finite = np.isfinite(app).all(axis=1)
     if not finite.all():
         raise ConfigError(f"detection {ids[np.argmin(finite)]} has a non-finite appearance vector")
-    dist = _app_dist(app[:, None, :], app[None, :, :])
 
     gap = frames[None, :] - frames[:, None]
     candidate = (gap >= 1) & (gap <= max_frame_gap)   # u earlier than v
+    # distances of candidate pairs only, mirrored: a - b and b - a square to
+    # the same values; the other entries rank last and are never read
+    cu, cv = np.nonzero(candidate)
+    dist = np.zeros((len(ordered), len(ordered)))
+    dist[cu, cv] = dist[cv, cu] = _app_dist(app[cu], app[cv])
 
     # per node: partners in either direction ranked by (distance, node id),
     # non-partners last; keep[u, v] marks v among u's top_k partners
@@ -108,19 +112,31 @@ def build_graph(detections: list[Detection], max_frame_gap: int, top_k: int) -> 
 
 
 def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
-    """Build a graph from explicit (node_id, node_id) cross-frame pairs."""
+    """Build a graph from explicit (node_id, node_id) cross-frame pairs,
+    given as a sequence of 2-tuples or an (n, 2) integer array."""
     ordered = _canonical_order(detections)
-    pos = {d.node_id: i for i, d in enumerate(ordered)}
-    frames = {d.node_id: d.frame for d in ordered}
-    edges = set()
-    for i, j in pairs:
-        if i not in pos or j not in pos:
-            raise ConfigError(f"edge ({i}, {j}) references unknown node ids")
-        if frames[i] == frames[j]:
-            raise ConfigError(f"edge ({i}, {j}) connects detections in the same frame")
-        edges.add((pos[i], pos[j]) if frames[i] < frames[j] else (pos[j], pos[i]))
-    edges = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    src, dst = edges[:, 0].copy(), edges[:, 1].copy()
+    n = len(ordered)
+    ids = np.asarray([d.node_id for d in ordered], dtype=np.int64)
+    frames = np.asarray([d.frame for d in ordered], dtype=np.int64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if n == 0 and len(pairs):
+        raise ConfigError(f"edge ({pairs[0, 0]}, {pairs[0, 1]}) references unknown node ids")
+    # id -> canonical position, the last one for a repeated id; a position
+    # holding another id marks an unknown one
+    by_id = np.argsort(ids, kind="stable")
+    at = by_id[np.searchsorted(ids, pairs, side="right", sorter=by_id) - 1]
+    unknown = (ids[at] != pairs).any(axis=1)
+    frame_i, frame_j = frames[at].T
+    same_frame = ~unknown & (frame_i == frame_j)
+    if (unknown | same_frame).any():
+        first = int(np.argmax(unknown | same_frame))
+        i, j = pairs[first]
+        what = "references unknown node ids" if unknown[first] \
+            else "connects detections in the same frame"
+        raise ConfigError(f"edge ({i}, {j}) {what}")
+    earlier, later = np.where(frame_i < frame_j, at.T, at.T[::-1])
+    # sorted keys give the distinct edges in row-major (src, dst) order
+    src, dst = np.divmod(np.unique(earlier * n + later), max(n, 1))
     # edges touching a detection without appearance keep distance 0
     has_app = np.asarray([d.appearance is not None for d in ordered], dtype=bool)
     both = has_app[src] & has_app[dst]

@@ -19,8 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from . import tensorkit as tk
 from .errors import ConfigError, ParseError, read_text
 from .graph import (ConstraintReport, TrackGraph, _assert_feasible, _degrees, build_graph,
-                    check_constraints, detections_in_window, graph_from_edge_list,
-                    split_windows, violating_edges)
+                    check_constraints, graph_from_edge_list, split_windows, violating_edges)
 from .mpn import ModelParams, mpn_forward, predict_masks
 from .synthdata import Box, Detection
 
@@ -96,12 +95,10 @@ def extract_trajectories(graph: TrackGraph, y: np.ndarray) -> list[list[int]]:
     edges become singletons.
     """
     _assert_feasible(graph, y, "labels")
-    succ = {}
+    active = np.flatnonzero(y)
+    succ = dict(zip(graph.edge_src[active].tolist(), graph.edge_dst[active].tolist()))
     has_pred = np.zeros(graph.num_nodes, dtype=bool)
-    for e in range(graph.num_edges):
-        if y[e]:
-            succ[int(graph.edge_src[e])] = int(graph.edge_dst[e])
-            has_pred[graph.edge_dst[e]] = True
+    has_pred[graph.edge_dst[active]] = True
     trajectories = []
     for pos in range(graph.num_nodes):
         if has_pred[pos]:
@@ -162,25 +159,49 @@ def run_inference(detections: list[Detection], params: ModelParams, *,
     if min_track_len < 1:
         raise ConfigError(f"min_track_len must be >= 1, got {min_track_len}")
     gap = max_frame_gap or frames_per_graph
-    edge_acc: dict[tuple[int, int], list[float]] = {}
+    # each window is a slice of the detections sorted by frame; build_graph
+    # puts its nodes in canonical order, whatever order they come in
+    by_frame = sorted(detections, key=lambda d: d.frame)
+    frames = np.asarray([d.frame for d in by_frame], dtype=np.int64)
+    srcs, dsts, probs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     mask_acc: dict[int, list[np.ndarray]] = {}
-    for window in split_windows(detections, frames_per_graph):
-        dets_w = detections_in_window(detections, window)
+    for lo, hi in split_windows(detections, frames_per_graph):
+        dets_w = by_frame[np.searchsorted(frames, lo):np.searchsorted(frames, hi, side="right")]
         if len(dets_w) < 2:
             continue
         g = build_graph(dets_w, max_frame_gap=gap, top_k=top_k)
         with tk.no_grad():
             state = mpn_forward(g, params)
             grids = predict_masks(state, params).data if params.config.with_masks else []
-        for pair, p in zip(g.edge_pairs(), state.final_probs()):
-            edge_acc.setdefault(pair, []).append(float(p))
+        srcs.append(g.node_ids[g.edge_src])
+        dsts.append(g.node_ids[g.edge_dst])
+        probs.append(state.final_probs())
         for nid, grid in zip(g.node_ids, grids):
             mask_acc.setdefault(int(nid), []).append(grid)
-    edge_probs = {pair: float(np.sum(vals) / len(vals)) for pair, vals in edge_acc.items()}
     node_masks = {nid: np.sum(grids, axis=0) / len(grids) for nid, grids in mask_acc.items()}
 
-    union = graph_from_edge_list(detections, list(edge_probs))
-    probs_arr = np.asarray([edge_probs[pair] for pair in union.edge_pairs()])
+    # group every window's prediction of a pair, in window order (the sort is
+    # stable), and average each group as np.sum over its k values / k
+    src, dst, p = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(probs)
+    order = np.lexsort((dst, src))
+    src, dst, p = src[order], dst[order], p[order]
+    first_of_pair = np.ones(len(src), dtype=bool)
+    first_of_pair[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    starts = np.flatnonzero(first_of_pair)
+    counts = np.diff(starts, append=len(src))
+    mean = np.empty(len(starts))
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        mean[rows] = np.sum(p[starts[rows, None] + np.arange(k)], axis=1) / k
+    pairs = np.column_stack((src[starts], dst[starts]))
+    pair_keys = list(map(tuple, pairs.tolist()))
+    edge_probs = dict(zip(pair_keys, mean.tolist()))
+
+    union = graph_from_edge_list(detections, pairs)
+    # the union's edges are exactly the pairs; by_pair[i] is pair i's edge
+    by_pair = np.lexsort((union.node_ids[union.edge_dst], union.node_ids[union.edge_src]))
+    probs_arr = np.empty(len(mean))
+    probs_arr[by_pair] = mean
     tentative = threshold(probs_arr, tau)
     report = check_constraints(union, tentative)
     y = exact_round(union, probs_arr, tau) if rounder == "exact" \
@@ -195,7 +216,7 @@ def run_inference(detections: list[Detection], params: ModelParams, *,
             continue
         tracks.append(interpolate_track(traj, det_by_id))
         track_node_ids.append(traj)
-    labels = {pair: int(v) for pair, v in zip(union.edge_pairs(), y)}
+    labels = dict(zip(pair_keys, y[by_pair].tolist()))
     return Solution(edge_probs=edge_probs, labels=labels, trajectories=trajectories,
                     tracks=tracks, track_node_ids=track_node_ids,
                     node_masks=node_masks, constraint_report=report)

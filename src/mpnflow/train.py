@@ -87,8 +87,8 @@ def _bce(p: tk.Tensor, pos_coef: tk.Tensor, neg_coef: tk.Tensor) -> tk.Tensor:
 def edge_loss(probs_by_step: dict[int, tk.Tensor], y: np.ndarray) -> tk.Tensor:
     """Positive-weighted binary cross-entropy averaged over the recorded steps.
 
-    The positive weight is edges/positives for this graph; with no positive
-    edge it falls back to 1 with a warning.
+    The positive weight is edges/positives for this graph.  A graph with no
+    positive edge has no positive term, and a warning says so.
     """
     if not probs_by_step:
         raise ConfigError("edge_loss needs at least one recorded step")
@@ -99,11 +99,10 @@ def edge_loss(probs_by_step: dict[int, tk.Tensor], y: np.ndarray) -> tk.Tensor:
         raise ConfigError("edge_loss needs at least one edge")
     n_pos = float(y.sum())
     if n_pos > 0:
-        w_pos = n_edges / n_pos
+        pos_coef = tk.Tensor(n_edges / n_pos * y)
     else:
-        w_pos = 1.0
-        log.warning("graph has no positive edges; positive weight falls back to 1")
-    pos_coef = tk.Tensor(w_pos * y)
+        log.warning("graph has no positive edges; the loss has no positive term")
+        pos_coef = tk.Tensor(y)
     neg_coef = tk.Tensor(1.0 - y)
     total = None
     for l in steps:

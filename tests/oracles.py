@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from mpnflow.errors import ConfigError, ShapeError
-from mpnflow.graph import TrackGraph, _canonical_order, graph_from_edge_list
+from mpnflow.graph import TrackGraph, _app_dist, _canonical_order, graph_from_edge_list
 from mpnflow.infer import threshold, violating_edges
 from mpnflow.synthdata import Detection
 from mpnflow.tensorkit import Tensor, _accum, _live, _record, astensor
@@ -135,6 +135,31 @@ def reference_build_graph(detections, max_frame_gap, top_k):
         np.asarray([dst[e] for e in order], dtype=np.int64),
         np.asarray([d_app[e] for e in order], dtype=np.float64),
     )
+
+
+def reference_graph_from_edge_list(detections, pairs):
+    """graph_from_edge_list as a per-pair loop over id -> position dicts."""
+    ordered = _canonical_order(detections)
+    pos = {d.node_id: i for i, d in enumerate(ordered)}
+    frames = {d.node_id: d.frame for d in ordered}
+    edges = set()
+    for i, j in pairs:
+        if i not in pos or j not in pos:
+            raise ConfigError(f"edge ({i}, {j}) references unknown node ids")
+        if frames[i] == frames[j]:
+            raise ConfigError(f"edge ({i}, {j}) connects detections in the same frame")
+        edges.add((pos[i], pos[j]) if frames[i] < frames[j] else (pos[j], pos[i]))
+    edges = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0].copy(), edges[:, 1].copy()
+    # edges touching a detection without appearance keep distance 0
+    has_app = np.asarray([d.appearance is not None for d in ordered], dtype=bool)
+    both = has_app[src] & has_app[dst]
+    d_app = np.zeros(len(src))
+    if both.any():
+        app = np.stack([d.appearance for d in ordered if d.appearance is not None])
+        row = np.cumsum(has_app) - 1
+        d_app[both] = _app_dist(app[row[src[both]]], app[row[dst[both]]])
+    return TrackGraph(ordered, src, dst, d_app)
 
 
 def reference_encode_geometry(det_i, det_j, appearance_distance):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import reference_build_graph, reference_edge_feature_matrix
+from oracles import (reference_build_graph, reference_edge_feature_matrix,
+                     reference_graph_from_edge_list)
 
 from mpnflow import graph as gr
 from mpnflow import mpn
@@ -68,7 +71,7 @@ APP_VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0, 1e200, -1e200]) | st.flo
 @st.composite
 def detection_sets(draw):
     n = draw(st.integers(0, 40))
-    dim = draw(st.sampled_from([2, 16]))
+    dim = draw(st.sampled_from([2, 8, 16]))
     palette = draw(st.lists(st.lists(APP_VALUES, min_size=dim, max_size=dim), min_size=1,
                             max_size=8))
     ids = draw(st.permutations(range(60)))[:n]
@@ -96,6 +99,47 @@ def test_build_graph_matches_loop_reference_bit_for_bit(dets, top_k, gap):
     # a graph rebuilt from its own pairs gets the same arrays, distances included
     for name in ("edge_src", "edge_dst", "edge_app_dist"):
         assert getattr(rebuilt, name).tobytes() == getattr(g, name).tobytes(), name
+
+
+@st.composite
+def edge_lists(draw):
+    """Detections, some without appearance, and cross-frame pairs drawn with
+    replacement in either orientation."""
+    dets = [dataclasses.replace(d, appearance=None) if draw(st.integers(0, 3)) == 0 else d
+            for d in draw(detection_sets())]
+    cross = [(a.node_id, b.node_id) for a in dets for b in dets if a.frame != b.frame]
+    pairs = draw(st.lists(st.sampled_from(cross), max_size=60)) if cross else []
+    return dets, pairs
+
+
+def _config_error(build, dets, pairs):
+    with pytest.raises(ConfigError) as err:
+        build(dets, pairs)
+    return str(err.value)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=edge_lists(), bad_id=st.integers(-3, 65), at=st.integers(0, 60))
+def test_graph_from_edge_list_matches_dict_loop_reference(case, bad_id, at):
+    dets, pairs = case
+    with np.errstate(over="ignore"):
+        ref = reference_graph_from_edge_list(dets, pairs)
+        for given_pairs in (pairs, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)):
+            g = gr.graph_from_edge_list(dets, given_pairs)
+            for name in ("edge_src", "edge_dst", "edge_app_dist"):
+                got, want = getattr(g, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    # bad pairs spliced in, either kind first: an unknown id, or two
+    # detections of one frame; the error names the first of them
+    ids = {d.node_id for d in dets}
+    same_frame = [(a.node_id, b.node_id) for a in dets for b in dets if a.frame == b.frame]
+    bad = [(bad_id, d.node_id) for d in dets[:1] if bad_id not in ids] + same_frame[:at % 3]
+    for first in range(len(bad)):
+        spliced = pairs[:at] + bad[first:] + bad[:first] + pairs[at:]
+        want = _config_error(reference_graph_from_edge_list, dets, spliced)
+        assert _config_error(gr.graph_from_edge_list, dets, spliced) == want
+        assert _config_error(gr.graph_from_edge_list, dets, np.asarray(spliced)) == want
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

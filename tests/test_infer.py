@@ -224,3 +224,42 @@ def test_run_inference_averages_windows_in_window_order():
     assert set(sol.node_masks) == set(masks)
     for nid, grids in masks.items():
         assert sol.node_masks[nid].tobytes() == (np.sum(grids, axis=0) / len(grids)).tobytes()
+
+
+def test_run_inference_averages_eight_or_more_windows_bit_for_bit():
+    # numpy's pairwise summation changes form at 8 values, so some pair must
+    # sit in at least 8 windows; input order must not matter either
+    scenario = generate_scenario(ScenarioConfig(
+        num_frames=20, num_identities=3, detection_dropout=0.1, false_positive_rate=0.3,
+        d_app=6, roi_h=4, roi_w=4, d_roi=2, seed=5))
+    cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
+                    conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
+    params = ModelParams(cfg, d_app=6, seed=3)
+    dets = [scenario.detections[i]
+            for i in np.random.default_rng(0).permutation(len(scenario.detections))]
+    sol = run_inference(dets, params, frames_per_graph=10, top_k=3)
+
+    probs: dict = {}
+    masks: dict = {}
+    for window in split_windows(dets, 10):
+        dets_w = detections_in_window(dets, window)
+        if len(dets_w) < 2:
+            continue
+        g = build_graph(dets_w, max_frame_gap=10, top_k=3)
+        with no_grad():
+            state = mpn_forward(g, params)
+            grids = predict_masks(state, params).data
+        for pair, p in zip(g.edge_pairs(), state.final_probs()):
+            probs.setdefault(pair, []).append(float(p))
+        for nid, grid in zip(g.node_ids, grids):
+            masks.setdefault(int(nid), []).append(grid)
+    assert max(len(v) for v in probs.values()) >= 8
+    pairs = sorted(probs)
+    want = np.asarray([np.sum(probs[pair]) / len(probs[pair]) for pair in pairs])
+    assert sorted(sol.edge_probs) == pairs == sorted(sol.labels)
+    assert all(type(sol.edge_probs[pair]) is float and type(sol.labels[pair]) is int
+               for pair in pairs)
+    assert np.asarray([sol.edge_probs[pair] for pair in pairs]).tobytes() == want.tobytes()
+    assert sorted(sol.node_masks) == sorted(masks)
+    for nid, grids in masks.items():
+        assert sol.node_masks[nid].tobytes() == (np.sum(grids, axis=0) / len(grids)).tobytes()
