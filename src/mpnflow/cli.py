@@ -65,15 +65,20 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _section(config: dict, name: str, args, flags) -> dict:
+    """The config's section `name` with each of the given flags laid over it;
+    a flag left off (None) keeps the file's value."""
+    section = dict(config.get(name, {}))
+    section.update({key: getattr(args, key) for key in flags if getattr(args, key) is not None})
+    return section
+
+
 # ---------------------------------------------------------------------------
 # generate
 
 def cmd_generate(args) -> int:
-    section = _load_config(args.config).get("scenario", {})
-    cfg = scenario_config_from_dict(section)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    cfg.validate()
+    cfg = scenario_config_from_dict(_section(_load_config(args.config), "scenario", args,
+                                             ("seed",)))
     scenario = generate_scenario(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,19 +124,8 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     scenarios = [_scenario_from_dir(Path(d)) for d in args.data]
 
-    model_section = dict(config.get("model", {}))
-    if args.variant is not None:
-        model_section["variant"] = args.variant
-    if args.with_masks:
-        model_section["with_masks"] = True
-    mpn_cfg = mpn_config_from_dict(model_section)
-
-    train_section = dict(config.get("train", {}))
-    if args.iterations is not None:
-        train_section["iterations"] = args.iterations
-    if args.seed is not None:
-        train_section["seed"] = args.seed
-    train_cfg = train_config_from_dict(train_section)
+    mpn_cfg = mpn_config_from_dict(_section(config, "model", args, ("variant", "with_masks")))
+    train_cfg = train_config_from_dict(_section(config, "train", args, ("iterations", "seed")))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,14 +148,10 @@ def cmd_train(args) -> int:
 # infer
 
 def _infer_options(args) -> dict:
-    section = _load_config(args.config).get("infer", {})
+    section = _section(_load_config(args.config), "infer", args, INFER_OPTIONS)
     check_config("infer", section, {key: kind for key, (kind, _) in INFER_OPTIONS.items()})
     opts = {key: default for key, (_, default) in INFER_OPTIONS.items()}
     opts.update(section)
-    for key in INFER_OPTIONS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            opts[key] = flag
     threads = opts.pop("threads")
     if threads != 1:
         raise ConfigError(f"threads must be 1 (windows run one after another), got {threads}")
@@ -291,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the training seed")
     p.add_argument("--variant", choices=("vanilla", "time_aware"),
                    help="override the message passing variant")
-    p.add_argument("--with-masks", action="store_true",
+    p.add_argument("--with-masks", action="store_true", default=None,
                    help="enable the segmentation head")
     p.set_defaults(func=cmd_train)
 

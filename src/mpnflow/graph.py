@@ -62,14 +62,16 @@ def _app_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def build_graph(detections: list[Detection], max_frame_gap: int, top_k: int) -> TrackGraph:
+def build_graph(detections: list[Detection], max_frame_gap: int | None,
+                top_k: int) -> TrackGraph:
     """Connect detections across frames, then keep mutual top-k neighbors.
 
-    Ranking uses Euclidean distance between appearance vectors, ties broken
-    by lower node id.  Edges always point from the earlier frame to the
-    later one.
+    Detections at most max_frame_gap frames apart are candidates; None sets
+    no gap limit, so a window's graph spans the whole window.  Ranking uses
+    Euclidean distance between appearance vectors, ties broken by lower node
+    id.  Edges always point from the earlier frame to the later one.
     """
-    if max_frame_gap < 1:
+    if max_frame_gap is not None and max_frame_gap < 1:
         raise ConfigError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
@@ -90,7 +92,9 @@ def build_graph(detections: list[Detection], max_frame_gap: int, top_k: int) -> 
         raise ConfigError(f"detection {ids[np.argmin(finite)]} has a non-finite appearance vector")
 
     gap = frames[None, :] - frames[:, None]
-    candidate = (gap >= 1) & (gap <= max_frame_gap)   # u earlier than v
+    candidate = gap >= 1                              # u earlier than v
+    if max_frame_gap is not None:
+        candidate &= gap <= max_frame_gap
     # distances of candidate pairs only, mirrored: a - b and b - a square to
     # the same values; the other entries rank last and are never read
     cu, cv = np.nonzero(candidate)
@@ -148,27 +152,27 @@ def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
     return TrackGraph(ordered, src, dst, d_app)
 
 
-def split_windows(detections: list[Detection], frames_per_graph: int) -> list[tuple[int, int]]:
-    """Frame windows [f, f + n - 1] for every present start frame that fits.
+def split_windows(detections: list[Detection], frames_per_graph: int) -> list[list[Detection]]:
+    """The detections of each frame window [f, f + n - 1], for every present
+    start frame f whose window fits, each window in input order.
 
-    A sequence spanning at most n frames yields exactly one window covering
+    A sequence spanning at most n frames yields exactly one window holding
     everything.  Consecutive windows overlap by n - 1 frames.
     """
     if frames_per_graph < 2:
         raise ConfigError(f"frames_per_graph must be >= 2, got {frames_per_graph}")
     if not detections:
         return []
-    present = sorted({d.frame for d in detections})
-    first, last = present[0], present[-1]
-    if last - first + 1 <= frames_per_graph:
-        return [(first, last)]
-    n = frames_per_graph
-    return [(f, f + n - 1) for f in present if f + n - 1 <= last]
-
-
-def detections_in_window(detections: list[Detection], window: tuple[int, int]) -> list[Detection]:
-    lo, hi = window
-    return [d for d in detections if lo <= d.frame <= hi]
+    frames = np.asarray([d.frame for d in detections], dtype=np.int64)
+    order = np.argsort(frames, kind="stable")
+    frames = frames[order]
+    present = np.unique(frames)
+    fits = present + frames_per_graph - 1 <= present[-1]
+    fits[0] = True                     # a short sequence is one window
+    starts = present[fits]
+    lo = np.searchsorted(frames, starts)
+    hi = np.searchsorted(frames, starts + frames_per_graph - 1, side="right")
+    return [[detections[i] for i in np.sort(order[a:b]).tolist()] for a, b in zip(lo, hi)]
 
 
 def ground_truth_labels(graph: TrackGraph, scenario: Scenario) -> np.ndarray:

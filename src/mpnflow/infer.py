@@ -153,23 +153,20 @@ def run_inference(detections: list[Detection], params: ModelParams, *,
                   frames_per_graph: int, top_k: int, max_frame_gap: int | None = None,
                   tau: float = 0.5, rounder: str = "exact", min_track_len: int = 2) -> Solution:
     """Classify each window, average every edge and node over its windows in
-    window order, round, and extract tracks."""
+    window order, round, and extract tracks.
+
+    max_frame_gap None sets no gap limit inside a window (see build_graph).
+    """
     if rounder not in ROUNDERS:
         raise ConfigError(f"rounder must be one of {ROUNDERS}, got {rounder!r}")
     if min_track_len < 1:
         raise ConfigError(f"min_track_len must be >= 1, got {min_track_len}")
-    gap = max_frame_gap or frames_per_graph
-    # each window is a slice of the detections sorted by frame; build_graph
-    # puts its nodes in canonical order, whatever order they come in
-    by_frame = sorted(detections, key=lambda d: d.frame)
-    frames = np.asarray([d.frame for d in by_frame], dtype=np.int64)
     srcs, dsts, probs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     mask_acc: dict[int, list[np.ndarray]] = {}
-    for lo, hi in split_windows(detections, frames_per_graph):
-        dets_w = by_frame[np.searchsorted(frames, lo):np.searchsorted(frames, hi, side="right")]
+    for dets_w in split_windows(detections, frames_per_graph):
         if len(dets_w) < 2:
             continue
-        g = build_graph(dets_w, max_frame_gap=gap, top_k=top_k)
+        g = build_graph(dets_w, max_frame_gap=max_frame_gap, top_k=top_k)
         with tk.no_grad():
             state = mpn_forward(g, params)
             grids = predict_masks(state, params).data if params.config.with_masks else []

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensorkit as tk
 from .errors import ConfigError, TrainingError, config_from_dict
-from .graph import build_graph, detections_in_window, ground_truth_labels, split_windows
+from .graph import build_graph, ground_truth_labels, split_windows
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from .synthdata import Detection, Scenario, ScenarioConfig, generate_scenario
 
@@ -34,7 +34,7 @@ class TrainConfig:
     beta2: float = 0.999
     frames_per_graph: int = 15
     top_k: int = 10
-    max_frame_gap: int | None = None     # None means frames_per_graph
+    max_frame_gap: int | None = None     # None: no limit within a window
     node_drop_p: float = 0.05
     box_shift_std: float = 1.0
     graphs_per_step: int = 1
@@ -151,10 +151,7 @@ def augment(detections: list[Detection], p_drop: float, shift_std: float,
         dx, dy = rng.normal(0.0, shift_std, size=2)
         dw, dh = rng.normal(0.0, shift_std, size=2)
         box = (x + dx, y + dy, max(w + dw, 1.0), max(h + dh, 1.0))
-        out.append(Detection(node_id=d.node_id, frame=d.frame, box=box,
-                             confidence=d.confidence, appearance=d.appearance,
-                             roi_grid=d.roi_grid, gt_identity=d.gt_identity,
-                             gt_mask=d.gt_mask))
+        out.append(replace(d, box=box))
     return out
 
 
@@ -174,15 +171,13 @@ def joint_loss(state, params: ModelParams, labels_arr: np.ndarray,
     return total, report
 
 
-def _sample_graph(scenario: Scenario, windows, cfg: TrainConfig, rng):
-    gap = cfg.max_frame_gap or cfg.frames_per_graph
+def _sample_graph(windows: list[list[Detection]], cfg: TrainConfig, rng):
     for _ in range(50):
-        window = windows[rng.integers(len(windows))]
-        dets = detections_in_window(scenario.detections, window)
+        dets = windows[rng.integers(len(windows))]
         aug = augment(dets, cfg.node_drop_p, cfg.box_shift_std, rng)
         if len(aug) < 2:
             continue
-        graph = build_graph(aug, max_frame_gap=gap, top_k=cfg.top_k)
+        graph = build_graph(aug, max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k)
         if graph.num_edges == 0:
             continue
         return graph
@@ -209,6 +204,8 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
         raise ConfigError("training scenarios carry no appearance vectors")
     if params is None:
         params = ModelParams(mpn_cfg, d_app=d_app, seed=cfg.seed)
+    elif params.config != mpn_cfg:
+        raise ConfigError(f"params were built for {params.config}, not for {mpn_cfg}")
     rng = np.random.default_rng([cfg.seed, 0x5EED])
     usable = [(s, split_windows(s.detections, cfg.frames_per_graph))
               for s in scenarios if s.detections]
@@ -221,7 +218,7 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
         agg = LossReport(iteration=it, edge=0.0, mask=0.0, total=0.0)
         for _ in range(cfg.graphs_per_step):
             scenario, windows = usable[rng.integers(len(usable))]
-            graph = _sample_graph(scenario, windows, cfg, rng)
+            graph = _sample_graph(windows, cfg, rng)
             labels = ground_truth_labels(graph, scenario)
             state = mpn_forward(graph, params)
             gt_masks = [d.gt_mask for d in graph.detections] if mpn_cfg.with_masks else None

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mpnflow import tensorkit as tk
-from mpnflow.graph import build_graph, detections_in_window, split_windows
+from mpnflow.graph import build_graph, split_windows
 from mpnflow.infer import run_inference, threshold
 from mpnflow.metrics import (constraint_rate, gt_boxes_from_scenario, idf1,
                              track_boxes)
@@ -91,8 +91,7 @@ class ModelBank:
         """(graph, thresholded labels) for every validation window."""
         pairs = []
         for sc in self.val_scenarios:
-            for w in split_windows(sc.detections, FRAMES_PER_GRAPH):
-                dets = detections_in_window(sc.detections, w)
+            for dets in split_windows(sc.detections, FRAMES_PER_GRAPH):
                 if len(dets) < 2:
                     continue
                 g = build_graph(dets, max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)

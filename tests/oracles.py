@@ -162,6 +162,23 @@ def reference_graph_from_edge_list(detections, pairs):
     return TrackGraph(ordered, src, dst, d_app)
 
 
+def reference_windows(detections, frames_per_graph):
+    """split_windows as frame bounds [f, f + n - 1] for every present start
+    frame that fits, each filtered out of the whole input."""
+    if frames_per_graph < 2:
+        raise ConfigError(f"frames_per_graph must be >= 2, got {frames_per_graph}")
+    if not detections:
+        return []
+    present = sorted({d.frame for d in detections})
+    first, last = present[0], present[-1]
+    n = frames_per_graph
+    if last - first + 1 <= n:
+        bounds = [(first, last)]
+    else:
+        bounds = [(f, f + n - 1) for f in present if f + n - 1 <= last]
+    return [[d for d in detections if lo <= d.frame <= hi] for lo, hi in bounds]
+
+
 def reference_encode_geometry(det_i, det_j, appearance_distance):
     """The edge feature 6-vector computed on Python scalars, one edge."""
     xi, yi, wi, hi = det_i.box

@@ -18,8 +18,7 @@ from oracles import (brute_force_round, random_rounding_instance,
 
 from mpnflow import tensorkit as tk
 from mpnflow.cli import main as cli_main
-from mpnflow.graph import (build_graph, detections_in_window,
-                           graph_from_edge_list, ground_truth_labels,
+from mpnflow.graph import (build_graph, graph_from_edge_list, ground_truth_labels,
                            split_windows)
 from mpnflow.infer import (check_constraints, exact_round, greedy_round,
                            run_inference, threshold, violating_edges)
@@ -291,8 +290,7 @@ def test_invariant_suite():
         false_positive_rate=0.2, seed=31))
     feasible = True
     windows = 0
-    for w in split_windows(scenario.detections, FRAMES_PER_GRAPH):
-        wdets = detections_in_window(scenario.detections, w)
+    for wdets in split_windows(scenario.detections, FRAMES_PER_GRAPH):
         if len(wdets) < 2:
             continue
         g = build_graph(wdets, max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)

@@ -332,24 +332,26 @@ def test_malformed_input_exits_1_naming_the_file(case, mask_run, tmp_path, capsy
     assert (str(path) if line is None else f"{path}:{line}:") in err
 
 
-# case: (command, config sections, text the error must contain)
+# case: (command, config sections, flags, text the error must contain)
 BAD_CONFIGS = {
-    "scenario_int_as_str": ("generate", {"scenario": {"num_frames": "10"}}, "num_frames"),
-    "scenario_float_as_bool": ("generate", {"scenario": {"speed_max": True}}, "speed_max"),
-    "scenario_not_object": ("generate", {"scenario": 3}, "scenario"),
-    "model_not_object": ("train", {"model": [1]}, "model"),
-    "train_int_as_str": ("train", {"train": {"iterations": "2"}}, "iterations"),
-    "train_float_as_str": ("train", {"train": {"lr": "0.1"}}, "lr"),
-    "infer_int_as_str": ("infer", {"infer": {"top_k": "3"}}, "top_k"),
-    "infer_float_as_str": ("infer", {"infer": {"tau": "0.5"}}, "tau"),
-    "infer_unknown_key": ("infer", {"infer": {"typo": 1}}, "typo"),
-    "infer_threads_2": ("infer", {"infer": {"threads": 2}}, "threads"),
+    "scenario_int_as_str": ("generate", {"scenario": {"num_frames": "10"}}, [], "num_frames"),
+    "scenario_float_as_bool": ("generate", {"scenario": {"speed_max": True}}, [], "speed_max"),
+    "scenario_not_object": ("generate", {"scenario": 3}, [], "scenario"),
+    "model_not_object": ("train", {"model": [1]}, [], "model"),
+    "train_int_as_str": ("train", {"train": {"iterations": "2"}}, [], "iterations"),
+    "train_float_as_str": ("train", {"train": {"lr": "0.1"}}, [], "lr"),
+    "infer_int_as_str": ("infer", {"infer": {"top_k": "3"}}, [], "top_k"),
+    "infer_float_as_str": ("infer", {"infer": {"tau": "0.5"}}, [], "tau"),
+    "infer_unknown_key": ("infer", {"infer": {"typo": 1}}, [], "typo"),
+    "infer_threads_2": ("infer", {"infer": {"threads": 2}}, [], "threads"),
+    "infer_max_frame_gap_0": ("infer", {"infer": {"max_frame_gap": 0}}, [], "max_frame_gap"),
+    "infer_max_frame_gap_flag_0": ("infer", {}, ["--max-frame-gap", "0"], "max_frame_gap"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_wrongly_typed_config_exits_1_naming_the_key(case, mask_run, tmp_path, capsys):
-    command, sections, named = BAD_CONFIGS[case]
+    command, sections, flags, named = BAD_CONFIGS[case]
     cfg = _write_config(tmp_path / "bad.json", **sections)
     data, out = str(mask_run / "data"), str(tmp_path / "out")
     argv = {"generate": ["generate", "--out", out],
@@ -357,8 +359,9 @@ def test_wrongly_typed_config_exits_1_naming_the_key(case, mask_run, tmp_path, c
             "infer": ["infer", "--data", data, "--out", out,
                       "--checkpoint", str(mask_run / "model" / "checkpoint.json")]}[command]
     capsys.readouterr()
-    assert main(argv + ["--config", cfg]) == 1
-    assert named in capsys.readouterr().err
+    assert main(argv + flags + ["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_config_float_fields_accept_ints(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import (reference_build_graph, reference_edge_feature_matrix,
-                     reference_graph_from_edge_list)
+                     reference_graph_from_edge_list, reference_windows)
 
 from mpnflow import graph as gr
 from mpnflow import mpn
@@ -35,6 +35,9 @@ def test_frame_gap_limits_candidates():
     assert (0, 1) in pairs
     assert (0, 2) not in pairs            # gap 4 exceeds the limit
     assert (1, 2) not in pairs            # gap 3 exceeds the limit
+    # None sets no limit
+    g = gr.build_graph(dets, max_frame_gap=None, top_k=10)
+    assert set(g.edge_pairs()) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_mutual_top_k_prunes_one_sided_neighbors():
@@ -174,24 +177,32 @@ def test_relabeling_gives_isomorphic_graph():
     assert np.array_equal(g1.edge_dst, g2.edge_dst)
 
 
+def window_frames(windows):
+    return [[d.frame for d in w] for w in windows]
+
+
 def test_split_windows_frozen_example():
     dets = [det(i, f) for i, f in enumerate(range(1, 21))]
     wins = gr.split_windows(dets, 15)
-    assert wins == [(1, 15), (2, 16), (3, 17), (4, 18), (5, 19), (6, 20)]
+    assert window_frames(wins) == [list(range(f, f + 15)) for f in range(1, 7)]
 
 
 def test_split_windows_short_sequence_and_gaps():
     dets = [det(i, f) for i, f in enumerate(range(1, 11))]
-    assert gr.split_windows(dets, 15) == [(1, 10)]
+    assert window_frames(gr.split_windows(dets, 15)) == [list(range(1, 11))]
     # start frames must be present: frame 2 is missing
     dets = [det(0, 1), det(1, 3), det(2, 4), det(3, 5), det(4, 6)]
-    assert gr.split_windows(dets, 3) == [(1, 3), (3, 5), (4, 6)]
+    assert window_frames(gr.split_windows(dets, 3)) == [[1, 3], [3, 4, 5], [4, 5, 6]]
 
 
-def test_window_filter():
-    dets = [det(i, f) for i, f in enumerate([1, 2, 3, 4])]
-    inside = gr.detections_in_window(dets, (2, 3))
-    assert [d.frame for d in inside] == [2, 3]
+@settings(max_examples=300, deadline=None)
+@given(frames=st.lists(st.integers(0, 40), max_size=60), frames_per_graph=st.integers(2, 12))
+def test_split_windows_matches_bounds_and_filter_reference(frames, frames_per_graph):
+    # unsorted frames with repeats and gaps; a short span gives one window
+    dets = [det(i, f) for i, f in enumerate(frames)]
+    got = gr.split_windows(dets, frames_per_graph)
+    want = reference_windows(dets, frames_per_graph)
+    assert [[id(d) for d in w] for w in got] == [[id(d) for d in w] for w in want]
 
 
 def make_scenario_by_hand(trajs, detections):

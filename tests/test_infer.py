@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_round, random_rounding_instance, subgraph_objective
+from oracles import (brute_force_round, random_rounding_instance, reference_windows,
+                     subgraph_objective)
 
 from mpnflow.errors import ConfigError, FeasibilityError
-from mpnflow.graph import build_graph, detections_in_window, graph_from_edge_list, split_windows
+from mpnflow.graph import build_graph, graph_from_edge_list
 from mpnflow.infer import (check_constraints, exact_round, extract_trajectories, greedy_round,
                            interpolate_track, read_mask_pgm, run_inference, threshold,
                            violating_edges, write_mask_pgm)
@@ -204,10 +205,9 @@ def test_run_inference_averages_windows_in_window_order():
 
     probs: dict = {}
     masks: dict = {}
-    windows = split_windows(scenario.detections, 4)
+    windows = reference_windows(scenario.detections, 4)
     assert len(windows) > 3
-    for window in windows:
-        dets = detections_in_window(scenario.detections, window)
+    for dets in windows:
         if len(dets) < 2:
             continue
         g = build_graph(dets, max_frame_gap=4, top_k=3)
@@ -241,8 +241,7 @@ def test_run_inference_averages_eight_or_more_windows_bit_for_bit():
 
     probs: dict = {}
     masks: dict = {}
-    for window in split_windows(dets, 10):
-        dets_w = detections_in_window(dets, window)
+    for dets_w in reference_windows(dets, 10):
         if len(dets_w) < 2:
             continue
         g = build_graph(dets_w, max_frame_gap=10, top_k=3)

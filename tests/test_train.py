@@ -10,7 +10,7 @@ from mpnflow import synthdata as sd
 from mpnflow import tensorkit as tk
 from mpnflow import train as tr
 from mpnflow.errors import ConfigError, TrainingError
-from mpnflow.graph import build_graph, detections_in_window, ground_truth_labels, split_windows
+from mpnflow.graph import build_graph, ground_truth_labels, split_windows
 from mpnflow.mpn import MpnConfig, ModelParams, mpn_forward
 
 
@@ -143,6 +143,13 @@ def test_train_loop_raises_on_non_finite_loss():
     assert "iteration 1" in str(e.value)
 
 
+def test_train_loop_rejects_params_built_for_another_config():
+    # under a no-mask config a mask model's mask head would see a mask loss of 0
+    params = ModelParams(small_model(with_masks=True), d_app=4, seed=0)
+    with pytest.raises(ConfigError, match="params were built for"):
+        tr.train_loop([easy_scenario()], quick_cfg(iterations=1), small_model(), params=params)
+
+
 def test_train_loop_with_masks_runs_and_reports():
     sc = sd.generate_scenario(sd.ScenarioConfig(
         num_frames=6, num_identities=2, d_app=4, roi_h=4, roi_w=4, d_roi=2, seed=1))
@@ -187,8 +194,7 @@ def live_stacks(num_steps: int, variant: str, with_masks: bool) -> list[str]:
 def bench_window():
     scenario = sd.generate_scenario(bench_scenario_config(100))
     window = split_windows(scenario.detections, FRAMES_PER_GRAPH)[0]
-    graph = build_graph(detections_in_window(scenario.detections, window),
-                        max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
+    graph = build_graph(window, max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
     return graph, ground_truth_labels(graph, scenario)
 
 
