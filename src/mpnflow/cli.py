@@ -33,8 +33,6 @@ from .synthdata import (attach_embeddings, attach_roi_grids, generate_scenario, 
                         write_gt_masks, write_results, write_roi_grids)
 from .train import build_gradcheck_case, train_config_from_dict, train_loop, write_history
 
-LOG = logging.getLogger("mpnflow")
-
 CONFIG_SECTIONS = ("scenario", "model", "train", "infer")
 # infer option -> (declared type, default); threads is accepted for scripts
 # that pass it, but windows run one after another, so it must be 1
@@ -184,7 +182,7 @@ def cmd_infer(args) -> int:
                 fh.write(f"{new_id},{nid}\n")
     with open(out / "edges.csv", "w") as fh:
         fh.write("src,dst,prob,label\n")
-        for (src, dst), p in sorted(solution.edge_probs.items()):
+        for (src, dst), p in solution.edge_probs.items():
             fh.write(f"{src},{dst},{repr(p)},{solution.labels[(src, dst)]}\n")
     if solution.node_masks:
         mask_dir = out / "masks"

@@ -7,7 +7,7 @@ Nodes are held in a content-keyed canonical order (frame, box, id) so a
 relabeling of node ids leaves every internal array, and therefore every
 downstream float operation, unchanged.  The flow constraints on edge labels
 (at most one active edge into the past and one into the future per node)
-are counted and checked here for training, inference and metrics alike.
+are counted and checked here for training and inference alike.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ def _app_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def _check_graph_options(max_frame_gap: int | None, top_k: int) -> None:
+    """The range checks on the graph options, for every caller that takes them."""
+    if max_frame_gap is not None and max_frame_gap < 1:
+        raise ConfigError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+
+
 def build_graph(detections: list[Detection], max_frame_gap: int | None,
                 top_k: int) -> TrackGraph:
     """Connect detections across frames, then keep mutual top-k neighbors.
@@ -71,10 +79,7 @@ def build_graph(detections: list[Detection], max_frame_gap: int | None,
     Euclidean distance between appearance vectors, ties broken by lower node
     id.  Edges always point from the earlier frame to the later one.
     """
-    if max_frame_gap is not None and max_frame_gap < 1:
-        raise ConfigError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
-    if top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+    _check_graph_options(max_frame_gap, top_k)
     seen = set()
     for d in detections:
         if d.appearance is None:
@@ -185,15 +190,19 @@ def ground_truth_labels(graph: TrackGraph, scenario: Scenario) -> np.ndarray:
     surviving skip edge the positive one.  Detections without an identity
     count as background and keep all incident edges negative.
     """
-    in_graph = set(int(i) for i in graph.node_ids)
-    frame_of = {d.node_id: d.frame for d in graph.detections}
-    positive: set[tuple[int, int]] = set()
-    for ids in scenario.gt_trajectories.values():
-        present = [i for i in ids if i in in_graph]
-        present.sort(key=lambda i: frame_of[i])
-        for a, b in zip(present, present[1:]):
-            positive.add((a, b))
-    y = np.asarray([pair in positive for pair in graph.edge_pairs()], dtype=np.float64)
+    trajectories = list(scenario.gt_trajectories.values())
+    members = np.concatenate([np.zeros(0, np.int64), *trajectories])
+    owner = np.repeat(np.arange(len(trajectories)), list(map(len, trajectories)))
+    present = np.isin(members, graph.node_ids)
+    by_id = np.argsort(graph.node_ids, kind="stable")
+    at = by_id[np.searchsorted(graph.node_ids, members[present], sorter=by_id)]
+    # each trajectory's detections in the graph by frame, ties in trajectory order
+    order = np.lexsort((graph.frames[at], owner[present]))
+    at, owner = at[order], owner[present][order]
+    follows = owner[1:] == owner[:-1]
+    next_pos = np.full(graph.num_nodes, -1)
+    next_pos[at[:-1][follows]] = at[1:][follows]
+    y = (next_pos[graph.edge_src] == graph.edge_dst).astype(np.float64)
     _assert_feasible(graph, y, "ground-truth labels")
     return y
 
@@ -215,12 +224,9 @@ class ConstraintReport:
 
 def _degrees(graph: TrackGraph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Active (out, in) degree per node position under edge labels y."""
-    outdeg = np.zeros(graph.num_nodes, dtype=np.int64)
-    indeg = np.zeros(graph.num_nodes, dtype=np.int64)
-    active = np.asarray(y, dtype=np.int64)
-    np.add.at(outdeg, graph.edge_src, active)
-    np.add.at(indeg, graph.edge_dst, active)
-    return outdeg, indeg
+    active = np.asarray(y, dtype=np.int64) != 0
+    return (np.bincount(graph.edge_src[active], minlength=graph.num_nodes),
+            np.bincount(graph.edge_dst[active], minlength=graph.num_nodes))
 
 
 def _assert_feasible(graph: TrackGraph, y: np.ndarray, what: str) -> None:
@@ -234,13 +240,11 @@ def check_constraints(graph: TrackGraph, y: np.ndarray) -> ConstraintReport:
     if len(y) != graph.num_edges:
         raise ConfigError(f"got {len(y)} labels for {graph.num_edges} edges")
     outdeg, indeg = _degrees(graph, y)
-    violations = []
-    for pos in range(graph.num_nodes):
-        nid = int(graph.node_ids[pos])
-        if indeg[pos] > 1:
-            violations.append((nid, "past", int(indeg[pos])))
-        if outdeg[pos] > 1:
-            violations.append((nid, "future", int(outdeg[pos])))
+    # one row per node position, past before future
+    degree = np.column_stack((indeg, outdeg))
+    pos, side = np.divmod(np.flatnonzero(degree > 1), 2)
+    sides = np.array(["past", "future"])[side].tolist()
+    violations = list(zip(graph.node_ids[pos].tolist(), sides, degree[pos, side].tolist()))
     total = 2 * graph.num_nodes
     return ConstraintReport(violations=violations, satisfied=total - len(violations),
                             total=total)

@@ -18,8 +18,9 @@ from scipy.optimize import linear_sum_assignment
 
 from . import tensorkit as tk
 from .errors import ConfigError, ParseError, read_text
-from .graph import (ConstraintReport, TrackGraph, _assert_feasible, _degrees, build_graph,
-                    check_constraints, graph_from_edge_list, split_windows, violating_edges)
+from .graph import (ConstraintReport, TrackGraph, _assert_feasible, _check_graph_options,
+                    _degrees, build_graph, check_constraints, graph_from_edge_list,
+                    split_windows, violating_edges)
 from .mpn import ModelParams, mpn_forward, predict_masks
 from .synthdata import Box, Detection
 
@@ -29,6 +30,12 @@ def threshold(probs: np.ndarray, tau: float = 0.5) -> np.ndarray:
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must be in (0, 1), got {tau}")
     return (np.asarray(probs) >= tau).astype(np.int64)
+
+
+def _first_appearance_ids(values: np.ndarray) -> np.ndarray:
+    """Dense ids numbering the distinct values in order of first appearance."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def exact_round(graph: TrackGraph, probs: np.ndarray, tau: float = 0.5) -> np.ndarray:
@@ -44,24 +51,17 @@ def exact_round(graph: TrackGraph, probs: np.ndarray, tau: float = 0.5) -> np.nd
     sub = np.nonzero(violating_edges(graph, y))[0]
     if sub.size == 0:
         return y
-    left_ids = {}
-    right_ids = {}
-    for e in sub:
-        left_ids.setdefault(int(graph.edge_src[e]), len(left_ids))
-        right_ids.setdefault(int(graph.edge_dst[e]), len(right_ids))
-    weights = np.zeros((len(left_ids), len(right_ids)))
-    edge_at = {}
-    for e in sub:
-        i = left_ids[int(graph.edge_src[e])]
-        j = right_ids[int(graph.edge_dst[e])]
-        weights[i, j] = probs[e] - tau
-        edge_at[(i, j)] = e
-    rows, cols = linear_sum_assignment(weights, maximize=True)
+    # rows and columns in first-appearance order within sub: the solver breaks
+    # ties by position, and saturated probabilities do tie
+    rows = _first_appearance_ids(graph.edge_src[sub])
+    cols = _first_appearance_ids(graph.edge_dst[sub])
+    width = cols.max() + 1
+    weights = np.zeros((rows.max() + 1, width))
+    weights[rows, cols] = probs[sub] - tau
+    matched_rows, matched_cols = linear_sum_assignment(weights, maximize=True)
     y[sub] = 0
-    for i, j in zip(rows, cols):
-        e = edge_at.get((int(i), int(j)))
-        if e is not None:
-            y[e] = 1
+    # a matched cell that holds no edge adds nothing
+    y[sub[np.isin(rows * width + cols, matched_rows * width + matched_cols)]] = 1
     _assert_feasible(graph, y, "rounded labels")
     return y
 
@@ -75,17 +75,16 @@ def greedy_round(graph: TrackGraph, probs: np.ndarray, tau: float = 0.5) -> np.n
     sub = np.nonzero(violating_edges(graph, y))[0]
     if sub.size == 0:
         return y
-    keep = y.copy()
-    keep[sub] = 0
-    out_used, in_used = _degrees(graph, keep)
+    y[sub] = 0
+    out_used, in_used = _degrees(graph, y)
     for e in sorted(sub, key=lambda e: (-probs[e], e)):
         u, v = graph.edge_src[e], graph.edge_dst[e]
         if out_used[u] == 0 and in_used[v] == 0:
-            keep[e] = 1
+            y[e] = 1
             out_used[u] += 1
             in_used[v] += 1
-    _assert_feasible(graph, keep, "rounded labels")
-    return keep
+    _assert_feasible(graph, y, "rounded labels")
+    return y
 
 
 def extract_trajectories(graph: TrackGraph, y: np.ndarray) -> list[list[int]]:
@@ -161,6 +160,7 @@ def run_inference(detections: list[Detection], params: ModelParams, *,
         raise ConfigError(f"rounder must be one of {ROUNDERS}, got {rounder!r}")
     if min_track_len < 1:
         raise ConfigError(f"min_track_len must be >= 1, got {min_track_len}")
+    _check_graph_options(max_frame_gap, top_k)
     srcs, dsts, probs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     mask_acc: dict[int, list[np.ndarray]] = {}
     for dets_w in split_windows(detections, frames_per_graph):

@@ -9,7 +9,9 @@ identity was ever matched to.
 
 Mask metrics compare binary occupancy grids stretched over their boxes; the
 overlap is computed on the integer pixel raster so grids on different boxes
-remain comparable.
+remain comparable.  ``track_masks`` turns inference output (tracks as node
+ids, one probability grid per node) into that mask form, and the report
+emitters print and store the resulting values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import MetricsError
-from .graph import check_constraints
 from .synthdata import Box
 
 
@@ -204,39 +205,8 @@ def mots_metrics(gt: dict, pred: dict, iou_min: float = 0.5) -> MotsReport:
         tp=tp, fp=fp, fn=fn, idsw=idsw, num_gt=num_gt)
 
 
-def constraint_rate(graph_label_pairs: list) -> float:
-    """Mean percentage of satisfied degree constraints over windows."""
-    if not graph_label_pairs:
-        raise MetricsError("no windows to evaluate")
-    rates = [check_constraints(g, y).rate for g, y in graph_label_pairs]
-    return 100.0 * float(np.mean(rates))
-
-
 # ---------------------------------------------------------------------------
-# adapters from scenarios and inference output
-
-def gt_boxes_from_scenario(scenario) -> dict:
-    gt: dict = {}
-    for det in scenario.detections:
-        if det.gt_identity is not None:
-            gt.setdefault(det.gt_identity, {})[det.frame] = det.box
-    return gt
-
-
-def gt_masks_from_scenario(scenario) -> dict:
-    gt: dict = {}
-    for det in scenario.detections:
-        if det.gt_identity is not None and det.gt_mask is not None:
-            gt.setdefault(det.gt_identity, {})[det.frame] = \
-                (det.box, np.asarray(det.gt_mask, dtype=bool))
-    return gt
-
-
-def track_boxes(tracks: list) -> dict:
-    """Interpolated track series to {track_id: {frame: box}}, ids 1-based."""
-    return {i + 1: {f: box for f, box, _ in series}
-            for i, series in enumerate(tracks)}
-
+# per-track masks from inference output
 
 def track_masks(track_node_ids: list, node_masks: dict, detections: list,
                 threshold: float = 0.5) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensorkit as tk
 from .errors import ConfigError, TrainingError, config_from_dict
-from .graph import build_graph, ground_truth_labels, split_windows
+from .graph import _check_graph_options, build_graph, ground_truth_labels, split_windows
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from .synthdata import Detection, Scenario, ScenarioConfig, generate_scenario
 
@@ -54,10 +54,7 @@ class TrainConfig:
             raise ConfigError(f"box_shift_std must be >= 0, got {self.box_shift_std}")
         if self.frames_per_graph < 2:
             raise ConfigError(f"frames_per_graph must be >= 2, got {self.frames_per_graph}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.max_frame_gap is not None and self.max_frame_gap < 1:
-            raise ConfigError(f"max_frame_gap must be >= 1, got {self.max_frame_gap}")
+        _check_graph_options(self.max_frame_gap, self.top_k)
         if self.graphs_per_step < 1:
             raise ConfigError(f"graphs_per_step must be >= 1, got {self.graphs_per_step}")
         if self.checkpoint_every < 0:

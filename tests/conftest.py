@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
+from scoring import constraint_rate, gt_boxes_from_scenario, track_boxes
+
 from mpnflow import tensorkit as tk
 from mpnflow.graph import build_graph, split_windows
 from mpnflow.infer import run_inference, threshold
-from mpnflow.metrics import (constraint_rate, gt_boxes_from_scenario, idf1,
-                             track_boxes)
+from mpnflow.metrics import idf1
 from mpnflow.mpn import MpnConfig, mpn_forward
 from mpnflow.synthdata import ScenarioConfig, generate_scenario
 from mpnflow.train import TrainConfig, train_loop

@@ -1,11 +1,16 @@
-"""Slow reference implementations the fast code is checked against."""
+"""Slow reference implementations the fast code is checked against, and
+random inputs to compare them on."""
 
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from mpnflow.errors import ConfigError, ShapeError
-from mpnflow.graph import TrackGraph, _app_dist, _canonical_order, graph_from_edge_list
+from scipy.optimize import linear_sum_assignment
+
+from mpnflow.errors import ConfigError, FeasibilityError, ShapeError
+from mpnflow.graph import (ConstraintReport, TrackGraph, _app_dist, _canonical_order,
+                           graph_from_edge_list)
 from mpnflow.infer import threshold, violating_edges
 from mpnflow.synthdata import Detection
 from mpnflow.tensorkit import Tensor, _accum, _live, _record, astensor
@@ -26,10 +31,7 @@ def brute_force_round(graph, probs, tau=0.5):
     sub = np.nonzero(violating_edges(graph, tentative))[0]
     base = tentative.copy()
     base[sub] = 0
-    out0 = np.zeros(graph.num_nodes, dtype=np.int64)
-    in0 = np.zeros(graph.num_nodes, dtype=np.int64)
-    np.add.at(out0, graph.edge_src, base)
-    np.add.at(in0, graph.edge_dst, base)
+    out0, in0 = reference_degrees(graph, base)
 
     best_y = base
     best_val = -np.inf
@@ -83,6 +85,19 @@ def random_rounding_instance(rng, max_active_sub=12):
         sub = violating_edges(graph, threshold(probs, 0.5))
         if 1 <= int(sub.sum()) <= max_active_sub:
             return graph, probs
+
+
+@st.composite
+def hand_built_graphs(draw, max_nodes=12):
+    """A TrackGraph built directly, possibly empty, with nodes and distinct
+    edges in no particular order and edges in either frame direction."""
+    ids = draw(st.permutations(range(40)))[:draw(st.integers(0, max_nodes))]
+    dets = [Detection(node_id=nid, frame=draw(st.integers(0, 5)), box=(0.0, 0.0, 1.0, 1.0))
+            for nid in ids]
+    pairs = [(u, v) for u in range(len(ids)) for v in range(len(ids)) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+    src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    return TrackGraph(dets, src.copy(), dst.copy(), np.zeros(len(edges)))
 
 
 def reference_build_graph(detections, max_frame_gap, top_k):
@@ -177,6 +192,85 @@ def reference_windows(detections, frames_per_graph):
     else:
         bounds = [(f, f + n - 1) for f in present if f + n - 1 <= last]
     return [[d for d in detections if lo <= d.frame <= hi] for lo, hi in bounds]
+
+
+def reference_degrees(graph, y):
+    """_degrees as two np.add.at scatters of the int-cast labels."""
+    outdeg = np.zeros(graph.num_nodes, dtype=np.int64)
+    indeg = np.zeros(graph.num_nodes, dtype=np.int64)
+    active = np.asarray(y, dtype=np.int64)
+    np.add.at(outdeg, graph.edge_src, active)
+    np.add.at(indeg, graph.edge_dst, active)
+    return outdeg, indeg
+
+
+def reference_check_constraints(graph, y):
+    """check_constraints as a loop over every node position."""
+    if len(y) != graph.num_edges:
+        raise ConfigError(f"got {len(y)} labels for {graph.num_edges} edges")
+    outdeg, indeg = reference_degrees(graph, y)
+    violations = []
+    for pos in range(graph.num_nodes):
+        nid = int(graph.node_ids[pos])
+        if indeg[pos] > 1:
+            violations.append((nid, "past", int(indeg[pos])))
+        if outdeg[pos] > 1:
+            violations.append((nid, "future", int(outdeg[pos])))
+    total = 2 * graph.num_nodes
+    return ConstraintReport(violations=violations, satisfied=total - len(violations),
+                            total=total)
+
+
+def _reference_assert_feasible(graph, y, what):
+    outdeg, indeg = reference_degrees(graph, y)
+    if (outdeg > 1).any() or (indeg > 1).any():
+        raise FeasibilityError(f"{what} violate the degree constraints")
+
+
+def reference_exact_round(graph, probs, tau=0.5):
+    """exact_round with rows, columns and edges looked up in dicts filled in
+    the order the violating edges appear."""
+    probs = np.asarray(probs, dtype=np.float64)
+    y = threshold(probs, tau)
+    sub = np.nonzero(violating_edges(graph, y))[0]
+    if sub.size == 0:
+        return y
+    left_ids = {}
+    right_ids = {}
+    for e in sub:
+        left_ids.setdefault(int(graph.edge_src[e]), len(left_ids))
+        right_ids.setdefault(int(graph.edge_dst[e]), len(right_ids))
+    weights = np.zeros((len(left_ids), len(right_ids)))
+    edge_at = {}
+    for e in sub:
+        i = left_ids[int(graph.edge_src[e])]
+        j = right_ids[int(graph.edge_dst[e])]
+        weights[i, j] = probs[e] - tau
+        edge_at[(i, j)] = e
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    y[sub] = 0
+    for i, j in zip(rows, cols):
+        e = edge_at.get((int(i), int(j)))
+        if e is not None:
+            y[e] = 1
+    _reference_assert_feasible(graph, y, "rounded labels")
+    return y
+
+
+def reference_ground_truth_labels(graph, scenario):
+    """ground_truth_labels as a set of positive (node id, node id) pairs,
+    collected per trajectory and looked up per edge."""
+    in_graph = set(int(i) for i in graph.node_ids)
+    frame_of = {d.node_id: d.frame for d in graph.detections}
+    positive = set()
+    for ids in scenario.gt_trajectories.values():
+        present = [i for i in ids if i in in_graph]
+        present.sort(key=lambda i: frame_of[i])
+        for a, b in zip(present, present[1:]):
+            positive.add((a, b))
+    y = np.asarray([pair in positive for pair in graph.edge_pairs()], dtype=np.float64)
+    _reference_assert_feasible(graph, y, "ground-truth labels")
+    return y
 
 
 def reference_encode_geometry(det_i, det_j, appearance_distance):

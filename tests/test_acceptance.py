@@ -15,6 +15,7 @@ from conftest import (FRAMES_PER_GRAPH, MAX_FRAME_GAP, TOP_K,
                       mask_scenario_config, record_acceptance)
 from oracles import (brute_force_round, random_rounding_instance,
                      subgraph_objective)
+from scoring import gt_masks_from_scenario
 
 from mpnflow import tensorkit as tk
 from mpnflow.cli import main as cli_main
@@ -22,8 +23,7 @@ from mpnflow.graph import (build_graph, graph_from_edge_list, ground_truth_label
                            split_windows)
 from mpnflow.infer import (check_constraints, exact_round, greedy_round,
                            run_inference, threshold, violating_edges)
-from mpnflow.metrics import (clear_mot, gt_masks_from_scenario, idf1,
-                             mots_metrics, track_masks)
+from mpnflow.metrics import clear_mot, idf1, mots_metrics, track_masks
 from mpnflow.mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from mpnflow.synthdata import Detection, ScenarioConfig, generate_scenario
 from mpnflow.train import TrainConfig, build_gradcheck_case, train_loop

@@ -13,9 +13,11 @@ from mpnflow import cli
 from mpnflow import tensorkit as tk
 from mpnflow.cli import main
 from mpnflow.errors import ParseError
-from mpnflow.infer import read_mask_pgm
+from mpnflow.infer import read_mask_pgm, run_inference
+from mpnflow.mpn import ModelParams
 from mpnflow.synthdata import (Detection, attach_embeddings, attach_roi_grids, load_gt_masks,
-                               load_mot_detections, load_track_assignment, load_tracks)
+                               load_mot_detections, load_track_assignment, load_tracks,
+                               write_detections, write_embeddings, write_roi_grids)
 from mpnflow.train import build_gradcheck_case
 
 
@@ -383,6 +385,46 @@ def test_infer_threads_flag_accepts_only_1(threads, code, mask_run, tmp_path, ca
         assert "threads" in capsys.readouterr().err
     else:
         assert (tmp_path / "out" / "edges.csv").exists()
+
+
+def _mask_run_detections(mask_run):
+    dets = load_mot_detections(mask_run / "data" / "det.txt")
+    attach_embeddings(dets, mask_run / "data" / "embeddings.csv")
+    attach_roi_grids(dets, mask_run / "data" / "roi.csv")
+    return dets
+
+
+def test_infer_writes_edges_in_solution_order(mask_run):
+    dets = _mask_run_detections(mask_run)
+    params = ModelParams.load(mask_run / "model" / "checkpoint.json")
+    sol = run_inference(dets, params, **SMALL["infer"])
+    lines = (mask_run / "run" / "edges.csv").read_text().splitlines()
+    assert lines[0] == "src,dst,prob,label"
+    rows = [line.split(",") for line in lines[1:]]
+    pairs = [(int(src), int(dst)) for src, dst, _, _ in rows]
+    assert pairs == list(sol.edge_probs) == list(sol.labels)
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
+    assert [(float(p), int(label)) for _, _, p, label in rows] == \
+        [(sol.edge_probs[pair], sol.labels[pair]) for pair in pairs]
+
+
+@pytest.mark.parametrize("flag, message", [("--top-k", "top_k must be >= 1"),
+                                           ("--max-frame-gap", "max_frame_gap must be >= 1")])
+def test_infer_rejects_a_zero_graph_option_on_a_one_detection_sequence(
+        flag, message, mask_run, tmp_path, capsys):
+    data = tmp_path / "one"
+    data.mkdir()
+    one = _mask_run_detections(mask_run)[:1]
+    write_detections(one, data / "det.txt")
+    write_embeddings(one, data / "embeddings.csv")
+    write_roi_grids(one, data / "roi.csv")
+    argv = ["infer", "--data", str(data), "--out", str(tmp_path / "out"),
+            "--checkpoint", str(mask_run / "model" / "checkpoint.json"),
+            "--config", str(mask_run / "cfg.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + [flag, "0"]) == 1
+    assert message in capsys.readouterr().err
 
 
 FIELDS = st.sampled_from(["0", "1", "2", "-1", "3.5", "1e400", "nan", "-inf", "", "x",

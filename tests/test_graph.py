@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import (reference_build_graph, reference_edge_feature_matrix,
-                     reference_graph_from_edge_list, reference_windows)
+from oracles import (hand_built_graphs, reference_build_graph, reference_check_constraints,
+                     reference_degrees, reference_edge_feature_matrix,
+                     reference_graph_from_edge_list, reference_ground_truth_labels,
+                     reference_windows)
 
 from mpnflow import graph as gr
 from mpnflow import mpn
@@ -251,6 +253,43 @@ def test_labels_respect_degree_constraints_on_random_scenarios():
         g = gr.build_graph(sc.detections, max_frame_gap=12, top_k=4)
         labels = gr.ground_truth_labels(g, sc)   # raises if infeasible
         assert set(np.unique(labels)).issubset({0.0, 1.0})
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A hand-built graph with random 0/1 labels, as int64 or float64."""
+    g = draw(hand_built_graphs())
+    bits = draw(st.lists(st.sampled_from([0, 1, 1]), min_size=g.num_edges, max_size=g.num_edges))
+    return g, np.asarray(bits, dtype=draw(st.sampled_from([np.int64, np.float64])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=labelled_graphs())
+def test_degrees_and_constraint_report_match_loop_references(case):
+    g, y = case
+    for got, want in zip(gr._degrees(g, y), reference_degrees(g, y)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # repr tells a numpy scalar from a Python int or str
+    assert repr(gr.check_constraints(g, y)) == repr(reference_check_constraints(g, y))
+
+
+@st.composite
+def labelled_scenarios(draw):
+    """A hand-built graph and a scenario whose disjoint trajectories, in no
+    frame order, hold some of its node ids and some ids outside it."""
+    g = draw(hand_built_graphs())
+    pool = draw(st.permutations(g.node_ids.tolist() + list(range(40, 46))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=5)))
+    trajs = {i: pool[a:b] for i, (a, b) in enumerate(zip([0] + cuts, cuts + [len(pool)]))}
+    return g, make_scenario_by_hand(trajs, g.detections)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=labelled_scenarios())
+def test_ground_truth_labels_match_pair_set_reference(case):
+    g, sc = case
+    got, want = gr.ground_truth_labels(g, sc), reference_ground_truth_labels(g, sc)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_graph_from_edge_list_dedupes_and_orients():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (brute_force_round, random_rounding_instance, reference_windows,
-                     subgraph_objective)
+from oracles import (brute_force_round, hand_built_graphs, random_rounding_instance,
+                     reference_exact_round, reference_windows, subgraph_objective)
 
 from mpnflow.errors import ConfigError, FeasibilityError
 from mpnflow.graph import build_graph, graph_from_edge_list
@@ -72,6 +74,27 @@ def test_exact_round_matches_brute_force():
         # edges outside the violating subgraph keep their thresholded labels
         assert np.array_equal(y[~sub], tentative[~sub])
         assert check_constraints(g, y).violations == []
+
+
+# saturated probabilities tie exactly, so the solver's positional tie-break shows
+PROBS = st.sampled_from([1.0, 1.0, 1.0, 0.9, 0.75, 0.5, 0.3, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=hand_built_graphs(), data=st.data(), tau=st.sampled_from([0.5, 0.25, 0.9]))
+def test_exact_round_matches_dict_reference_bit_for_bit(g, data, tau):
+    probs = np.asarray(data.draw(st.lists(PROBS, min_size=g.num_edges, max_size=g.num_edges)),
+                       dtype=np.float64)
+    got, want = exact_round(g, probs, tau), reference_exact_round(g, probs, tau)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_exact_round_matches_dict_reference_on_saturated_instances():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        g, probs = random_rounding_instance(rng)
+        probs = np.where(probs >= 0.8, 1.0, probs)
+        assert exact_round(g, probs).tobytes() == reference_exact_round(g, probs).tobytes()
 
 
 def test_greedy_round_feasible_and_never_beats_exact():
@@ -177,6 +200,19 @@ def test_run_inference_greedy_rounder_feasible():
     with pytest.raises(ConfigError):
         run_inference(scenario.detections, params, frames_per_graph=5, top_k=3,
                       rounder="fancy")
+
+
+@pytest.mark.parametrize("count", [0, 1], ids=["empty", "one detection"])
+@pytest.mark.parametrize("option, message", [("max_frame_gap", "max_frame_gap must be >= 1"),
+                                             ("top_k", "top_k must be >= 1")])
+def test_run_inference_checks_graph_options_without_a_window_to_build(count, option, message):
+    # no window holds two detections, so no graph is ever built
+    scenario, params = _inference_fixture()
+    dets = scenario.detections[:count]
+    options = {"frames_per_graph": 5, "top_k": 3}
+    assert run_inference(dets, params, **options).trajectories == [[d.node_id] for d in dets]
+    with pytest.raises(ConfigError, match=message):
+        run_inference(dets, params, **{**options, option: 0})
 
 
 def test_run_inference_emits_masks_when_enabled():

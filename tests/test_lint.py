@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mpnflow").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mpnflow").glob("*.py"))
+# the package and the benchmark, which drives it from outside; tests do not count
+READERS = [p.read_text() for p in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,3 +59,46 @@ def test_unread_private_name_check_finds_an_orphan():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unread_module_level_private_functions_or_classes(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def read_names(source: str) -> set[str]:
+    """Names the source reads, bare or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)
+               and isinstance(n.ctx, ast.Load)})
+
+
+def unread_public_names(source: str, readers: list[str]) -> list[str]:
+    """Module-level public functions, classes and assigned names in the
+    source that none of the readers reads; list the source among the
+    readers for its own reads to count."""
+    read = set().union(*map(read_names, readers))
+    bound = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(n.id, node.lineno) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [f"{name} (line {line})" for name, line in bound
+            if not name.startswith("_") and name not in read]
+
+
+def test_unread_public_name_check_finds_an_orphan():
+    source = ("LIMIT = 3\nTABLE: dict = {}\nA, B = 1, 2\n_hidden = 4\n\n"
+              "def used():\n    return LIMIT\n\ndef orphan():\n    pass\n\n"
+              "class Kept:\n    pass\n")
+    reader = "from mod import Kept, used\nimport mod\n\nused(mod.TABLE, mod.A, Kept)\n"
+    assert unread_public_names(source, [source, reader]) == ["B (line 3)", "orphan (line 9)"]
+    # a module's own reads count only when it is among the readers
+    assert unread_public_names(source, [reader]) == ["LIMIT (line 1)", "B (line 3)",
+                                                     "orphan (line 9)"]
+    # an import alone is not a read
+    assert "orphan (line 9)" in unread_public_names(source, ["from mod import orphan\n"])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_level_public_name_unread_by_the_package_or_benchmark(path):
+    assert unread_public_names(path.read_text(), READERS) == []

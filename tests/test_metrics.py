@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scoring import constraint_rate, gt_boxes_from_scenario, gt_masks_from_scenario, track_boxes
+
 import mpnflow
 from mpnflow.errors import MetricsError
 from mpnflow.graph import graph_from_edge_list
-from mpnflow.metrics import (box_iou, clear_mot, constraint_rate, format_table,
-                             gt_boxes_from_scenario, gt_masks_from_scenario, idf1,
-                             mask_iou, mots_metrics, track_boxes, track_masks,
-                             write_report)
+from mpnflow.metrics import (box_iou, clear_mot, format_table, idf1, mask_iou, mots_metrics,
+                             track_masks, write_report)
 from mpnflow.synthdata import Detection, ScenarioConfig, generate_scenario
 
 BOX = (10.0, 10.0, 4.0, 4.0)
@@ -195,8 +195,8 @@ def test_report_emitters(tmp_path):
 
 def test_metrics_does_not_load_the_model_stack():
     code = ("import sys, mpnflow.metrics; "
-            "print(sorted(m for m in ('mpnflow.tensorkit', 'mpnflow.mpn', 'mpnflow.infer') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('mpnflow.graph', 'mpnflow.tensorkit', 'mpnflow.mpn', "
+            "'mpnflow.infer') if m in sys.modules))")
     # import from wherever this suite imports mpnflow from
     env = dict(os.environ, PYTHONPATH=str(Path(mpnflow.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
