@@ -161,6 +161,8 @@ class MpnState:
     """
 
     graph: TrackGraph
+    src: tk.Segments   # edges keyed by their earlier endpoint
+    dst: tk.Segments   # edges keyed by their later endpoint
     node_h: list[tk.Tensor] = field(default_factory=list)
     edge_h: list[tk.Tensor] = field(default_factory=list)
     tilde_h: list[tk.Tensor] = field(default_factory=list)
@@ -239,8 +241,8 @@ def attention_weights(state: MpnState, params: ModelParams, l: int) -> tuple[tk.
         raise ConfigError(f"attention needs step >= 1, got {l}")
     g = state.graph
     logits = tk.reshape(params.edge_logits(state.edge_h[l - 1]), (g.num_edges,))
-    a_past = tk.segment_softmax(logits, g.edge_dst, g.num_nodes)   # receiver is the later node
-    a_fut = tk.segment_softmax(logits, g.edge_src, g.num_nodes)    # receiver is the earlier node
+    a_past = tk.segment_softmax(logits, state.dst)   # receiver is the later node
+    a_fut = tk.segment_softmax(logits, state.src)    # receiver is the earlier node
     state.attention[l] = (a_past, a_fut)
     return a_past, a_fut
 
@@ -253,11 +255,10 @@ def classify_edges(state: MpnState, params: ModelParams, l: int) -> tk.Tensor:
 
 
 def _edge_step(state: MpnState, params: ModelParams, l: int) -> None:
-    g = state.graph
     h_prev = state.node_h[l - 1]
     inp = tk.concat([
-        tk.rows(h_prev, g.edge_src),
-        tk.rows(h_prev, g.edge_dst),
+        tk.rows(h_prev, state.src),
+        tk.rows(h_prev, state.dst),
         state.edge_h[l - 1],
         state.edge_h[0],
     ], axis=1)
@@ -265,27 +266,26 @@ def _edge_step(state: MpnState, params: ModelParams, l: int) -> None:
 
 
 def _node_step_vanilla(state: MpnState, params: ModelParams, l: int) -> None:
-    g = state.graph
+    src, dst = state.src, state.dst
     h_prev = state.node_h[l - 1]
     e_l = state.edge_h[l]
-    to_dst = params.node_update(tk.concat([tk.rows(h_prev, g.edge_dst), e_l], axis=1))
-    to_src = params.node_update(tk.concat([tk.rows(h_prev, g.edge_src), e_l], axis=1))
-    agg = tk.add(tk.segment_sum(to_dst, g.edge_dst, g.num_nodes),
-                 tk.segment_sum(to_src, g.edge_src, g.num_nodes))
+    to_dst = params.node_update(tk.concat([tk.rows(h_prev, dst), e_l], axis=1))
+    to_src = params.node_update(tk.concat([tk.rows(h_prev, src), e_l], axis=1))
+    agg = tk.add(tk.segment_sum(to_dst, dst), tk.segment_sum(to_src, src))
     state.node_h.append(agg)
 
 
 def _node_step_time_aware(state: MpnState, params: ModelParams, l: int) -> None:
-    g = state.graph
+    src, dst = state.src, state.dst
     h_prev = state.node_h[l - 1]
     h0 = state.node_h[0]
     e_l = state.edge_h[l]
     msg_past = params.node_update_past(tk.concat(
-        [tk.rows(h_prev, g.edge_dst), e_l, tk.rows(h0, g.edge_dst)], axis=1))
+        [tk.rows(h_prev, dst), e_l, tk.rows(h0, dst)], axis=1))
     msg_fut = params.node_update_fut(tk.concat(
-        [tk.rows(h_prev, g.edge_src), e_l, tk.rows(h0, g.edge_src)], axis=1))
-    h_past = tk.segment_sum(msg_past, g.edge_dst, g.num_nodes)
-    h_fut = tk.segment_sum(msg_fut, g.edge_src, g.num_nodes)
+        [tk.rows(h_prev, src), e_l, tk.rows(h0, src)], axis=1))
+    h_past = tk.segment_sum(msg_past, dst)
+    h_fut = tk.segment_sum(msg_fut, src)
     state.node_h.append(params.node_update(tk.concat([h_past, h_fut], axis=1)))
 
 
@@ -293,12 +293,12 @@ def _mask_step(state: MpnState, params: ModelParams, l: int) -> None:
     g = state.graph
     a_past, a_fut = attention_weights(state, params, l)
     tilde_prev = state.tilde_h[l - 1]
-    from_past = tk.mul(tk.rows(tilde_prev, g.edge_src),
+    from_past = tk.mul(tk.rows(tilde_prev, state.src),
                        tk.reshape(a_past, (g.num_edges, 1, 1, 1)))
-    from_fut = tk.mul(tk.rows(tilde_prev, g.edge_dst),
+    from_fut = tk.mul(tk.rows(tilde_prev, state.dst),
                       tk.reshape(a_fut, (g.num_edges, 1, 1, 1)))
-    c_past = tk.segment_sum(from_past, g.edge_dst, g.num_nodes)
-    c_fut = tk.segment_sum(from_fut, g.edge_src, g.num_nodes)
+    c_past = tk.segment_sum(from_past, state.dst)
+    c_fut = tk.segment_sum(from_fut, state.src)
     joined = tk.concat([c_past, c_fut, state.tilde_h[0]], axis=3)
     state.tilde_h.append(params.context_update(joined))
 
@@ -311,7 +311,10 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
     """
     config = params.config
     num_steps = config.num_steps
-    state = MpnState(graph=graph)
+    # one sparse operator per endpoint serves every gather gradient, segment
+    # sum and attention softmax of the pass
+    state = MpnState(graph=graph, src=tk.Segments(graph.edge_src, graph.num_nodes),
+                     dst=tk.Segments(graph.edge_dst, graph.num_nodes))
     app = _appearance(graph, params)   # checked at every depth, encoded only if read
     if num_steps:
         state.node_h.append(params.node_encoder(tk.Tensor(app)))

@@ -2,18 +2,24 @@
 
 Covers exactly what the tracking model needs: dense stacks, same-padded 2-D
 convolutions, elementwise nonlinearities, gather / segment reductions with
-per-segment softmax, scalar-loss backpropagation, Adam, finite-difference
-gradient checking, and a JSON parameter container.  All arithmetic is 64-bit
-and single-threaded, so results are reproducible bit for bit.
+per-segment softmax, scalar-loss backpropagation, Adam over one flat vector,
+finite-difference gradient checking, and a JSON parameter container.  Every
+sum by segment id (segment sums, softmax denominators, gather gradients) is
+one product with a prebuilt scipy sparse ones-matrix, a Segments, that adds
+in the same order as a scatter-add.  All arithmetic is 64-bit and
+single-threaded, so results are reproducible bit for bit.  The module
+imports nothing from the package but its errors.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CheckpointError, GradientError, ShapeError, read_text
 
@@ -283,53 +289,89 @@ def concat(parts, axis: int = 1) -> Tensor:
 # ---------------------------------------------------------------------------
 # gather / scatter primitives for graph aggregation
 
-def rows(a, idx) -> Tensor:
-    """Gather rows along axis 0; the gradient scatter-adds back."""
+class Segments:
+    """Row ids into n segments, plus the sparse operator that sums rows by id.
+
+    The operator is the CSR ones-matrix of shape (n, len(ids)) whose row s
+    lists, in ascending order, the positions i with ids[i] == s: column
+    indices from a stable argsort of ids, row extents from a bincount.
+    sum() multiplies it by the rows flattened to (len(ids), width).
+
+    That product equals the unbuffered scatter-add of the rows into zeros
+    (ufunc.at on np.add) bit for bit.  scipy's CSR-times-dense product
+    starts each output at +0.0 and adds its row's entries one by one in
+    column order, which is input order, the order the scatter adds them in;
+    and each entry is the row times an exact 1.0.  So every output element
+    sums the same terms in the same order, -0.0 inputs, overflow to inf and
+    empty segments included.
+
+    Build one per id array and reuse it: the build costs more than a sum.
+    Ids outside [0, n) are a ShapeError.
+    """
+
+    __slots__ = ("ids", "n", "_matrix")
+
+    def __init__(self, ids, n: int):
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ShapeError(f"segment ids must lie in [0, {n}), "
+                             f"got range [{ids.min()}, {ids.max()}]")
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+        self.ids = ids
+        self.n = n
+        self._matrix = sparse.csr_array(
+            (np.ones(ids.size), np.argsort(ids, kind="stable"), indptr), shape=(n, ids.size))
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum the rows of values into (n,) + values.shape[1:] by id."""
+        count, tail = values.shape[0], values.shape[1:]
+        if count != self.ids.size:
+            raise ShapeError(f"{self.ids.size} segment ids do not match rows {values.shape}")
+        # the width is spelled out: reshape(count, -1) fails when count is 0
+        flat = values.reshape(count, math.prod(tail))
+        return (self._matrix @ flat).reshape((self.n,) + tail)
+
+
+def rows(a, seg: Segments) -> Tensor:
+    """Gather rows seg.ids along axis 0; the gradient sums back by seg."""
     a = astensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
+    if a.data.shape[0] != seg.n:
+        raise ShapeError(f"segments over {seg.n} rows do not match {a.data.shape}")
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
+        _accum(a, seg.sum(g))
 
-    return _record(a.data[idx], (a,), bwd)
+    return _record(a.data[seg.ids], (a,), bwd)
 
 
-def segment_sum(a, seg, num_segments: int) -> Tensor:
-    """Sum rows into num_segments bins keyed by seg; empty bins stay zero."""
+def segment_sum(a, seg: Segments) -> Tensor:
+    """Sum rows into seg.n bins keyed by seg.ids; empty bins stay zero."""
     a = astensor(a)
-    seg = np.asarray(seg, dtype=np.intp)
-    if seg.shape[0] != a.data.shape[0]:
-        raise ShapeError(f"segment ids {seg.shape} do not match rows {a.data.shape}")
-    out = np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(out, seg, a.data)
+    out = seg.sum(a.data)
 
     def bwd(g):
-        _accum(a, g[seg])
+        _accum(a, g[seg.ids])
 
     return _record(out, (a,), bwd)
 
 
-def segment_softmax(logits, seg, num_segments: int) -> Tensor:
+def segment_softmax(logits, seg: Segments) -> Tensor:
     """Softmax of a 1-D logit vector normalized within each segment."""
     a = astensor(logits)
     if a.data.ndim != 1:
         raise ShapeError(f"segment_softmax expects 1-D logits, got {a.data.shape}")
-    seg = np.asarray(seg, dtype=np.intp)
-    if seg.shape[0] != a.data.shape[0]:
-        raise ShapeError(f"segment ids {seg.shape} do not match logits {a.data.shape}")
-    mx = np.full(num_segments, -np.inf)
-    np.maximum.at(mx, seg, a.data)
-    ex = np.exp(a.data - mx[seg])
-    den = np.zeros(num_segments)
-    np.add.at(den, seg, ex)
-    out = ex / den[seg]
+    ids = seg.ids
+    if ids.shape[0] != a.data.shape[0]:
+        raise ShapeError(f"segment ids {ids.shape} do not match logits {a.data.shape}")
+    # max is exact in any order, so the ufunc scatter stays
+    mx = np.full(seg.n, -np.inf)
+    np.maximum.at(mx, ids, a.data)
+    ex = np.exp(a.data - mx[ids])
+    out = ex / seg.sum(ex)[ids]
 
     def bwd(g):
-        inner = np.zeros(num_segments)
-        np.add.at(inner, seg, g * out)
-        _accum(a, out * (g - inner[seg]))
+        _accum(a, out * (g - seg.sum(g * out)[ids]))
 
     return _record(out, (a,), bwd)
 
@@ -502,7 +544,9 @@ class AdamState:
     """First/second moment buffers plus hyperparameters for Adam.
 
     weight_decay is additive L2: the decay term joins the gradient before
-    the moment updates.
+    the moment updates.  The moments are flat vectors over every group,
+    concatenated in call order; layout records each group's (name, shape)
+    from the first step, which fixes what every later step must pass.
     """
 
     def __init__(self, lr: float = 3e-4, beta1: float = 0.9, beta2: float = 0.999,
@@ -513,8 +557,9 @@ class AdamState:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.layout: list[tuple[str, tuple]] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
 
 def _checked_grad(name: str, p: Tensor) -> np.ndarray:
@@ -528,29 +573,45 @@ def _checked_grad(name: str, p: Tensor) -> np.ndarray:
     return g
 
 
+def _flatten(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
 def adam_step(params: list[tuple[str, Tensor]], state: AdamState) -> None:
     """Apply one Adam update in place from each parameter's .grad.
 
     A gradient that is missing, misshapen or non-finite is a GradientError
-    naming its group, raised before any parameter moves.
+    naming its group, and so is a group list whose names or shapes differ
+    from the first step's; both are raised before any parameter moves.
+    The update runs once over the concatenated groups, with the same
+    elementwise expressions per element as a per-group loop, and each
+    parameter gets back its slice of the result as a reshaped view.
     """
     grads = [_checked_grad(name, p) for name, p in params]
+    layout = [(name, p.data.shape) for name, p in params]
+    if state.layout is None:
+        size = sum(p.data.size for _, p in params)
+        state.layout, state.m, state.v = layout, np.zeros(size), np.zeros(size)
+    elif layout != state.layout:
+        i, now, was = next((i, now, was) for i, (now, was)
+                           in enumerate(itertools.zip_longest(layout, state.layout))
+                           if now != was)
+        raise GradientError(f"parameter group {i} is {now or 'missing'}, "
+                            f"but was {was or 'missing'} at the first step")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for (name, p), g in zip(params, grads):
-        g = g + state.weight_decay * p.data
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    theta = _flatten([p.data for _, p in params])
+    g = _flatten(grads) + state.weight_decay * theta
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    theta = theta - state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
+    start = 0
+    for _, p in params:
+        stop = start + p.data.size
+        p.data = theta[start:stop].reshape(p.data.shape)
+        start = stop
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,10 @@ def mask_loss(masks_by_step: dict[int, tk.Tensor],
         return tk.mul(tk.tsum(masks_by_step[steps[-1]]), 0.0)
     target = tk.Tensor(np.stack([gt_masks[i] for i in sup]))
     inv_target = tk.Tensor(1.0 - target.data)
-    idx = np.asarray(sup, dtype=np.intp)
+    supervised = tk.Segments(sup, masks_by_step[steps[-1]].data.shape[0])
     total = None
     for l in steps:
-        ce = _bce(tk.rows(masks_by_step[l], idx), target, inv_target)
+        ce = _bce(tk.rows(masks_by_step[l], supervised), target, inv_target)
         total = ce if total is None else tk.add(total, ce)
     return tk.mul(total, 1.0 / len(steps))
 

@@ -13,7 +13,7 @@ from mpnflow.graph import (ConstraintReport, TrackGraph, _app_dist, _canonical_o
                            graph_from_edge_list)
 from mpnflow.infer import threshold, violating_edges
 from mpnflow.synthdata import Detection
-from mpnflow.tensorkit import Tensor, _accum, _live, _record, astensor
+from mpnflow.tensorkit import AdamState, Tensor, _accum, _checked_grad, _live, _record, astensor
 
 
 def subgraph_objective(graph, probs, tau, y):
@@ -334,3 +334,51 @@ def reference_conv2d(x, w, b, kernel: int) -> Tensor:
             _accum(x, gxp[:, pad:pad + h, pad:pad + wd, :])
 
     return _record(out, (x, w, b), bwd)
+
+
+def reference_segment_sum(values, ids, n):
+    """A sum of rows by segment id as one np.add.at scatter into zeros."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, np.asarray(ids, dtype=np.intp), values)
+    return out
+
+
+def reference_segment_softmax(logits, ids, n, upstream):
+    """segment_softmax's output and its logit gradient for an upstream
+    gradient, with both segment sums as reference_segment_sum scatters."""
+    mx = np.full(n, -np.inf)
+    np.maximum.at(mx, ids, logits)
+    ex = np.exp(logits - mx[ids])
+    out = ex / reference_segment_sum(ex, ids, n)[ids]
+    return out, out * (upstream - reference_segment_sum(upstream * out, ids, n)[ids])
+
+
+class ReferenceAdamState(AdamState):
+    """AdamState holding one moment array per group name, in dicts."""
+
+    def __init__(self, **hyper):
+        super().__init__(**hyper)
+        self.m = {}
+        self.v = {}
+
+
+def reference_adam_step(params, state: ReferenceAdamState) -> None:
+    """adam_step as a loop over the groups, one update per group."""
+    grads = [_checked_grad(name, p) for name, p in params]
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for (name, p), g in zip(params, grads):
+        g = g + state.weight_decay * p.data
+        m = state.m.get(name)
+        v = state.v.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            v = np.zeros_like(p.data)
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        state.m[name] = m
+        state.v[name] = v
+        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)

@@ -102,3 +102,56 @@ def test_unread_public_name_check_finds_an_orphan():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_module_level_public_name_unread_by_the_package_or_benchmark(path):
     assert unread_public_names(path.read_text(), READERS) == []
+
+
+def scatter_adds(source: str) -> list[str]:
+    """Reads of add.at, the unbuffered scatter-add, as np.add.at,
+    numpy.add.at or a bare imported add.at."""
+    found = [n for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.Attribute) and n.attr == "at"
+             and (isinstance(n.value, ast.Attribute) and n.value.attr == "add"
+                  or isinstance(n.value, ast.Name) and n.value.id == "add")]
+    return [f"{ast.unparse(n)} (line {n.lineno})" for n in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_scatter_add_check_finds_a_scatter():
+    source = ("import numpy\nimport numpy as np\nfrom numpy import add\n\n"
+              "np.add.at(out, idx, x)\nnp.maximum.at(m, idx, x)\n"
+              "f = numpy.add.at\nadd.at(out, idx, x)\nnp.add.reduce(x)\n")
+    assert scatter_adds(source) == ["np.add.at (line 5)", "numpy.add.at (line 7)",
+                                    "add.at (line 8)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_scatter_add_in_the_package(path):
+    # every sum by segment id goes through tensorkit.Segments
+    assert scatter_adds(path.read_text()) == []
+
+
+def package_imports(source: str) -> list[str]:
+    """Modules of the mpnflow package that the source imports, by relative
+    or absolute name, anywhere in the file."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "mpnflow"
+                                                 or node.module.startswith("mpnflow.")):
+            inner = (node.module or "").removeprefix("mpnflow").lstrip(".")
+            found += [inner.split(".")[0]] if inner else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [a.name.split(".")[1] for a in node.names if a.name.startswith("mpnflow.")]
+            found += ["mpnflow" for a in node.names if a.name == "mpnflow"]
+    return found
+
+
+def test_package_import_check_finds_every_spelling():
+    source = ("import numpy as np\nfrom .errors import ShapeError\nfrom . import graph\n"
+              "from .mpn import MpnState\nimport mpnflow.infer\nfrom mpnflow import train\n"
+              "from mpnflow.synthdata import Detection\nimport mpnflow\n\n"
+              "def f():\n    from .metrics import idf1\n")
+    assert sorted(package_imports(source)) == sorted(
+        ["errors", "graph", "mpn", "infer", "train", "synthdata", "mpnflow", "metrics"])
+
+
+def test_tensorkit_imports_nothing_from_the_package_but_errors():
+    source = (ROOT / "src" / "mpnflow" / "tensorkit.py").read_text()
+    assert package_imports(source) == ["errors"]

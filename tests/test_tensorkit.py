@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import reference_conv2d
+from oracles import (ReferenceAdamState, reference_adam_step, reference_conv2d,
+                     reference_segment_softmax, reference_segment_sum)
 
 from mpnflow import tensorkit as tk
 from mpnflow.errors import CheckpointError, GradientError, ShapeError
@@ -204,7 +205,7 @@ def test_segment_softmax_sums_to_one_per_segment():
     rng = np.random.default_rng(6)
     logits = rng.normal(size=12) * 10.0
     seg = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 4, 4, 4])
-    out = tk.segment_softmax(tk.Tensor(logits), seg, 5)
+    out = tk.segment_softmax(tk.Tensor(logits), tk.Segments(seg, 5))
     for s in (0, 1, 2, 4):
         total = out.data[seg == s].sum()
         assert abs(total - 1.0) <= 1e-12
@@ -214,13 +215,13 @@ def test_segment_softmax_sums_to_one_per_segment():
 def test_segment_softmax_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     logits = tk.Tensor(rng.normal(size=8), requires_grad=True)
-    seg = np.array([0, 0, 1, 1, 1, 2, 2, 2])
+    seg = tk.Segments([0, 0, 1, 1, 1, 2, 2, 2], 3)
     coef = rng.normal(size=8)
 
     def loss_value():
-        return float((tk.segment_softmax(tk.Tensor(logits.data), seg, 3).data * coef).sum())
+        return float((tk.segment_softmax(tk.Tensor(logits.data), seg).data * coef).sum())
 
-    loss = tk.tsum(tk.mul(tk.segment_softmax(logits, seg, 3), tk.Tensor(coef)))
+    loss = tk.tsum(tk.mul(tk.segment_softmax(logits, seg), tk.Tensor(coef)))
     tk.backward(loss)
     gn = numeric_grad(loss_value, logits.data)
     assert np.allclose(logits.grad, gn, atol=1e-6)
@@ -232,18 +233,18 @@ def test_rows_and_segment_sum_against_loop_oracle():
     idx = np.array([4, 0, 0, 2])
     seg = np.array([1, 1, 0, 2])
     want_rows = np.stack([x[i] for i in idx])
-    got_rows = tk.rows(tk.Tensor(x), idx)
+    got_rows = tk.rows(tk.Tensor(x), tk.Segments(idx, 5))
     assert np.array_equal(got_rows.data, want_rows)
     want_seg = np.zeros((3, 3))
     for r, s in zip(want_rows, seg):
         want_seg[s] += r
-    got_seg = tk.segment_sum(got_rows, seg, 3)
+    got_seg = tk.segment_sum(got_rows, tk.Segments(seg, 3))
     assert np.allclose(got_seg.data, want_seg, atol=1e-12)
 
 
 def test_segment_sum_empty_bins_are_zero():
     x = tk.Tensor(np.ones((2, 4)))
-    out = tk.segment_sum(x, np.array([3, 3]), 5)
+    out = tk.segment_sum(x, tk.Segments([3, 3], 5))
     assert np.array_equal(out.data[0], np.zeros(4))
     assert np.array_equal(out.data[3], 2 * np.ones(4))
 
@@ -251,18 +252,147 @@ def test_segment_sum_empty_bins_are_zero():
 def test_gather_scatter_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
     x = tk.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    idx = np.array([0, 0, 3, 1, 2])
-    seg = np.array([1, 0, 1, 1, 0])
+    idx = tk.Segments([0, 0, 3, 1, 2], 4)
+    seg = tk.Segments([1, 0, 1, 1, 0], 2)
     coef = rng.normal(size=(2, 2))
 
     def build(src):
         g = tk.rows(src, idx)
-        return tk.tsum(tk.mul(tk.segment_sum(g, seg, 2), tk.Tensor(coef)))
+        return tk.tsum(tk.mul(tk.segment_sum(g, seg), tk.Tensor(coef)))
 
     loss = build(x)
     tk.backward(loss)
     gn = numeric_grad(lambda: build(tk.Tensor(x.data)).item(), x.data)
     assert np.allclose(x.grad, gn, atol=1e-6)
+
+
+@pytest.mark.parametrize("ids", [[0, -1], [0, 3], [7], [-4, 1]])
+def test_segments_reject_ids_outside_range(ids):
+    # a negative id would wrap to the last bin, and n would be out of bounds
+    with pytest.raises(ShapeError, match=r"\[0, 3\)"):
+        tk.Segments(ids, 3)
+
+
+def test_segment_ops_reject_a_row_count_other_than_the_segments_expect():
+    seg = tk.Segments([0, 1, 1], 2)
+    with pytest.raises(ShapeError):
+        tk.segment_sum(tk.Tensor(np.ones((2, 4))), seg)
+    with pytest.raises(ShapeError):
+        tk.segment_softmax(tk.Tensor(np.ones(4)), seg)
+    with pytest.raises(ShapeError):
+        seg.sum(np.ones((4, 2)))
+    # rows gathers from a tensor with exactly seg.n rows
+    with pytest.raises(ShapeError):
+        tk.rows(tk.Tensor(np.ones((3, 2))), seg)
+
+
+SPECIAL_VALUES = np.array([0.0, -0.0, 1e300, -1e300, 7e299, 1e-300, -1e-300, 5e-324])
+
+
+@st.composite
+def segment_cases(draw):
+    """Segment ids (some bins empty, possibly no rows) plus random rows,
+    gathered inputs and upstream gradients mixing ordinary values, -0.0 and
+    magnitudes near 1e+-300, as row widths 1-256 or (8, 8, 4) grids."""
+    n = draw(st.integers(0, 7))
+    count = draw(st.integers(0, 40)) if n else 0
+    ids = np.array(draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=count,
+                                 max_size=count)), dtype=np.intp)
+    tail = draw(st.one_of(st.just((8, 8, 4)), st.tuples(st.integers(1, 256))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.choice([-300, -5, 0, 5, 300], size=shape)
+        special = rng.random(shape) < 0.3
+        x[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+        return x
+
+    return ids, n, tail, values
+
+
+def _run(op, x, upstream):
+    # forward, then backward of sum(out * upstream), whose gradient arriving
+    # at out is exactly upstream; that sum may overflow, which is harmless
+    t = tk.Tensor(x, requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = op(t)
+        tk.backward(tk.tsum(tk.mul(out, tk.Tensor(upstream))))
+    return out.data, t.grad
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=segment_cases())
+def test_segment_ops_match_the_scatter_add_oracle_bit_for_bit(case):
+    ids, n, tail, values = case
+    seg = tk.Segments(ids, n)
+    count = ids.size
+
+    table, up_rows = values((n,) + tail), values((count,) + tail)
+    out, grad = _run(lambda t: tk.rows(t, seg), table, up_rows)
+    assert _same_bits(out, table[ids])
+    assert _same_bits(grad, reference_segment_sum(up_rows, ids, n))
+
+    x, up_bins = values((count,) + tail), values((n,) + tail)
+    out, grad = _run(lambda t: tk.segment_sum(t, seg), x, up_bins)
+    assert _same_bits(out, reference_segment_sum(x, ids, n))
+    assert _same_bits(grad, up_bins[ids])
+
+    logits, up_logits = values((count,)), values((count,))
+    out, grad = _run(lambda t: tk.segment_softmax(t, seg), logits, up_logits)
+    want_out, want_grad = reference_segment_softmax(logits, ids, n, up_logits)
+    assert _same_bits(out, want_out) and _same_bits(grad, want_grad)
+
+
+def test_flat_adam_matches_the_per_group_oracle_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shapes = {"enc/W0": (5, 3), "enc/b0": (3,), "conv/K0": (18, 4), "head/b1": (1,)}
+    hyper = dict(lr=3e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4)
+    init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    sides = []
+    for step, state in ((tk.adam_step, tk.AdamState(**hyper)),
+                        (reference_adam_step, ReferenceAdamState(**hyper))):
+        params = [(name, tk.Tensor(a.copy(), requires_grad=True, name=name))
+                  for name, a in init.items()]
+        sides.append((step, state, params))
+    for _ in range(20):
+        # gradient magnitudes from 1e-8 to 1e2, both signs
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 2, size=shape)
+                 for name, shape in shapes.items()}
+        for step, state, params in sides:
+            for name, p in params:
+                p.grad = grads[name].copy()
+            step(params, state)
+    (_, _, got), (_, _, want) = sides
+    for (name, p), (_, q) in zip(got, want):
+        assert _same_bits(p.data, q.data), name
+
+
+@pytest.mark.parametrize("changed", [
+    [("w", (2,)), ("b", (3,)), ("extra", (1,))],
+    [("w", (2,))],
+    [("w", (2,)), ("renamed", (3,))],
+    [("w", (2,)), ("b", (1, 3))],
+    [("b", (3,)), ("w", (2,))],
+])
+def test_adam_rejects_a_parameter_list_other_than_the_first_steps(changed):
+    state = tk.AdamState(lr=0.1)
+    first = [(name, tk.Tensor(np.ones(shape), requires_grad=True, name=name))
+             for name, shape in [("w", (2,)), ("b", (3,))]]
+    for _, p in first:
+        p.grad = np.ones(p.data.shape)
+    tk.adam_step(first, state)
+    params = [(name, tk.Tensor(np.full(shape, 2.0), requires_grad=True, name=name))
+              for name, shape in changed]
+    for _, p in params:
+        p.grad = np.ones(p.data.shape)
+    with pytest.raises(GradientError, match="at the first step"):
+        tk.adam_step(params, state)
+    # nothing moved: the layout is checked before the update
+    assert state.step == 1 and all(np.all(p.data == 2.0) for _, p in params)
 
 
 def test_clip_clamps_and_passes_gradient_inside():
@@ -326,8 +456,10 @@ def test_adam_rejects_non_finite_gradient_naming_group():
         p.grad = np.array([np.nan])
         tk.adam_step([("w", q), ("enc/W0", p)], state)
     assert "enc/W0" in str(e.value)
-    # nothing moved: every gradient is checked before the first update
-    assert q.data[0] == 2.0 and state.step == 0 and state.m == {}
+    # nothing moved: every gradient is checked before the first update, so
+    # no moment buffer was allocated either
+    assert q.data[0] == 2.0 and state.step == 0
+    assert state.m is None and state.v is None and state.layout is None
 
 
 def test_adam_rejects_missing_gradient_naming_group():
