@@ -18,28 +18,22 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import tensorkit as tk
-from .errors import ConfigError, MpnflowError, ParseError, check_config, read_text
-from .infer import read_mask_pgm, run_inference, write_mask_pgm
+from .errors import ConfigError, MpnflowError, ParseError, config_from_dict, read_text
+from .infer import ROUNDERS, InferConfig, read_mask_pgm, run_inference, write_mask_pgm
 from .metrics import (clear_mot, format_table, idf1, mots_metrics, track_masks,
                       write_report)
-from .mpn import ModelParams, mpn_config_from_dict
-from .synthdata import (attach_embeddings, attach_roi_grids, generate_scenario, load_gt_masks,
-                        load_mot_detections, load_track_assignment, load_tracks,
-                        scenario_config_from_dict, write_detections, write_embeddings,
-                        write_gt_masks, write_results, write_roi_grids)
-from .train import build_gradcheck_case, train_config_from_dict, train_loop, write_history
+from .mpn import VARIANTS, ModelParams, MpnConfig
+from .synthdata import (ScenarioConfig, attach_embeddings, attach_roi_grids, generate_scenario,
+                        load_gt_masks, load_mot_detections, load_track_assignment, load_tracks,
+                        write_detections, write_embeddings, write_gt_masks, write_results,
+                        write_roi_grids)
+from .train import TrainConfig, build_gradcheck_case, train_loop, write_history
 
 CONFIG_SECTIONS = ("scenario", "model", "train", "infer")
-# infer option -> (declared type, default); threads is accepted for scripts
-# that pass it, but windows run one after another, so it must be 1
-INFER_OPTIONS = {"frames_per_graph": ("int", 15), "top_k": ("int", 10),
-                 "max_frame_gap": ("int | None", None), "tau": ("float", 0.5),
-                 "rounder": ("str", "exact"), "min_track_len": ("int", 2),
-                 "threads": ("int", 1)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,8 +69,8 @@ def _section(config: dict, name: str, args, flags) -> dict:
 # generate
 
 def cmd_generate(args) -> int:
-    cfg = scenario_config_from_dict(_section(_load_config(args.config), "scenario", args,
-                                             ("seed",)))
+    cfg = config_from_dict(ScenarioConfig, "scenario",
+                           _section(_load_config(args.config), "scenario", args, ("seed",)))
     scenario = generate_scenario(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -115,15 +109,18 @@ def _scenario_from_dir(path: Path):
     spec = path / "scenario.json"
     if not spec.exists():
         raise ConfigError(f"{path}: no scenario.json; generate the data first")
-    return generate_scenario(scenario_config_from_dict(json.loads(read_text(spec))))
+    return generate_scenario(config_from_dict(ScenarioConfig, "scenario",
+                                              json.loads(read_text(spec))))
 
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     scenarios = [_scenario_from_dir(Path(d)) for d in args.data]
 
-    mpn_cfg = mpn_config_from_dict(_section(config, "model", args, ("variant", "with_masks")))
-    train_cfg = train_config_from_dict(_section(config, "train", args, ("iterations", "seed")))
+    mpn_cfg = config_from_dict(MpnConfig, "model",
+                               _section(config, "model", args, ("variant", "with_masks")))
+    train_cfg = config_from_dict(TrainConfig, "train",
+                                 _section(config, "train", args, ("iterations", "seed")))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -145,19 +142,11 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # infer
 
-def _infer_options(args) -> dict:
-    section = _section(_load_config(args.config), "infer", args, INFER_OPTIONS)
-    check_config("infer", section, {key: kind for key, (kind, _) in INFER_OPTIONS.items()})
-    opts = {key: default for key, (_, default) in INFER_OPTIONS.items()}
-    opts.update(section)
-    threads = opts.pop("threads")
-    if threads != 1:
-        raise ConfigError(f"threads must be 1 (windows run one after another), got {threads}")
-    return opts
-
-
 def cmd_infer(args) -> int:
-    opts = _infer_options(args)
+    # every infer option has a flag of the same name
+    cfg = config_from_dict(InferConfig, "infer",
+                           _section(_load_config(args.config), "infer", args,
+                                    [f.name for f in fields(InferConfig)]))
     params = ModelParams.load(args.checkpoint)
     data = Path(args.data)
     detections = load_mot_detections(data / "det.txt")
@@ -165,7 +154,7 @@ def cmd_infer(args) -> int:
     if params.config.with_masks:
         attach_roi_grids(detections, data / "roi.csv")
 
-    solution = run_inference(detections, params, **opts)
+    solution = run_inference(detections, params, cfg)
 
     report = solution.constraint_report
     print(f"constraint satisfaction before rounding: {100.0 * report.rate:.2f}% "
@@ -277,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config with 'model' and 'train' sections")
     p.add_argument("--iterations", type=int, help="override training iterations")
     p.add_argument("--seed", type=int, help="override the training seed")
-    p.add_argument("--variant", choices=("vanilla", "time_aware"),
+    p.add_argument("--variant", choices=VARIANTS,
                    help="override the message passing variant")
     p.add_argument("--with-masks", action="store_true", default=None,
                    help="enable the segmentation head")
@@ -292,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", dest="top_k", type=int)
     p.add_argument("--max-frame-gap", dest="max_frame_gap", type=int)
     p.add_argument("--tau", type=float, help="classification threshold")
-    p.add_argument("--rounder", choices=("exact", "greedy"))
+    p.add_argument("--rounder", choices=ROUNDERS)
     p.add_argument("--min-track-len", dest="min_track_len", type=int)
     p.add_argument("--threads", type=int, help="must be 1; windows run one after another")
     p.set_defaults(func=cmd_infer)

@@ -27,7 +27,6 @@ class TrackGraph:
     detections: list[Detection]              # canonical node order
     edge_src: np.ndarray                     # positions into detections, earlier frame
     edge_dst: np.ndarray                     # positions, later frame
-    edge_app_dist: np.ndarray                # appearance distance per edge
     node_ids: np.ndarray = field(init=False)
     frames: np.ndarray = field(init=False)
 
@@ -57,7 +56,7 @@ def _canonical_order(detections: list[Detection]) -> list[Detection]:
 
 def _app_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean appearance distance along the last axis, the one formula
-    every graph uses."""
+    for ranking partners and for edge features."""
     diff = a - b
     return np.sqrt((diff * diff).sum(axis=-1))
 
@@ -89,7 +88,7 @@ def build_graph(detections: list[Detection], max_frame_gap: int | None,
         seen.add(d.node_id)
     ordered = _canonical_order(detections)
     if not ordered:
-        return TrackGraph([], np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+        return TrackGraph([], np.zeros(0, np.int64), np.zeros(0, np.int64))
     frames, ids = np.asarray([(d.frame, d.node_id) for d in ordered], dtype=np.int64).T
     app = np.stack([d.appearance for d in ordered])
     finite = np.isfinite(app).all(axis=1)
@@ -107,7 +106,9 @@ def build_graph(detections: list[Detection], max_frame_gap: int | None,
     dist[cu, cv] = dist[cv, cu] = _app_dist(app[cu], app[cv])
 
     # per node: partners in either direction ranked by (distance, node id),
-    # non-partners last; keep[u, v] marks v among u's top_k partners
+    # non-partners last; keep[u, v] marks v among u's top_k partners.  Dense on
+    # purpose: one lexsort over the candidate pairs alone, ranked with
+    # searchsorted, measured about 1.5x slower per window
     partner_mask = candidate | candidate.T
     rank_order = np.lexsort((np.broadcast_to(ids, dist.shape), dist, ~partner_mask), axis=1)
     keep = np.zeros_like(partner_mask)
@@ -116,8 +117,7 @@ def build_graph(detections: list[Detection], max_frame_gap: int | None,
 
     # row-major nonzero order is already sorted by (src, dst)
     src, dst = np.nonzero(candidate & keep & keep.T)
-    return TrackGraph(ordered, src.astype(np.int64), dst.astype(np.int64),
-                      dist[src, dst].astype(np.float64))
+    return TrackGraph(ordered, src.astype(np.int64), dst.astype(np.int64))
 
 
 def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
@@ -146,15 +146,7 @@ def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
     earlier, later = np.where(frame_i < frame_j, at.T, at.T[::-1])
     # sorted keys give the distinct edges in row-major (src, dst) order
     src, dst = np.divmod(np.unique(earlier * n + later), max(n, 1))
-    # edges touching a detection without appearance keep distance 0
-    has_app = np.asarray([d.appearance is not None for d in ordered], dtype=bool)
-    both = has_app[src] & has_app[dst]
-    d_app = np.zeros(len(src))
-    if both.any():
-        app = np.stack([d.appearance for d in ordered if d.appearance is not None])
-        row = np.cumsum(has_app) - 1
-        d_app[both] = _app_dist(app[row[src[both]]], app[row[dst[both]]])
-    return TrackGraph(ordered, src, dst, d_app)
+    return TrackGraph(ordered, src, dst)
 
 
 def split_windows(detections: list[Detection], frames_per_graph: int) -> list[list[Detection]]:

@@ -141,56 +141,74 @@ class Solution:
     trajectories: list[list[int]]                      # every node, incl. singletons
     tracks: list[list[tuple[int, Box, float]]]         # min-length filtered, interpolated
     track_node_ids: list[list[int]]
-    node_masks: dict[int, np.ndarray]
+    node_masks: dict[int, np.ndarray]                  # ascending node id
     constraint_report: ConstraintReport
 
 
 ROUNDERS = ("exact", "greedy")
 
 
-def run_inference(detections: list[Detection], params: ModelParams, *,
-                  frames_per_graph: int, top_k: int, max_frame_gap: int | None = None,
-                  tau: float = 0.5, rounder: str = "exact", min_track_len: int = 2) -> Solution:
-    """Classify each window, average every edge and node over its windows in
-    window order, round, and extract tracks.
+@dataclass
+class InferConfig:
+    frames_per_graph: int = 15
+    top_k: int = 10
+    max_frame_gap: int | None = None    # None sets no gap limit inside a window
+    tau: float = 0.5
+    rounder: str = "exact"
+    min_track_len: int = 2
+    threads: int = 1   # accepted for scripts that pass it; windows run one after another
 
-    max_frame_gap None sets no gap limit inside a window (see build_graph).
-    """
-    if rounder not in ROUNDERS:
-        raise ConfigError(f"rounder must be one of {ROUNDERS}, got {rounder!r}")
-    if min_track_len < 1:
-        raise ConfigError(f"min_track_len must be >= 1, got {min_track_len}")
-    _check_graph_options(max_frame_gap, top_k)
+    def validate(self) -> None:
+        if self.rounder not in ROUNDERS:
+            raise ConfigError(f"rounder must be one of {ROUNDERS}, got {self.rounder!r}")
+        if self.min_track_len < 1:
+            raise ConfigError(f"min_track_len must be >= 1, got {self.min_track_len}")
+        _check_graph_options(self.max_frame_gap, self.top_k)
+        if self.threads != 1:
+            raise ConfigError(
+                f"threads must be 1 (windows run one after another), got {self.threads}")
+
+
+def _window_means(keys: tuple[np.ndarray, ...], values: np.ndarray):
+    """The distinct rows of the key columns in ascending order, and for each
+    the mean of its values, given in window order: the stable sort keeps that
+    order within a key, and each mean is np.sum over its k values / k."""
+    order = np.lexsort(keys[::-1])
+    keys, values = np.column_stack(keys)[order], values[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(keys))
+    mean = np.empty((len(starts),) + values.shape[1:])
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        mean[rows] = np.sum(values[starts[rows, None] + np.arange(k)], axis=1) / k
+    return keys[starts], mean
+
+
+def run_inference(detections: list[Detection], params: ModelParams, cfg: InferConfig) -> Solution:
+    """Classify each window, average every edge and node over its windows in
+    window order, round, and extract tracks."""
+    cfg.validate()
+    mpn_cfg = params.config
     srcs, dsts, probs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    mask_acc: dict[int, list[np.ndarray]] = {}
-    for dets_w in split_windows(detections, frames_per_graph):
+    mask_ids, grids = [np.zeros(0, np.int64)], [np.zeros((0, mpn_cfg.roi_h, mpn_cfg.roi_w))]
+    for dets_w in split_windows(detections, cfg.frames_per_graph):
         if len(dets_w) < 2:
             continue
-        g = build_graph(dets_w, max_frame_gap=max_frame_gap, top_k=top_k)
+        g = build_graph(dets_w, max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k)
         with tk.no_grad():
             state = mpn_forward(g, params)
-            grids = predict_masks(state, params).data if params.config.with_masks else []
+            if mpn_cfg.with_masks:
+                mask_ids.append(g.node_ids)
+                grids.append(predict_masks(state, params).data)
         srcs.append(g.node_ids[g.edge_src])
         dsts.append(g.node_ids[g.edge_dst])
         probs.append(state.final_probs())
-        for nid, grid in zip(g.node_ids, grids):
-            mask_acc.setdefault(int(nid), []).append(grid)
-    node_masks = {nid: np.sum(grids, axis=0) / len(grids) for nid, grids in mask_acc.items()}
-
-    # group every window's prediction of a pair, in window order (the sort is
-    # stable), and average each group as np.sum over its k values / k
-    src, dst, p = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(probs)
-    order = np.lexsort((dst, src))
-    src, dst, p = src[order], dst[order], p[order]
-    first_of_pair = np.ones(len(src), dtype=bool)
-    first_of_pair[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    starts = np.flatnonzero(first_of_pair)
-    counts = np.diff(starts, append=len(src))
-    mean = np.empty(len(starts))
-    for k in np.unique(counts):
-        rows = np.flatnonzero(counts == k)
-        mean[rows] = np.sum(p[starts[rows, None] + np.arange(k)], axis=1) / k
-    pairs = np.column_stack((src[starts], dst[starts]))
+    nodes, node_mean = _window_means((np.concatenate(mask_ids),), np.concatenate(grids))
+    node_masks = dict(zip(nodes[:, 0].tolist(), node_mean))
+    pairs, mean = _window_means((np.concatenate(srcs), np.concatenate(dsts)),
+                                np.concatenate(probs))
     pair_keys = list(map(tuple, pairs.tolist()))
     edge_probs = dict(zip(pair_keys, mean.tolist()))
 
@@ -199,17 +217,17 @@ def run_inference(detections: list[Detection], params: ModelParams, *,
     by_pair = np.lexsort((union.node_ids[union.edge_dst], union.node_ids[union.edge_src]))
     probs_arr = np.empty(len(mean))
     probs_arr[by_pair] = mean
-    tentative = threshold(probs_arr, tau)
+    tentative = threshold(probs_arr, cfg.tau)
     report = check_constraints(union, tentative)
-    y = exact_round(union, probs_arr, tau) if rounder == "exact" \
-        else greedy_round(union, probs_arr, tau)
+    y = exact_round(union, probs_arr, cfg.tau) if cfg.rounder == "exact" \
+        else greedy_round(union, probs_arr, cfg.tau)
     trajectories = extract_trajectories(union, y)
 
     det_by_id = {d.node_id: d for d in detections}
     tracks = []
     track_node_ids = []
     for traj in trajectories:
-        if len(traj) < min_track_len:
+        if len(traj) < cfg.min_track_len:
             continue
         tracks.append(interpolate_track(traj, det_by_id))
         track_node_ids.append(traj)
@@ -251,4 +269,6 @@ def read_mask_pgm(path) -> np.ndarray:
                          f"got {w}, {h}, {maxval}")
     if vals.size != w * h:
         raise ParseError(f"{path}: expected {w * h} pixels, got {vals.size}")
+    if not 0 <= vals.min() <= vals.max() <= maxval:
+        raise ParseError(f"{path}: pixel values must be in [0, {maxval}]")
     return vals.reshape(h, w) / maxval

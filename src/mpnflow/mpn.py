@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensorkit as tk
 from .errors import CheckpointError, ConfigError, check_config, config_from_dict
-from .graph import TrackGraph
+from .graph import TrackGraph, _app_dist
 
 EDGE_FEATURE_DIM = 6
 VARIANTS = ("vanilla", "time_aware")
@@ -59,10 +59,6 @@ class MpnConfig:
         if not 1 <= m <= max(self.num_steps, 1):
             raise ConfigError(
                 f"last_m_steps={self.last_m_steps} out of range for num_steps={self.num_steps}")
-
-
-def mpn_config_from_dict(raw: dict) -> MpnConfig:
-    return config_from_dict(MpnConfig, "model", raw)
 
 
 class ModelParams:
@@ -144,7 +140,7 @@ class ModelParams:
             aggregation = model.pop("aggregation", "sum")
             if aggregation != "sum":
                 raise CheckpointError(f"unsupported aggregation {aggregation!r}")
-            params = cls(mpn_config_from_dict(model), extra["d_app"], seed=0)
+            params = cls(config_from_dict(MpnConfig, "model", model), extra["d_app"], seed=0)
             tk.assign_parameters(params.named_parameters(), groups)
         except (ConfigError, CheckpointError) as e:
             raise CheckpointError(f"{path}: {e}") from e
@@ -177,11 +173,12 @@ class MpnState:
         return self.edge_probs[last].data.copy()
 
 
-def edge_feature_matrix(graph: TrackGraph) -> np.ndarray:
+def edge_feature_matrix(graph: TrackGraph, app: np.ndarray) -> np.ndarray:
     """Raw pairwise evidence, one 6-vector row per edge (u -> v).
 
     Components: size-normalized x and y offsets, log height and width
-    ratios, frame difference, appearance distance.  Computed per column; an
+    ratios, frame difference, and the distance between the rows of app (one
+    appearance vector per node).  Computed per column; an
     edge joining equal frames or a box with non-positive size is a
     ConfigError naming the first such edge.
     """
@@ -201,7 +198,7 @@ def edge_feature_matrix(graph: TrackGraph) -> np.ndarray:
         np.log(hi / hj),
         np.log(wi / wj),
         (graph.frames[v] - graph.frames[u]).astype(np.float64),
-        graph.edge_app_dist,
+        _app_dist(app[u], app[v]),
     ], axis=1)
 
 
@@ -211,10 +208,6 @@ def _appearance(graph: TrackGraph, params: ModelParams) -> np.ndarray:
     if app.shape[1] != params.d_app:
         raise ConfigError(f"appearance dim {app.shape[1]} does not match model {params.d_app}")
     return app
-
-
-def encode_edges(graph: TrackGraph, params: ModelParams) -> tk.Tensor:
-    return params.edge_encoder(tk.Tensor(edge_feature_matrix(graph)))
 
 
 def _roi_tensor(graph: TrackGraph, config: MpnConfig) -> tk.Tensor:
@@ -315,10 +308,10 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
     # sum and attention softmax of the pass
     state = MpnState(graph=graph, src=tk.Segments(graph.edge_src, graph.num_nodes),
                      dst=tk.Segments(graph.edge_dst, graph.num_nodes))
-    app = _appearance(graph, params)   # checked at every depth, encoded only if read
+    app = _appearance(graph, params)
     if num_steps:
         state.node_h.append(params.node_encoder(tk.Tensor(app)))
-    state.edge_h.append(encode_edges(graph, params))
+    state.edge_h.append(params.edge_encoder(tk.Tensor(edge_feature_matrix(graph, app))))
     if config.with_masks:
         state.tilde_h.append(_roi_tensor(graph, config))
     m = config.resolved_last_m()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, config_from_dict, read_text
+from .errors import ConfigError, ParseError, read_text
 
 Box = tuple[float, float, float, float]  # x, y, w, h with top-left origin
 
@@ -195,26 +195,24 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     return Scenario(config=replace(cfg), detections=detections, gt_trajectories=trajectories)
 
 
-def scenario_config_from_dict(raw: dict) -> ScenarioConfig:
-    return config_from_dict(ScenarioConfig, "scenario", raw)
-
-
 # ---------------------------------------------------------------------------
 # row reader shared by every comma-separated input file
 
-def _read_rows(path, parse_row, header: str | None = None) -> list:
+def _read_rows(path, parse_row, header: str | None = None, key=None) -> list:
     """parse_row applied to the fields of every non-blank line of a CSV file.
 
     Every field must be a finite number; parse_row receives them as floats
-    and reports a malformed row by raising ValueError.  Either failure
-    becomes a ParseError naming path:line.  With a header given, the first
-    line must equal it.
+    and reports a malformed row by raising ValueError.  With key given,
+    key(row) names the row's key (say "node id 3"), and a key that repeats
+    an earlier row's is malformed too.  Any failure becomes a ParseError
+    naming path:line.  With a header given, the first line must equal it.
     """
     lines = read_text(path).split("\n")
     if header is not None and lines[0].strip() != header:
         raise ParseError(f"{path}:1: expected the header {header!r}")
     first = 0 if header is None else 1
     rows = []
+    seen = set()
     for ln, line in enumerate(lines[first:], start=first + 1):
         line = line.strip()
         if not line:
@@ -223,7 +221,13 @@ def _read_rows(path, parse_row, header: str | None = None) -> list:
             vals = list(map(float, line.split(",")))
             if not all(map(math.isfinite, vals)):
                 raise ValueError("values must be finite (no nan or inf)")
-            rows.append(parse_row(vals))
+            row = parse_row(vals)
+            if key is not None:
+                name = key(row)
+                if name in seen:
+                    raise ValueError(f"repeated {name}")
+                seen.add(name)
+            rows.append(row)
         except ValueError as e:
             raise ParseError(f"{path}:{ln}: {e}") from e
     return rows
@@ -298,7 +302,9 @@ def load_tracks(path) -> dict[int, dict[int, Box]]:
     for det in load_mot_detections(path):
         if det.gt_identity is None:
             raise ParseError(f"{path}: row for frame {det.frame} lacks a track id")
-        tracks.setdefault(det.gt_identity, {})[det.frame] = det.box
+        if det.frame in tracks.setdefault(det.gt_identity, {}):
+            raise ParseError(f"{path}: repeated track id {det.gt_identity} in frame {det.frame}")
+        tracks[det.gt_identity][det.frame] = det.box
     return tracks
 
 
@@ -309,7 +315,8 @@ def load_track_assignment(path) -> list[list[int]]:
         return tid, nid
 
     tracks: dict[int, list[int]] = {}
-    for tid, nid in _read_rows(path, parse, header="track_id,node_id"):
+    for tid, nid in _read_rows(path, parse, header="track_id,node_id",
+                               key=lambda r: f"node id {r[1]}"):
         tracks.setdefault(tid, []).append(nid)
     return [tracks[tid] for tid in sorted(tracks)]
 
@@ -341,7 +348,7 @@ def attach_embeddings(detections: list[Detection], path) -> None:
             raise ValueError(f"dimension {vec.size} does not match earlier {width}")
         return _int(vals[0]), vec
 
-    table = dict(_read_rows(path, parse))
+    table = dict(_read_rows(path, parse, key=lambda r: f"node id {r[0]}"))
     missing = [d.node_id for d in detections if d.node_id not in table]
     if missing:
         raise ParseError(f"{path}: no embedding for node ids {missing[:5]}"
@@ -368,7 +375,7 @@ def attach_roi_grids(detections: list[Detection], path) -> None:
             raise ValueError(f"expected {h * w * c} values, got {grid.size}")
         return _int(vals[0]), grid.reshape(h, w, c)
 
-    table = dict(_read_rows(path, parse))
+    table = dict(_read_rows(path, parse, key=lambda r: f"node id {r[0]}"))
     for d in detections:
         if d.node_id in table:
             d.roi_grid = table[d.node_id]
@@ -397,4 +404,4 @@ def load_gt_masks(path) -> dict[int, tuple[int, int, np.ndarray]]:
             raise ValueError(f"expected {h * w} values, got {mask.size}")
         return nid, (ident, frame, mask.reshape(h, w))
 
-    return dict(_read_rows(path, parse))
+    return dict(_read_rows(path, parse, key=lambda r: f"node id {r[0]}"))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensorkit as tk
-from .errors import ConfigError, TrainingError, config_from_dict
+from .errors import ConfigError, TrainingError
 from .graph import _check_graph_options, build_graph, ground_truth_labels, split_windows
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from .synthdata import Detection, Scenario, ScenarioConfig, generate_scenario
@@ -59,10 +59,6 @@ class TrainConfig:
             raise ConfigError(f"graphs_per_step must be >= 1, got {self.graphs_per_step}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-
-
-def train_config_from_dict(raw: dict) -> TrainConfig:
-    return config_from_dict(TrainConfig, "train", raw)
 
 
 @dataclass

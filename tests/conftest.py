@@ -14,7 +14,7 @@ from scoring import constraint_rate, gt_boxes_from_scenario, track_boxes
 
 from mpnflow import tensorkit as tk
 from mpnflow.graph import build_graph, split_windows
-from mpnflow.infer import run_inference, threshold
+from mpnflow.infer import InferConfig, run_inference, threshold
 from mpnflow.metrics import idf1
 from mpnflow.mpn import MpnConfig, mpn_forward
 from mpnflow.synthdata import ScenarioConfig, generate_scenario
@@ -112,8 +112,8 @@ class ModelBank:
         vals = []
         for sc in self.val_scenarios:
             sol = run_inference(sc.detections, params,
-                                frames_per_graph=FRAMES_PER_GRAPH, top_k=TOP_K,
-                                max_frame_gap=MAX_FRAME_GAP)
+                                InferConfig(frames_per_graph=FRAMES_PER_GRAPH, top_k=TOP_K,
+                                            max_frame_gap=MAX_FRAME_GAP))
             vals.append(idf1(gt_boxes_from_scenario(sc), track_boxes(sol.tracks)))
         return float(np.mean(vals))
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mpnflow.errors import ConfigError, FeasibilityError, ShapeError
-from mpnflow.graph import (ConstraintReport, TrackGraph, _app_dist, _canonical_order,
-                           graph_from_edge_list)
+from mpnflow.graph import ConstraintReport, TrackGraph, _canonical_order, graph_from_edge_list
 from mpnflow.infer import threshold, violating_edges
 from mpnflow.synthdata import Detection
 from mpnflow.tensorkit import AdamState, Tensor, _accum, _checked_grad, _live, _record, astensor
@@ -97,7 +96,13 @@ def hand_built_graphs(draw, max_nodes=12):
     pairs = [(u, v) for u in range(len(ids)) for v in range(len(ids)) if u != v]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
     src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-    return TrackGraph(dets, src.copy(), dst.copy(), np.zeros(len(edges)))
+    return TrackGraph(dets, src.copy(), dst.copy())
+
+
+def _reference_distances(app):
+    """Euclidean distance between every two rows of app, as an N x N matrix."""
+    diff = app[:, None, :] - app[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def reference_build_graph(detections, max_frame_gap, top_k):
@@ -116,12 +121,10 @@ def reference_build_graph(detections, max_frame_gap, top_k):
     ordered = _canonical_order(detections)
     n = len(ordered)
     if n == 0:
-        return TrackGraph([], np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+        return TrackGraph([], np.zeros(0, np.int64), np.zeros(0, np.int64))
     frames = np.asarray([d.frame for d in ordered])
     ids = np.asarray([d.node_id for d in ordered])
-    app = np.stack([d.appearance for d in ordered])
-    diff = app[:, None, :] - app[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = _reference_distances(np.stack([d.appearance for d in ordered]))
 
     gap = frames[None, :] - frames[:, None]
     candidate = (gap >= 1) & (gap <= max_frame_gap)   # u earlier than v
@@ -136,20 +139,10 @@ def reference_build_graph(detections, max_frame_gap, top_k):
         order = sorted(partners, key=lambda v: (dist[u, v], ids[v]))
         keep[u] = set(order[:top_k])
 
-    src, dst, d_app = [], [], []
-    for u in range(n):
-        for v in np.nonzero(candidate[u])[0]:
-            if v in keep[u] and u in keep[v]:
-                src.append(u)
-                dst.append(int(v))
-                d_app.append(dist[u, v])
-    order = sorted(range(len(src)), key=lambda e: (src[e], dst[e]))
-    return TrackGraph(
-        ordered,
-        np.asarray([src[e] for e in order], dtype=np.int64),
-        np.asarray([dst[e] for e in order], dtype=np.int64),
-        np.asarray([d_app[e] for e in order], dtype=np.float64),
-    )
+    edges = sorted((u, int(v)) for u in range(n) for v in np.nonzero(candidate[u])[0]
+                   if v in keep[u] and u in keep[v])
+    src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    return TrackGraph(ordered, src.copy(), dst.copy())
 
 
 def reference_graph_from_edge_list(detections, pairs):
@@ -165,16 +158,7 @@ def reference_graph_from_edge_list(detections, pairs):
             raise ConfigError(f"edge ({i}, {j}) connects detections in the same frame")
         edges.add((pos[i], pos[j]) if frames[i] < frames[j] else (pos[j], pos[i]))
     edges = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    src, dst = edges[:, 0].copy(), edges[:, 1].copy()
-    # edges touching a detection without appearance keep distance 0
-    has_app = np.asarray([d.appearance is not None for d in ordered], dtype=bool)
-    both = has_app[src] & has_app[dst]
-    d_app = np.zeros(len(src))
-    if both.any():
-        app = np.stack([d.appearance for d in ordered if d.appearance is not None])
-        row = np.cumsum(has_app) - 1
-        d_app[both] = _app_dist(app[row[src[both]]], app[row[dst[both]]])
-    return TrackGraph(ordered, src, dst, d_app)
+    return TrackGraph(ordered, edges[:, 0].copy(), edges[:, 1].copy())
 
 
 def reference_windows(detections, frames_per_graph):
@@ -291,13 +275,45 @@ def reference_encode_geometry(det_i, det_j, appearance_distance):
     ])
 
 
-def reference_edge_feature_matrix(graph):
-    """Edge features by one reference_encode_geometry call per edge."""
+def reference_edge_feature_matrix(graph, app):
+    """Edge features by one reference_encode_geometry call per edge, with
+    the distance read from the N x N matrix reference_build_graph ranks by."""
+    dist = _reference_distances(app)
     feats = np.zeros((graph.num_edges, 6))
     for e, (u, v) in enumerate(zip(graph.edge_src, graph.edge_dst)):
         feats[e] = reference_encode_geometry(graph.detections[u], graph.detections[v],
-                                             graph.edge_app_dist[e])
+                                             dist[u, v])
     return feats
+
+
+def reference_window_means(keys, values):
+    """The window means in their two earlier forms, as (distinct keys, means).
+
+    Edge probabilities (1-D values, keys (src, dst)): a lexsort, then one
+    gather and np.sum per bucket of pairs with equal window counts.  Node
+    masks ((n, H, W) values, keys (node id,)): a dict of per-node lists in
+    window order, each averaged as np.sum(grids, axis=0) / len(grids).
+    """
+    if values.ndim == 1:
+        src, dst = keys
+        order = np.lexsort((dst, src))
+        src, dst, p = src[order], dst[order], values[order]
+        first_of_pair = np.ones(len(src), dtype=bool)
+        first_of_pair[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        starts = np.flatnonzero(first_of_pair)
+        counts = np.diff(starts, append=len(src))
+        mean = np.empty(len(starts))
+        for k in np.unique(counts):
+            rows = np.flatnonzero(counts == k)
+            mean[rows] = np.sum(p[starts[rows, None] + np.arange(k)], axis=1) / k
+        return np.column_stack((src[starts], dst[starts])), mean
+    (ids,) = keys
+    acc = {}
+    for nid, grid in zip(ids.tolist(), values):
+        acc.setdefault(nid, []).append(grid)
+    nodes = sorted(acc)
+    mean = np.asarray([np.sum(acc[nid], axis=0) / len(acc[nid]) for nid in nodes])
+    return np.asarray(nodes, dtype=np.int64).reshape(-1, 1), mean.reshape((-1,) + values.shape[1:])
 
 
 def reference_conv2d(x, w, b, kernel: int) -> Tensor:

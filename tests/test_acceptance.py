@@ -21,7 +21,7 @@ from mpnflow import tensorkit as tk
 from mpnflow.cli import main as cli_main
 from mpnflow.graph import (build_graph, graph_from_edge_list, ground_truth_labels,
                            split_windows)
-from mpnflow.infer import (check_constraints, exact_round, greedy_round,
+from mpnflow.infer import (InferConfig, check_constraints, exact_round, greedy_round,
                            run_inference, threshold, violating_edges)
 from mpnflow.metrics import clear_mot, idf1, mots_metrics, track_masks
 from mpnflow.mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
@@ -132,8 +132,8 @@ def test_mask_learning(mask_setup):
     smotsas = []
     for sc in val_scens:
         sol = run_inference(sc.detections, params,
-                            frames_per_graph=FRAMES_PER_GRAPH, top_k=TOP_K,
-                            max_frame_gap=MAX_FRAME_GAP)
+                            InferConfig(frames_per_graph=FRAMES_PER_GRAPH, top_k=TOP_K,
+                                        max_frame_gap=MAX_FRAME_GAP))
         for det in sc.detections:
             if det.gt_mask is None or det.node_id not in sol.node_masks:
                 continue
@@ -322,10 +322,9 @@ def test_invariant_suite():
     same_training = all(np.array_equal(t1.data, t2.data)
                         for (_, t1), (_, t2) in zip(p1.named_parameters(),
                                                     p2.named_parameters()))
-    sol1 = run_inference(sc_a.detections, p1, frames_per_graph=8, top_k=3,
-                         max_frame_gap=3)
-    sol2 = run_inference(sc_a.detections, p1, frames_per_graph=8, top_k=3,
-                         max_frame_gap=3)
+    icfg = InferConfig(frames_per_graph=8, top_k=3, max_frame_gap=3)
+    sol1 = run_inference(sc_a.detections, p1, icfg)
+    sol2 = run_inference(sc_a.detections, p1, icfg)
     same_inference = (np.array_equal(sol1.edge_probs, sol2.edge_probs)
                       and sol1.trajectories == sol2.trajectories)
     checks.append(("seed determinism",

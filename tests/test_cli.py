@@ -13,7 +13,7 @@ from mpnflow import cli
 from mpnflow import tensorkit as tk
 from mpnflow.cli import main
 from mpnflow.errors import ParseError
-from mpnflow.infer import read_mask_pgm, run_inference
+from mpnflow.infer import InferConfig, read_mask_pgm, run_inference
 from mpnflow.mpn import ModelParams
 from mpnflow.synthdata import (Detection, attach_embeddings, attach_roi_grids, load_gt_masks,
                                load_mot_detections, load_track_assignment, load_tracks,
@@ -248,6 +248,15 @@ def _not_utf8(text):
     return text.encode() + b"\xff\xfe1,2\n"
 
 
+def _repeat_line(line_no):
+    """Edit inserting a copy of one line (1-based) right after it."""
+    def edit(text):
+        lines = text.splitlines()
+        lines.insert(line_no, lines[line_no - 1])
+        return "\n".join(lines) + "\n"
+    return edit
+
+
 def _negative_mask_dims(text):
     # -1 x -(h*w) still multiplies out to the number of mask values
     first, *rest = text.splitlines()
@@ -269,6 +278,18 @@ MALFORMED = {
     "tracks_non_integer": ("eval", "run/tracks.csv",
                            lambda text: "track_id,node_id\n1,seven\n", 2),
     "pgm_truncated": ("eval", "run/masks/node_00000.pgm", lambda text: "P2\n8 8\n", None),
+    "pgm_above_maxval": ("eval", "run/masks/node_00000.pgm", lambda text: "P2\n1 1\n255\n300\n",
+                         None),
+    "pgm_negative": ("eval", "run/masks/node_00000.pgm", lambda text: "P2\n1 1\n255\n-5\n", None),
+    # a key written twice is an error at its second row, not a silent overwrite
+    "embedding_node_repeated": ("infer", "data/embeddings.csv", _repeat_line(1), 2),
+    "roi_grid_node_repeated": ("infer", "data/roi.csv", _repeat_line(1), 2),
+    "gt_mask_node_repeated": ("eval", "data/gt_masks.csv", _repeat_line(1), 2),
+    "gt_track_frame_repeated": ("eval", "data/gt.txt", _repeat_line(1), None),
+    "results_track_frame_repeated": ("eval", "run/results.txt",
+                                     lambda text: "1,1,0,0,5,5,1,-1,-1,-1\n" * 2, None),
+    "tracks_node_in_two_tracks": ("eval", "run/tracks.csv",
+                                  lambda text: "track_id,node_id\n1,0\n2,0\n", 3),
     "checkpoint_group_without_data": (
         "infer", "model/checkpoint.json", _edit_first_group(lambda g: g.pop("data")), None),
     "checkpoint_data_short_of_shape": (
@@ -397,7 +418,7 @@ def _mask_run_detections(mask_run):
 def test_infer_writes_edges_in_solution_order(mask_run):
     dets = _mask_run_detections(mask_run)
     params = ModelParams.load(mask_run / "model" / "checkpoint.json")
-    sol = run_inference(dets, params, **SMALL["infer"])
+    sol = run_inference(dets, params, InferConfig(**SMALL["infer"]))
     lines = (mask_run / "run" / "edges.csv").read_text().splitlines()
     assert lines[0] == "src,dst,prob,label"
     rows = [line.split(",") for line in lines[1:]]

@@ -97,12 +97,10 @@ def test_build_graph_matches_loop_reference_bit_for_bit(dets, top_k, gap):
         ref = reference_build_graph(dets, max_frame_gap=gap, top_k=top_k)
         rebuilt = gr.graph_from_edge_list(dets, g.edge_pairs())
     assert g.edge_src.dtype == g.edge_dst.dtype == np.int64
-    assert g.edge_app_dist.dtype == np.float64
     assert np.array_equal(g.edge_src, ref.edge_src)
     assert np.array_equal(g.edge_dst, ref.edge_dst)
-    assert g.edge_app_dist.tobytes() == ref.edge_app_dist.tobytes()
-    # a graph rebuilt from its own pairs gets the same arrays, distances included
-    for name in ("edge_src", "edge_dst", "edge_app_dist"):
+    # a graph rebuilt from its own pairs gets the same arrays
+    for name in ("edge_src", "edge_dst"):
         assert getattr(rebuilt, name).tobytes() == getattr(g, name).tobytes(), name
 
 
@@ -131,7 +129,7 @@ def test_graph_from_edge_list_matches_dict_loop_reference(case, bad_id, at):
         ref = reference_graph_from_edge_list(dets, pairs)
         for given_pairs in (pairs, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)):
             g = gr.graph_from_edge_list(dets, given_pairs)
-            for name in ("edge_src", "edge_dst", "edge_app_dist"):
+            for name in ("edge_src", "edge_dst"):
                 got, want = getattr(g, name), getattr(ref, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
@@ -152,9 +150,11 @@ def test_graph_from_edge_list_matches_dict_loop_reference(case, bad_id, at):
 def test_edge_feature_matrix_matches_per_edge_loop_bit_for_bit(dets, top_k, gap):
     with np.errstate(over="ignore"):
         g = gr.build_graph(dets, max_frame_gap=gap, top_k=top_k)
-    feats = mpn.edge_feature_matrix(g)
+        app = np.stack([d.appearance for d in g.detections]) if g.num_nodes else np.zeros((0, 2))
+        feats = mpn.edge_feature_matrix(g, app)
+        want = reference_edge_feature_matrix(g, app)
     assert feats.shape == (g.num_edges, mpn.EDGE_FEATURE_DIM)
-    assert feats.tobytes() == reference_edge_feature_matrix(g).tobytes()
+    assert feats.tobytes() == want.tobytes()
 
 
 def test_relabeling_gives_isomorphic_graph():
@@ -303,11 +303,10 @@ def test_graph_from_edge_list_dedupes_and_orients():
         gr.graph_from_edge_list(dets, [(0, 99)])
 
 
-def test_graph_from_edge_list_keeps_zero_distance_without_appearance():
+def test_graph_from_edge_list_accepts_detections_without_appearance():
     dets = [det(0, 1, app=(0.0, 3.0)), det(1, 2, x=20, app=(4.0, 0.0)),
             sd.Detection(node_id=2, frame=3, box=(40.0, 0.0, 10.0, 10.0)),
             det(3, 4, x=60, app=(4.0, 3.0))]
     g = gr.graph_from_edge_list(dets, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
     assert g.edge_pairs() == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert g.edge_app_dist.tolist() == [5.0, 4.0, 0.0, 3.0, 0.0]
     assert gr.graph_from_edge_list(dets[2:3], []).num_edges == 0

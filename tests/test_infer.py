@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (brute_force_round, hand_built_graphs, random_rounding_instance,
-                     reference_exact_round, reference_windows, subgraph_objective)
+                     reference_exact_round, reference_window_means, reference_windows,
+                     subgraph_objective)
 
-from mpnflow.errors import ConfigError, FeasibilityError
+from mpnflow.errors import ConfigError, FeasibilityError, ParseError
 from mpnflow.graph import build_graph, graph_from_edge_list
-from mpnflow.infer import (check_constraints, exact_round, extract_trajectories, greedy_round,
-                           interpolate_track, read_mask_pgm, run_inference, threshold,
-                           violating_edges, write_mask_pgm)
+from mpnflow.infer import (InferConfig, _window_means, check_constraints, exact_round,
+                           extract_trajectories, greedy_round, interpolate_track, read_mask_pgm,
+                           run_inference, threshold, violating_edges, write_mask_pgm)
 from mpnflow.mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from mpnflow.tensorkit import no_grad
 from mpnflow.synthdata import Detection, ScenarioConfig, generate_scenario
@@ -167,6 +169,45 @@ def test_pgm_round_trip(tmp_path):
     assert back == pytest.approx(grid, abs=1.0 / 255.0)
 
 
+@pytest.mark.parametrize("pixels", ["300 0", "0 -5"])
+def test_pgm_values_outside_0_to_maxval_are_a_parse_error(pixels, tmp_path):
+    path = tmp_path / "mask.pgm"
+    path.write_text(f"P2\n2 1\n255\n{pixels}\n")
+    with pytest.raises(ParseError, match="must be in \\[0, 255\\]") as err:
+        read_mask_pgm(path)
+    assert str(path) in str(err.value)
+
+
+# -0.0 and 0.0 tell a sum started from +0.0 from one started at the first value
+WINDOW_VALUES = st.sampled_from([-0.0, 0.0, 1.0, 1e-300]) | st.floats(-10, 10)
+
+
+@st.composite
+def windowed_keys(draw):
+    """(src, dst) key rows, each key in 1 to 15 windows, in shuffled order."""
+    counts = draw(st.lists(st.integers(1, 15), max_size=6))
+    pool = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                         min_size=len(counts), max_size=len(counts), unique=True))
+    rows = draw(st.permutations([key for key, k in zip(pool, counts) for _ in range(k)]))
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=windowed_keys(), data=st.data())
+def test_window_means_match_both_earlier_forms_bit_for_bit(rows, data):
+    n = len(rows)
+    probs = np.asarray(data.draw(st.lists(WINDOW_VALUES, min_size=n, max_size=n)), dtype=float)
+    h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    grids = data.draw(arrays(np.float64, (n, h, w), elements=WINDOW_VALUES))
+    node_ids = rows[:, 0] * 6 + rows[:, 1]
+    for keys, values in (((rows[:, 0], rows[:, 1]), probs), ((node_ids,), grids)):
+        got_keys, got = _window_means(keys, values)
+        want_keys, want = reference_window_means(keys, values)
+        assert got_keys.shape == want_keys.shape and got.shape == want.shape
+        assert got_keys.tobytes() == want_keys.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+
 def _inference_fixture():
     scenario = generate_scenario(ScenarioConfig(
         num_frames=10, num_identities=3, detection_dropout=0.1, d_app=8, seed=3))
@@ -177,7 +218,7 @@ def _inference_fixture():
 
 def test_run_inference_produces_feasible_partition():
     scenario, params = _inference_fixture()
-    sol = run_inference(scenario.detections, params, frames_per_graph=5, top_k=3)
+    sol = run_inference(scenario.detections, params, InferConfig(frames_per_graph=5, top_k=3))
     assert sol.constraint_report.total == 2 * len(scenario.detections)
     union = graph_from_edge_list(scenario.detections, list(sol.labels))
     y = np.array([sol.labels[pair] for pair in union.edge_pairs()])
@@ -192,14 +233,14 @@ def test_run_inference_produces_feasible_partition():
 
 def test_run_inference_greedy_rounder_feasible():
     scenario, params = _inference_fixture()
-    sol = run_inference(scenario.detections, params, frames_per_graph=5, top_k=3,
-                        rounder="greedy")
+    sol = run_inference(scenario.detections, params,
+                        InferConfig(frames_per_graph=5, top_k=3, rounder="greedy"))
     union = graph_from_edge_list(scenario.detections, list(sol.labels))
     y = np.array([sol.labels[pair] for pair in union.edge_pairs()])
     assert check_constraints(union, y).violations == []
     with pytest.raises(ConfigError):
-        run_inference(scenario.detections, params, frames_per_graph=5, top_k=3,
-                      rounder="fancy")
+        run_inference(scenario.detections, params,
+                      InferConfig(frames_per_graph=5, top_k=3, rounder="fancy"))
 
 
 @pytest.mark.parametrize("count", [0, 1], ids=["empty", "one detection"])
@@ -210,9 +251,10 @@ def test_run_inference_checks_graph_options_without_a_window_to_build(count, opt
     scenario, params = _inference_fixture()
     dets = scenario.detections[:count]
     options = {"frames_per_graph": 5, "top_k": 3}
-    assert run_inference(dets, params, **options).trajectories == [[d.node_id] for d in dets]
+    assert run_inference(dets, params, InferConfig(**options)).trajectories == \
+        [[d.node_id] for d in dets]
     with pytest.raises(ConfigError, match=message):
-        run_inference(dets, params, **{**options, option: 0})
+        run_inference(dets, params, InferConfig(**{**options, option: 0}))
 
 
 def test_run_inference_emits_masks_when_enabled():
@@ -221,7 +263,7 @@ def test_run_inference_emits_masks_when_enabled():
     cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
                     conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
     params = ModelParams(cfg, d_app=6, seed=0)
-    sol = run_inference(scenario.detections, params, frames_per_graph=4, top_k=3)
+    sol = run_inference(scenario.detections, params, InferConfig(frames_per_graph=4, top_k=3))
     node_ids = {d.node_id for d in scenario.detections}
     assert set(sol.node_masks) <= node_ids
     assert sol.node_masks, "expected at least one predicted mask"
@@ -237,7 +279,7 @@ def test_run_inference_averages_windows_in_window_order():
     cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
                     conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
     params = ModelParams(cfg, d_app=6, seed=2)
-    sol = run_inference(scenario.detections, params, frames_per_graph=4, top_k=3)
+    sol = run_inference(scenario.detections, params, InferConfig(frames_per_graph=4, top_k=3))
 
     probs: dict = {}
     masks: dict = {}
@@ -273,7 +315,7 @@ def test_run_inference_averages_eight_or_more_windows_bit_for_bit():
     params = ModelParams(cfg, d_app=6, seed=3)
     dets = [scenario.detections[i]
             for i in np.random.default_rng(0).permutation(len(scenario.detections))]
-    sol = run_inference(dets, params, frames_per_graph=10, top_k=3)
+    sol = run_inference(dets, params, InferConfig(frames_per_graph=10, top_k=3))
 
     probs: dict = {}
     masks: dict = {}

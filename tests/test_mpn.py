@@ -8,7 +8,7 @@ from mpnflow import graph as gr
 from mpnflow import mpn
 from mpnflow import synthdata as sd
 from mpnflow import tensorkit as tk
-from mpnflow.errors import CheckpointError, ConfigError
+from mpnflow.errors import CheckpointError, ConfigError, config_from_dict
 
 
 def det(nid, frame, box=(0.0, 0.0, 10.0, 10.0), app=None, rng=None, d_app=4):
@@ -31,24 +31,23 @@ def path_graph(n_nodes, rng, d_app=4):
     return dets, gr.graph_from_edge_list(dets, [(i, i + 1) for i in range(n_nodes - 1)])
 
 
-def one_edge_features(det_i, det_j, app_dist):
+def one_edge_features(det_i, det_j):
     # edge_feature_matrix of the two-node graph with the single edge i -> j
-    g = gr.TrackGraph([det_i, det_j], np.zeros(1, np.int64), np.ones(1, np.int64),
-                      np.array([app_dist]))
-    return mpn.edge_feature_matrix(g)[0]
+    g = gr.TrackGraph([det_i, det_j], np.zeros(1, np.int64), np.ones(1, np.int64))
+    return mpn.edge_feature_matrix(g, np.stack([det_i.appearance, det_j.appearance]))[0]
 
 
 def test_encode_geometry_identical_boxes():
     a = det(0, 1)
     b = det(1, 2)
-    feats = one_edge_features(a, b, 0.0)
+    feats = one_edge_features(a, b)
     assert np.array_equal(feats, [0, 0, 0, 0, 1, 0])
 
 
 def test_encode_geometry_log_height_ratio():
     a = det(0, 1, box=(0, 0, 10, 20))
-    b = det(1, 2, box=(0, 0, 10, 10))
-    feats = one_edge_features(a, b, 0.5)
+    b = det(1, 2, box=(0, 0, 10, 10), app=(0.5, 0.0, 0.0, 0.0))
+    feats = one_edge_features(a, b)
     assert abs(feats[2] - math.log(2.0)) < 1e-12
     assert feats[5] == 0.5
 
@@ -57,22 +56,23 @@ def test_encode_geometry_rejects_bad_inputs():
     a = det(0, 1)
     b = det(1, 1)
     with pytest.raises(ConfigError):
-        one_edge_features(a, b, 0.0)
+        one_edge_features(a, b)
     c = det(2, 3)
     c.box = (0.0, 0.0, -5.0, 10.0)   # bypass construction check on purpose
     with pytest.raises(ConfigError):
-        one_edge_features(a, c, 0.0)
+        one_edge_features(a, c)
 
 
 def test_edge_feature_matrix_names_the_first_offending_edge():
     dets = [det(0, 1), det(1, 2), det(2, 2), det(3, 3)]
     dets[3].box = (0.0, 0.0, 10.0, -1.0)   # bypass construction check on purpose
-    g = gr.TrackGraph(dets, np.array([0, 1, 2]), np.array([1, 2, 3]), np.zeros(3))
+    app = np.zeros((4, 4))
+    g = gr.TrackGraph(dets, np.array([0, 1, 2]), np.array([1, 2, 3]))
     with pytest.raises(ConfigError, match=r"edge \(1, 2\) joins equal frames"):
-        mpn.edge_feature_matrix(g)
-    g = gr.TrackGraph(dets, np.array([0, 2]), np.array([1, 3]), np.zeros(2))
+        mpn.edge_feature_matrix(g, app)
+    g = gr.TrackGraph(dets, np.array([0, 2]), np.array([1, 3]))
     with pytest.raises(ConfigError, match=r"edge \(2, 3\) has non-positive box dims"):
-        mpn.edge_feature_matrix(g)
+        mpn.edge_feature_matrix(g, app)
 
 
 def test_classifier_logit_to_probability():
@@ -87,8 +87,9 @@ def test_vanilla_update_matches_hand_formula():
     params = mpn.ModelParams(cfg, d_app=4, seed=1)
     state = mpn.mpn_forward(g, params)
 
-    h0 = params.node_encoder(tk.Tensor(np.stack([d.appearance for d in g.detections]))).data
-    e0 = params.edge_encoder(tk.Tensor(mpn.edge_feature_matrix(g))).data
+    app = np.stack([d.appearance for d in g.detections])
+    h0 = params.node_encoder(tk.Tensor(app)).data
+    e0 = params.edge_encoder(tk.Tensor(mpn.edge_feature_matrix(g, app))).data
     u, v = g.edge_src[0], g.edge_dst[0]
     e1 = params.edge_update(tk.Tensor(
         np.concatenate([h0[u], h0[v], e0[0], e0[0]])[None, :])).data[0]
@@ -110,8 +111,9 @@ def test_time_aware_update_matches_hand_formula():
     params = mpn.ModelParams(cfg, d_app=4, seed=3)
     state = mpn.mpn_forward(g, params)
 
-    h0 = params.node_encoder(tk.Tensor(np.stack([d.appearance for d in g.detections]))).data
-    e0 = params.edge_encoder(tk.Tensor(mpn.edge_feature_matrix(g))).data
+    app = np.stack([d.appearance for d in g.detections])
+    h0 = params.node_encoder(tk.Tensor(app)).data
+    e0 = params.edge_encoder(tk.Tensor(mpn.edge_feature_matrix(g, app))).data
     u, v = g.edge_src[0], g.edge_dst[0]
     e1 = params.edge_update(tk.Tensor(
         np.concatenate([h0[u], h0[v], e0[0], e0[0]])[None, :])).data[0]
@@ -345,7 +347,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         mpn.MpnConfig(num_steps=2, last_m_steps=3).validate()
     with pytest.raises(ConfigError):
-        mpn.mpn_config_from_dict({"nope": 1})
+        config_from_dict(mpn.MpnConfig, "model", {"nope": 1})
     assert mpn.MpnConfig(num_steps=8).resolved_last_m() == 6
     assert mpn.MpnConfig(num_steps=0).resolved_last_m() == 1
 
@@ -356,11 +358,12 @@ def test_config_validation():
     ("last_m_steps", False)])
 def test_config_from_dict_rejects_wrongly_typed_values_naming_the_key(key, value):
     with pytest.raises(ConfigError, match=repr(key)):
-        mpn.mpn_config_from_dict({key: value})
+        config_from_dict(mpn.MpnConfig, "model", {key: value})
 
 
 def test_config_from_dict_accepts_declared_types():
-    cfg = mpn.mpn_config_from_dict({"num_steps": 3, "with_masks": True, "variant": "vanilla",
-                                    "last_m_steps": None})
+    cfg = config_from_dict(mpn.MpnConfig, "model", {"num_steps": 3, "with_masks": True,
+                                                    "variant": "vanilla", "last_m_steps": None})
     assert cfg == mpn.MpnConfig(num_steps=3, with_masks=True, variant="vanilla")
-    assert mpn.mpn_config_from_dict({"num_steps": 3, "last_m_steps": 2}).last_m_steps == 2
+    cfg = config_from_dict(mpn.MpnConfig, "model", {"num_steps": 3, "last_m_steps": 2})
+    assert cfg.last_m_steps == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpnflow import synthdata as sd
-from mpnflow.errors import ConfigError, ParseError
+from mpnflow.errors import ConfigError, ParseError, config_from_dict
 
 
 def small_cfg(**kw):
@@ -90,7 +90,7 @@ def test_config_validation_names_field():
         sd.generate_scenario(sd.ScenarioConfig(detection_dropout=1.5))
     assert "detection_dropout" in str(e.value)
     with pytest.raises(ConfigError) as e:
-        sd.scenario_config_from_dict({"num_frames": 5, "bogus": 1})
+        config_from_dict(sd.ScenarioConfig, "scenario", {"num_frames": 5, "bogus": 1})
     assert "bogus" in str(e.value)
 
 

@@ -9,7 +9,7 @@ from conftest import FRAMES_PER_GRAPH, MAX_FRAME_GAP, TOP_K, bench_scenario_conf
 from mpnflow import synthdata as sd
 from mpnflow import tensorkit as tk
 from mpnflow import train as tr
-from mpnflow.errors import ConfigError, TrainingError
+from mpnflow.errors import ConfigError, TrainingError, config_from_dict
 from mpnflow.graph import build_graph, ground_truth_labels, split_windows
 from mpnflow.mpn import MpnConfig, ModelParams, mpn_forward
 
@@ -228,7 +228,7 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         tr.TrainConfig(node_drop_p=1.5).validate()
     with pytest.raises(ConfigError):
-        tr.train_config_from_dict({"mystery": 2})
+        config_from_dict(tr.TrainConfig, "train", {"mystery": 2})
 
 
 def test_write_history_format(tmp_path):
