@@ -186,6 +186,10 @@ def cmd_infer(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
+    if not 0.0 < args.iou_min <= 1.0:
+        raise ConfigError(f"--iou-min must be in (0, 1], got {args.iou_min}")
+    if not 0.0 < args.tau < 1.0:
+        raise ConfigError(f"--tau must be in (0, 1), got {args.tau}")
     data = Path(args.data)
     run = Path(args.run)
     gt = load_tracks(data / "gt.txt")

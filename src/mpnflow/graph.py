@@ -69,6 +69,15 @@ def _check_graph_options(max_frame_gap: int | None, top_k: int) -> None:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
 
 
+def _check_unique_ids(detections: list[Detection]) -> None:
+    """The node id rule of every graph constructor: each id names one detection."""
+    seen = set()
+    for d in detections:
+        if d.node_id in seen:
+            raise ConfigError(f"duplicate node id {d.node_id}")
+        seen.add(d.node_id)
+
+
 def build_graph(detections: list[Detection], max_frame_gap: int | None,
                 top_k: int) -> TrackGraph:
     """Connect detections across frames, then keep mutual top-k neighbors.
@@ -79,13 +88,10 @@ def build_graph(detections: list[Detection], max_frame_gap: int | None,
     id.  Edges always point from the earlier frame to the later one.
     """
     _check_graph_options(max_frame_gap, top_k)
-    seen = set()
+    _check_unique_ids(detections)
     for d in detections:
         if d.appearance is None:
             raise ConfigError(f"detection {d.node_id} has no appearance vector")
-        if d.node_id in seen:
-            raise ConfigError(f"duplicate node id {d.node_id}")
-        seen.add(d.node_id)
     ordered = _canonical_order(detections)
     if not ordered:
         return TrackGraph([], np.zeros(0, np.int64), np.zeros(0, np.int64))
@@ -123,6 +129,7 @@ def build_graph(detections: list[Detection], max_frame_gap: int | None,
 def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
     """Build a graph from explicit (node_id, node_id) cross-frame pairs,
     given as a sequence of 2-tuples or an (n, 2) integer array."""
+    _check_unique_ids(detections)
     ordered = _canonical_order(detections)
     n = len(ordered)
     ids = np.asarray([d.node_id for d in ordered], dtype=np.int64)
@@ -130,8 +137,7 @@ def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if n == 0 and len(pairs):
         raise ConfigError(f"edge ({pairs[0, 0]}, {pairs[0, 1]}) references unknown node ids")
-    # id -> canonical position, the last one for a repeated id; a position
-    # holding another id marks an unknown one
+    # id -> canonical position; a position holding another id marks an unknown one
     by_id = np.argsort(ids, kind="stable")
     at = by_id[np.searchsorted(ids, pairs, side="right", sorter=by_id) - 1]
     unknown = (ids[at] != pairs).any(axis=1)

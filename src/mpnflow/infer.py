@@ -19,16 +19,20 @@ from scipy.optimize import linear_sum_assignment
 from . import tensorkit as tk
 from .errors import ConfigError, ParseError, read_text
 from .graph import (ConstraintReport, TrackGraph, _assert_feasible, _check_graph_options,
-                    _degrees, build_graph, check_constraints, graph_from_edge_list,
-                    split_windows, violating_edges)
+                    _check_unique_ids, _degrees, build_graph, check_constraints,
+                    graph_from_edge_list, split_windows, violating_edges)
 from .mpn import ModelParams, mpn_forward, predict_masks
 from .synthdata import Box, Detection
 
 
-def threshold(probs: np.ndarray, tau: float = 0.5) -> np.ndarray:
-    """Binary labels from probabilities; a tie at tau counts as active."""
+def _check_tau(tau: float) -> None:
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must be in (0, 1), got {tau}")
+
+
+def threshold(probs: np.ndarray, tau: float = 0.5) -> np.ndarray:
+    """Binary labels from probabilities; a tie at tau counts as active."""
+    _check_tau(tau)
     return (np.asarray(probs) >= tau).astype(np.int64)
 
 
@@ -164,6 +168,7 @@ class InferConfig:
         if self.min_track_len < 1:
             raise ConfigError(f"min_track_len must be >= 1, got {self.min_track_len}")
         _check_graph_options(self.max_frame_gap, self.top_k)
+        _check_tau(self.tau)
         if self.threads != 1:
             raise ConfigError(
                 f"threads must be 1 (windows run one after another), got {self.threads}")
@@ -190,6 +195,7 @@ def run_inference(detections: list[Detection], params: ModelParams, cfg: InferCo
     """Classify each window, average every edge and node over its windows in
     window order, round, and extract tracks."""
     cfg.validate()
+    _check_unique_ids(detections)
     mpn_cfg = params.config
     srcs, dsts, probs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     mask_ids, grids = [np.zeros(0, np.int64)], [np.zeros((0, mpn_cfg.roi_h, mpn_cfg.roi_w))]

@@ -1,14 +1,15 @@
 """Reverse-mode differentiable tensor kernel on float64 numpy arrays.
 
-Covers exactly what the tracking model needs: dense stacks, same-padded 2-D
-convolutions, elementwise nonlinearities, gather / segment reductions with
-per-segment softmax, scalar-loss backpropagation, Adam over one flat vector,
-finite-difference gradient checking, and a JSON parameter container.  Every
-sum by segment id (segment sums, softmax denominators, gather gradients) is
-one product with a prebuilt scipy sparse ones-matrix, a Segments, that adds
-in the same order as a scatter-add.  All arithmetic is 64-bit and
-single-threaded, so results are reproducible bit for bit.  The module
-imports nothing from the package but its errors.
+Covers exactly what the tracking model needs: dense and same-padded 2-D
+convolution layers (linear, conv2d) and a weighted binary cross-entropy
+(bce), each one fused record; elementwise nonlinearities, gather / segment
+reductions with per-segment softmax, scalar-loss backpropagation, Adam over
+one flat vector, finite-difference gradient checking, and a JSON parameter
+container.  Every sum by segment id (segment sums, softmax denominators,
+gather gradients) is one product with a prebuilt scipy sparse ones-matrix, a
+Segments, that adds in the same order as a scatter-add.  All arithmetic is
+64-bit and single-threaded, so results are reproducible bit for bit.  The
+module imports nothing from the package but its errors.
 """
 
 from __future__ import annotations
@@ -151,17 +152,6 @@ def add(a, b) -> Tensor:
     return _record(data, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    data = a.data - b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _record(data, (a, b), bwd)
-
-
 def mul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     data = a.data * b.data
@@ -173,26 +163,22 @@ def mul(a, b) -> Tensor:
     return _record(data, (a, b), bwd)
 
 
-def neg(a) -> Tensor:
-    a = astensor(a)
+def linear(x, w, b) -> Tensor:
+    """Dense layer x @ w + b on (n, fin) input as one record, whose backward
+    gives a matmul-then-add chain's g @ w.T, x.T @ g and g.sum(axis=0)."""
+    x, w, b = astensor(x), astensor(w), astensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0] \
+            or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"linear shapes {x.data.shape}, {w.data.shape} and "
+                         f"{b.data.shape} do not chain")
+    data = x.data @ w.data + b.data
 
     def bwd(g):
-        _accum(a, -g)
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0))
 
-    return _record(-a.data, (a,), bwd)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes {a.data.shape} and {b.data.shape} do not chain")
-    data = a.data @ b.data
-
-    def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _record(data, (a, b), bwd)
+    return _record(data, (x, w, b), bwd)
 
 
 def relu(a) -> Tensor:
@@ -220,26 +206,6 @@ def sigmoid(a) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def log(a) -> Tensor:
-    a = astensor(a)
-
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    return _record(np.log(a.data), (a,), bwd)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes through strictly inside."""
-    a = astensor(a)
-    inside = (a.data > lo) & (a.data < hi)
-
-    def bwd(g):
-        _accum(a, g * inside)
-
-    return _record(np.clip(a.data, lo, hi), (a,), bwd)
-
-
 def tsum(a) -> Tensor:
     """Sum of every element, as a scalar."""
     a = astensor(a)
@@ -250,16 +216,37 @@ def tsum(a) -> Tensor:
     return _record(a.data.sum(), (a,), bwd)
 
 
-def mean(a) -> Tensor:
-    a = astensor(a)
-    n = a.data.size
+PROB_EPS = 1e-7
+
+
+def bce(p, pos_coef, neg_coef) -> Tensor:
+    """mean(-(pos_coef log q + neg_coef log(1 - q))) as one record, with q
+    = p clamped to [PROB_EPS, 1 - PROB_EPS] so the loss stays finite.
+
+    The coefficients are constants of p's shape.  p's gradient passes only
+    strictly inside the clamp.  Both passes run the expressions of the chain
+    clip, log, sub, log, mul, mul, add, mean, neg in its order, so they
+    agree with it bit for bit.
+    """
+    p = astensor(p)
+    pos_coef, neg_coef = astensor(pos_coef).data, astensor(neg_coef).data
+    if pos_coef.shape != p.data.shape or neg_coef.shape != p.data.shape:
+        raise ShapeError(f"bce coefficients {pos_coef.shape} and {neg_coef.shape} do not "
+                         f"match probabilities {p.data.shape}")
+    n = p.data.size
     if n == 0:
-        raise ShapeError("mean of an empty tensor")
+        raise ShapeError("bce of an empty tensor")
+    lo, hi = PROB_EPS, 1.0 - PROB_EPS
+    inside = (p.data > lo) & (p.data < hi)
+    q = np.clip(p.data, lo, hi)
+    rest = 1.0 - q
+    data = -(pos_coef * np.log(q) + neg_coef * np.log(rest)).mean()
 
     def bwd(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
+        gm = (-g) / n
+        _accum(p, ((gm * pos_coef) / q + -((gm * neg_coef) / rest)) * inside)
 
-    return _record(a.data.mean(), (a,), bwd)
+    return _record(data, (p,), bwd)
 
 
 def reshape(a, shape) -> Tensor:
@@ -511,7 +498,7 @@ class DenseStack(_LayerStack):
             self._add_layer(rng, "W", fin, fout, (fin, fout))
 
     def _layer(self, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        return add(matmul(h, w), b)
+        return linear(h, w, b)
 
 
 class ConvStack(_LayerStack):

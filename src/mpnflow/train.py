@@ -9,6 +9,7 @@ are enabled.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 
@@ -21,8 +22,6 @@ from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from .synthdata import Detection, Scenario, ScenarioConfig, generate_scenario
 
 log = logging.getLogger(__name__)
-
-PROB_EPS = 1e-7
 
 
 @dataclass
@@ -69,12 +68,9 @@ class LossReport:
     total: float
 
 
-def _bce(p: tk.Tensor, pos_coef: tk.Tensor, neg_coef: tk.Tensor) -> tk.Tensor:
-    """Mean of -(pos_coef * log p + neg_coef * log(1 - p)), with p clamped to
-    [PROB_EPS, 1 - PROB_EPS] so the loss stays finite for any input."""
-    p = tk.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    return tk.neg(tk.mean(tk.add(tk.mul(pos_coef, tk.log(p)),
-                                 tk.mul(neg_coef, tk.log(tk.sub(1.0, p))))))
+def _step_mean(terms: list[tk.Tensor]) -> tk.Tensor:
+    """The mean of per-step losses: a left-to-right sum, times 1 / count."""
+    return tk.mul(functools.reduce(tk.add, terms), 1.0 / len(terms))
 
 
 def edge_loss(probs_by_step: dict[int, tk.Tensor], y: np.ndarray) -> tk.Tensor:
@@ -92,16 +88,12 @@ def edge_loss(probs_by_step: dict[int, tk.Tensor], y: np.ndarray) -> tk.Tensor:
         raise ConfigError("edge_loss needs at least one edge")
     n_pos = float(y.sum())
     if n_pos > 0:
-        pos_coef = tk.Tensor(n_edges / n_pos * y)
+        pos_coef = n_edges / n_pos * y
     else:
         log.warning("graph has no positive edges; the loss has no positive term")
-        pos_coef = tk.Tensor(y)
-    neg_coef = tk.Tensor(1.0 - y)
-    total = None
-    for l in steps:
-        ce = _bce(probs_by_step[l], pos_coef, neg_coef)
-        total = ce if total is None else tk.add(total, ce)
-    return tk.mul(total, 1.0 / len(steps))
+        pos_coef = y
+    neg_coef = 1.0 - y
+    return _step_mean([tk.bce(probs_by_step[l], pos_coef, neg_coef) for l in steps])
 
 
 def mask_loss(masks_by_step: dict[int, tk.Tensor],
@@ -118,14 +110,10 @@ def mask_loss(masks_by_step: dict[int, tk.Tensor],
     sup = [i for i, g in enumerate(gt_masks) if g is not None]
     if not sup:
         return tk.mul(tk.tsum(masks_by_step[steps[-1]]), 0.0)
-    target = tk.Tensor(np.stack([gt_masks[i] for i in sup]))
-    inv_target = tk.Tensor(1.0 - target.data)
+    target = np.stack([gt_masks[i] for i in sup])
     supervised = tk.Segments(sup, masks_by_step[steps[-1]].data.shape[0])
-    total = None
-    for l in steps:
-        ce = _bce(tk.rows(masks_by_step[l], supervised), target, inv_target)
-        total = ce if total is None else tk.add(total, ce)
-    return tk.mul(total, 1.0 / len(steps))
+    return _step_mean([tk.bce(tk.rows(masks_by_step[l], supervised), target, 1.0 - target)
+                       for l in steps])
 
 
 def augment(detections: list[Detection], p_drop: float, shift_std: float,

@@ -12,7 +12,8 @@ from mpnflow.errors import ConfigError, FeasibilityError, ShapeError
 from mpnflow.graph import ConstraintReport, TrackGraph, _canonical_order, graph_from_edge_list
 from mpnflow.infer import threshold, violating_edges
 from mpnflow.synthdata import Detection
-from mpnflow.tensorkit import AdamState, Tensor, _accum, _checked_grad, _live, _record, astensor
+from mpnflow.tensorkit import (AdamState, Tensor, _accum, _checked_grad, _live, _record,
+                               _unbroadcast, add, astensor, mul)
 
 
 def subgraph_objective(graph, probs, tau, y):
@@ -398,3 +399,87 @@ def reference_adam_step(params, state: ReferenceAdamState) -> None:
         state.m[name] = m
         state.v[name] = v
         p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+# The tape before linear and bce were fused: the six primitives only those
+# two composites used, kept as they were in tensorkit.
+
+def reference_sub(a, b) -> Tensor:
+    a, b = astensor(a), astensor(b)
+    data = a.data - b.data
+
+    def bwd(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(-g, b.data.shape))
+
+    return _record(data, (a, b), bwd)
+
+
+def reference_neg(a) -> Tensor:
+    a = astensor(a)
+
+    def bwd(g):
+        _accum(a, -g)
+
+    return _record(-a.data, (a,), bwd)
+
+
+def reference_matmul(a, b) -> Tensor:
+    a, b = astensor(a), astensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul shapes {a.data.shape} and {b.data.shape} do not chain")
+    data = a.data @ b.data
+
+    def bwd(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
+
+    return _record(data, (a, b), bwd)
+
+
+def reference_log(a) -> Tensor:
+    a = astensor(a)
+
+    def bwd(g):
+        _accum(a, g / a.data)
+
+    return _record(np.log(a.data), (a,), bwd)
+
+
+def reference_clip(a, lo: float, hi: float) -> Tensor:
+    """Clamp values to [lo, hi]; gradient passes through strictly inside."""
+    a = astensor(a)
+    inside = (a.data > lo) & (a.data < hi)
+
+    def bwd(g):
+        _accum(a, g * inside)
+
+    return _record(np.clip(a.data, lo, hi), (a,), bwd)
+
+
+def reference_mean(a) -> Tensor:
+    a = astensor(a)
+    n = a.data.size
+    if n == 0:
+        raise ShapeError("mean of an empty tensor")
+
+    def bwd(g):
+        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
+
+    return _record(a.data.mean(), (a,), bwd)
+
+
+REFERENCE_PROB_EPS = 1e-7
+
+
+def reference_bce(p: Tensor, pos_coef: Tensor, neg_coef: Tensor) -> Tensor:
+    """Mean of -(pos_coef * log p + neg_coef * log(1 - p)), with p clamped to
+    [PROB_EPS, 1 - PROB_EPS] so the loss stays finite for any input."""
+    p = reference_clip(p, REFERENCE_PROB_EPS, 1.0 - REFERENCE_PROB_EPS)
+    return reference_neg(reference_mean(add(mul(pos_coef, reference_log(p)),
+                                            mul(neg_coef, reference_log(reference_sub(1.0, p))))))
+
+
+def reference_linear(x, w, b) -> Tensor:
+    """A dense layer as a matmul record followed by a broadcast add."""
+    return add(reference_matmul(x, w), b)

@@ -355,7 +355,8 @@ def test_malformed_input_exits_1_naming_the_file(case, mask_run, tmp_path, capsy
     assert (str(path) if line is None else f"{path}:{line}:") in err
 
 
-# case: (command, config sections, flags, text the error must contain)
+# case: (command, config sections, flags, text the error must contain);
+# eval takes no config, so its cases are flags alone
 BAD_CONFIGS = {
     "scenario_int_as_str": ("generate", {"scenario": {"num_frames": "10"}}, [], "num_frames"),
     "scenario_float_as_bool": ("generate", {"scenario": {"speed_max": True}}, [], "speed_max"),
@@ -369,20 +370,31 @@ BAD_CONFIGS = {
     "infer_threads_2": ("infer", {"infer": {"threads": 2}}, [], "threads"),
     "infer_max_frame_gap_0": ("infer", {"infer": {"max_frame_gap": 0}}, [], "max_frame_gap"),
     "infer_max_frame_gap_flag_0": ("infer", {}, ["--max-frame-gap", "0"], "max_frame_gap"),
+    "infer_tau_1_5": ("infer", {"infer": {"tau": 1.5}}, [], "tau must be in (0, 1)"),
+    "infer_tau_flag_0": ("infer", {}, ["--tau", "0"], "tau must be in (0, 1)"),
+    "eval_iou_min_1_5": ("eval", None, ["--iou-min", "1.5"], "--iou-min must be in (0, 1]"),
+    "eval_iou_min_0": ("eval", None, ["--iou-min", "0"], "--iou-min must be in (0, 1]"),
+    "eval_iou_min_negative": ("eval", None, ["--iou-min", "-1"], "--iou-min must be in (0, 1]"),
+    "eval_iou_min_nan": ("eval", None, ["--iou-min", "nan"], "--iou-min must be in (0, 1]"),
+    "eval_tau_1": ("eval", None, ["--tau", "1"], "--tau must be in (0, 1)"),
+    "eval_tau_negative": ("eval", None, ["--tau", "-0.5"], "--tau must be in (0, 1)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_wrongly_typed_config_exits_1_naming_the_key(case, mask_run, tmp_path, capsys):
     command, sections, flags, named = BAD_CONFIGS[case]
-    cfg = _write_config(tmp_path / "bad.json", **sections)
+    config = [] if sections is None else ["--config", _write_config(tmp_path / "bad.json",
+                                                                    **sections)]
     data, out = str(mask_run / "data"), str(tmp_path / "out")
     argv = {"generate": ["generate", "--out", out],
             "train": ["train", "--data", data, "--out", out],
             "infer": ["infer", "--data", data, "--out", out,
-                      "--checkpoint", str(mask_run / "model" / "checkpoint.json")]}[command]
+                      "--checkpoint", str(mask_run / "model" / "checkpoint.json")],
+            "eval": ["eval", "--data", data, "--run", str(mask_run / "run"),
+                     "--out", str(tmp_path / "report.csv")]}[command]
     capsys.readouterr()
-    assert main(argv + flags + ["--config", cfg]) == 1
+    assert main(argv + flags + config) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
 

@@ -310,3 +310,11 @@ def test_graph_from_edge_list_accepts_detections_without_appearance():
     g = gr.graph_from_edge_list(dets, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
     assert g.edge_pairs() == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert gr.graph_from_edge_list(dets[2:3], []).num_edges == 0
+
+
+def test_both_constructors_reject_a_repeated_node_id():
+    dets = [det(0, 1), det(1, 2, x=20), det(0, 3, x=40)]
+    with pytest.raises(ConfigError, match="^duplicate node id 0$"):
+        gr.build_graph(dets, max_frame_gap=None, top_k=3)
+    with pytest.raises(ConfigError, match="^duplicate node id 0$"):
+        gr.graph_from_edge_list(dets, [(0, 1)])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,46 @@ def test_run_inference_checks_graph_options_without_a_window_to_build(count, opt
         [[d.node_id] for d in dets]
     with pytest.raises(ConfigError, match=message):
         run_inference(dets, params, InferConfig(**{**options, option: 0}))
+
+
+def _count_forwards(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return mpn_forward(*args)
+
+    monkeypatch.setattr("mpnflow.infer.mpn_forward", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.5, float("nan")])
+def test_run_inference_checks_tau_before_any_window_forward(tau, monkeypatch):
+    scenario, params = _inference_fixture()
+    calls = _count_forwards(monkeypatch)
+    options = {"frames_per_graph": 5, "top_k": 3}
+    with pytest.raises(ConfigError, match=r"^tau must be in \(0, 1\), got"):
+        run_inference(scenario.detections, params, InferConfig(**options, tau=tau))
+    assert calls == []
+    run_inference(scenario.detections, params, InferConfig(**options))
+    assert calls
+
+
+def test_run_inference_rejects_a_repeated_node_id_before_any_window_forward(monkeypatch):
+    scenario = generate_scenario(ScenarioConfig(
+        num_frames=40, num_identities=2, detection_dropout=0.0, false_positive_rate=0.0,
+        d_app=8, seed=3))
+    _, params = _inference_fixture()
+    dets = list(scenario.detections)
+    assert len(dets) == 80
+    first = min(range(len(dets)), key=lambda i: dets[i].frame)
+    last = max(range(len(dets)), key=lambda i: dets[i].frame)
+    assert dets[last].frame - dets[first].frame == 39
+    dets[last] = replace(dets[last], node_id=dets[first].node_id)
+    calls = _count_forwards(monkeypatch)
+    with pytest.raises(ConfigError, match=f"^duplicate node id {dets[first].node_id}$"):
+        run_inference(dets, params, InferConfig(frames_per_graph=5, top_k=3))
+    assert calls == []
 
 
 def test_run_inference_emits_masks_when_enabled():

@@ -8,7 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mpnflow").glob("*.py"))
 # the package and the benchmark, which drives it from outside; tests do not count
-READERS = [p.read_text() for p in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))]
+READERS = {p: p.read_text() for p in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,21 +61,48 @@ def test_no_unread_module_level_private_functions_or_classes(path):
     assert unread_private_names(path.read_text()) == []
 
 
-def read_names(source: str) -> set[str]:
-    """Names the source reads, bare or as an attribute."""
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The package module an import-from reads from: "x" for `from .x` or
+    `from mpnflow.x`, "" for `from .` or `from mpnflow`, None outside the package."""
+    name = node.module or ""
+    if not node.level:
+        if name != "mpnflow" and not name.startswith("mpnflow."):
+            return None
+        name = name.removeprefix("mpnflow").lstrip(".")
+    return name.split(".")[0]
+
+
+def reads_through(module: str, source: str) -> set[str]:
+    """Names of the package module that another file reads: a name it
+    imported from the module, or an attribute of the module, bound as
+    `from . import module as m`, `import mpnflow.module as m` or spelled
+    `mpnflow.module`.  A read of the same spelling reaching anything else
+    (a local, another module's name) does not count."""
     nodes = list(ast.walk(ast.parse(source)))
-    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            | {n.attr for n in nodes if isinstance(n, ast.Attribute)
-               and isinstance(n.ctx, ast.Load)})
+    loaded = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    imported, handles = set(), set()
+    for n in nodes:
+        if isinstance(n, ast.ImportFrom) and _package_module(n) == module:
+            imported |= {a.name for a in n.names if (a.asname or a.name) in loaded}
+        elif isinstance(n, ast.ImportFrom) and _package_module(n) == "":
+            handles |= {a.asname or a.name for a in n.names if a.name == module}
+        elif isinstance(n, ast.Import):
+            handles |= {a.asname for a in n.names if a.asname and a.name == f"mpnflow.{module}"}
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+             and (isinstance(n.value, ast.Name) and n.value.id in handles
+                  or ast.unparse(n.value) == f"mpnflow.{module}")}
+    return imported | attrs
 
 
-def unread_public_names(source: str, readers: list[str]) -> list[str]:
-    """Module-level public functions, classes and assigned names in the
-    source that none of the readers reads; list the source among the
-    readers for its own reads to count."""
-    read = set().union(*map(read_names, readers))
+def unread_public_names(module: str, source: str, others: list[str]) -> list[str]:
+    """Module-level public functions, classes and assigned names of the
+    package module that neither its own source reads by name nor any of the
+    other files reads through the module."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read = read.union(*(reads_through(module, other) for other in others))
     bound = []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             bound.append((node.name, node.lineno))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -90,18 +117,28 @@ def test_unread_public_name_check_finds_an_orphan():
     source = ("LIMIT = 3\nTABLE: dict = {}\nA, B = 1, 2\n_hidden = 4\n\n"
               "def used():\n    return LIMIT\n\ndef orphan():\n    pass\n\n"
               "class Kept:\n    pass\n")
-    reader = "from mod import Kept, used\nimport mod\n\nused(mod.TABLE, mod.A, Kept)\n"
-    assert unread_public_names(source, [source, reader]) == ["B (line 3)", "orphan (line 9)"]
-    # a module's own reads count only when it is among the readers
-    assert unread_public_names(source, [reader]) == ["LIMIT (line 1)", "B (line 3)",
-                                                     "orphan (line 9)"]
-    # an import alone is not a read
-    assert "orphan (line 9)" in unread_public_names(source, ["from mod import orphan\n"])
+    reader = "from .mod import Kept, used\nfrom . import mod\n\nused(mod.TABLE, mod.A, Kept)\n"
+    assert unread_public_names("mod", source, [reader]) == ["B (line 3)", "orphan (line 9)"]
+    # every spelling of a read through the module counts
+    for other in ["from mpnflow.mod import orphan as o\no()\n",
+                  "import mpnflow.mod as m\nm.orphan()\n",
+                  "import mpnflow.mod\nmpnflow.mod.orphan()\n",
+                  "from mpnflow import mod\nmod.orphan\n"]:
+        assert unread_public_names("mod", source, [reader, other]) == ["B (line 3)"], other
+    # an import alone is not a read, and neither is the same spelling reaching
+    # a local, another module's name or another object's attribute
+    for other in ["from .mod import orphan\n",
+                  "def f(orphan):\n    return orphan\n",
+                  "from .other import orphan\norphan()\n",
+                  "from . import other\nother.orphan()\n",
+                  "x.orphan()\n"]:
+        assert "orphan (line 9)" in unread_public_names("mod", source, [reader, other]), other
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_module_level_public_name_unread_by_the_package_or_benchmark(path):
-    assert unread_public_names(path.read_text(), READERS) == []
+    others = [text for p, text in READERS.items() if p != path]
+    assert unread_public_names(path.stem, READERS[path], others) == []
 
 
 def scatter_adds(source: str) -> list[str]:
@@ -133,10 +170,9 @@ def package_imports(source: str) -> list[str]:
     or absolute name, anywhere in the file."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "mpnflow"
-                                                 or node.module.startswith("mpnflow.")):
-            inner = (node.module or "").removeprefix("mpnflow").lstrip(".")
-            found += [inner.split(".")[0]] if inner else [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and _package_module(node) is not None:
+            inner = _package_module(node)
+            found += [inner] if inner else [a.name for a in node.names]
         elif isinstance(node, ast.Import):
             found += [a.name.split(".")[1] for a in node.names if a.name.startswith("mpnflow.")]
             found += ["mpnflow" for a in node.names if a.name == "mpnflow"]

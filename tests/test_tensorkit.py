@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import (ReferenceAdamState, reference_adam_step, reference_conv2d,
-                     reference_segment_softmax, reference_segment_sum)
+from oracles import (ReferenceAdamState, reference_adam_step, reference_bce, reference_conv2d,
+                     reference_linear, reference_segment_softmax, reference_segment_sum)
 
 from mpnflow import tensorkit as tk
 from mpnflow.errors import CheckpointError, GradientError, ShapeError
@@ -64,12 +64,14 @@ def test_backward_rejects_non_scalar():
         tk.backward(y)
 
 
-def test_matmul_shape_error_names_both_shapes():
-    a = tk.Tensor(np.zeros((2, 3)))
-    b = tk.Tensor(np.zeros((4, 5)))
+def test_linear_shape_error_names_the_shapes():
+    x = tk.Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError) as e:
-        tk.matmul(a, b)
+        tk.linear(x, np.zeros((4, 5)), np.zeros(5))
     assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
+    with pytest.raises(ShapeError) as e:
+        tk.linear(x, np.zeros((3, 5)), np.zeros(4))
+    assert "(3, 5)" in str(e.value) and "(4,)" in str(e.value)
 
 
 def test_dense_forward_identity_layer_is_identity():
@@ -199,6 +201,85 @@ def test_conv2d_matches_reference_bit_for_bit(case):
         assert gx is None and ref_gx is None
     assert gw.shape == kmat.shape and gw.tobytes() == ref_gw.tobytes()
     assert gb.shape == bias.shape and gb.tobytes() == ref_gb.tobytes()
+
+
+def _signed_zeros(rng, x, frac):
+    """x with about frac of its entries set to +0.0 or -0.0."""
+    zero = rng.random(x.shape) < frac
+    x[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return x
+
+
+@st.composite
+def linear_cases(draw):
+    """Input, weights and bias with signed zeros, batches of 0 to 5 rows,
+    and the upstream gradients of one to three consumers of the layer."""
+    n, fin, fout = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, w, b = (_signed_zeros(rng, rng.normal(size=shape), 0.3)
+               for shape in ((n, fin), (fin, fout), (fout,)))
+    upstreams = [_signed_zeros(rng, rng.normal(size=(n, fout)), 0.3)
+                 for _ in range(draw(st.integers(1, 3)))]
+    return x, w, b, upstreams
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=linear_cases())
+def test_linear_matches_matmul_then_add_bit_for_bit(case):
+    x, w, b, upstreams = case
+    results = []
+    for linear in (tk.linear, reference_linear):
+        ts = [tk.Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        # every consumer reads x, w and b, so each gradient sums in tape order
+        outs = [linear(*ts) for _ in upstreams]
+        loss = tk.tsum(tk.mul(outs[0], tk.Tensor(upstreams[0])))
+        for out, up in zip(outs[1:], upstreams[1:]):
+            loss = tk.add(loss, tk.tsum(tk.mul(out, tk.Tensor(up))))
+        tk.backward(loss)
+        results.append([outs[0].data, loss.data] + [t.grad for t in ts])
+    for got, want in zip(*results):
+        assert _same_bits(got, want)
+
+
+# the clamp's edges and values on both sides of them
+BCE_EDGES = np.array([0.0, -0.0, 1.0, 1e-7, 1.0 - 1e-7])
+
+
+@st.composite
+def bce_cases(draw):
+    """Probabilities in [-0.5, 1.5] with the clamp's edges mixed in,
+    coefficients with signed zeros, one to three steps over one leaf (the
+    first unscaled, so the edges reach bce as drawn), and an upstream factor
+    that may be a signed zero."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 12)),
+                           st.tuples(*[st.integers(1, 4)] * 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.uniform(-0.5, 1.5, size=shape)
+    edge = rng.random(shape) < 0.4
+    p[edge] = rng.choice(BCE_EDGES, size=int(edge.sum()))
+    pos, neg = (_signed_zeros(rng, rng.uniform(0.0, 10.0, size=shape), 0.3) for _ in range(2))
+    scales = [1.0] + draw(st.lists(st.sampled_from([1.0, 0.5, 2.0]), max_size=2))
+    factor = draw(st.sampled_from([1.0, -1.0, 0.0, -0.0, 3.5]))
+    return p, pos, neg, scales, factor
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=bce_cases())
+def test_bce_matches_the_reference_chain_bit_for_bit(case):
+    p, pos, neg, scales, factor = case
+    results = []
+    for bce in (tk.bce, reference_bce):
+        # the steps share one leaf, as the loss's steps share the model
+        leaf = tk.Tensor(p.copy(), requires_grad=True)
+        terms = [bce(tk.mul(leaf, s), tk.Tensor(pos), tk.Tensor(neg)) for s in scales]
+        total = terms[0]
+        for term in terms[1:]:
+            total = tk.add(total, term)
+        loss = tk.mul(tk.mul(total, 1.0 / len(terms)), factor)
+        tk.backward(loss)
+        results.append([terms[0].data, loss.data, leaf.grad])
+    for got, want in zip(*results):
+        assert _same_bits(got, want)
 
 
 def test_segment_softmax_sums_to_one_per_segment():
@@ -395,12 +476,23 @@ def test_adam_rejects_a_parameter_list_other_than_the_first_steps(changed):
     assert state.step == 1 and all(np.all(p.data == 2.0) for _, p in params)
 
 
-def test_clip_clamps_and_passes_gradient_inside():
-    x = tk.Tensor([0.5, 2.0, -1.0], requires_grad=True)
-    y = tk.clip(x, 0.0, 1.0)
-    assert np.array_equal(y.data, [0.5, 1.0, 0.0])
-    tk.backward(tk.tsum(y))
-    assert np.array_equal(x.grad, [1.0, 0.0, 0.0])
+def test_bce_clamps_and_passes_gradient_inside():
+    eps = tk.PROB_EPS
+    p = tk.Tensor([0.5, 2.0, -1.0, eps, 1.0 - eps], requires_grad=True)
+    loss = tk.bce(p, np.ones(5), np.zeros(5))
+    # log of the clamped values, so finite; unclamped, 2.0 and -1.0 give nan
+    q = np.array([0.5, 1.0 - eps, eps, eps, 1.0 - eps])
+    assert loss.item() == pytest.approx(-np.mean(np.log(q)), rel=1e-15)
+    tk.backward(loss)
+    # d/dp of -log(p) / 5 at 0.5; nothing outside or on the clamp's bounds
+    assert np.array_equal(p.grad, [-0.4, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_bce_rejects_coefficients_of_another_shape_and_empty_input():
+    with pytest.raises(ShapeError, match=r"\(3, 1\) and \(3,\) do not match probabilities \(3,\)"):
+        tk.bce(np.full(3, 0.5), np.ones((3, 1)), np.ones(3))
+    with pytest.raises(ShapeError, match="empty"):
+        tk.bce(np.zeros(0), np.zeros(0), np.zeros(0))
 
 
 def test_adam_single_step_moves_by_learning_rate():
@@ -478,12 +570,10 @@ def test_grad_check_small_mlp_below_tolerance():
     rng = np.random.default_rng(10)
     stack = tk.DenseStack([3, 5, 1], out_activation="sigmoid", rng=rng, name="mlp")
     x = tk.Tensor(rng.normal(size=(4, 3)))
-    target = tk.Tensor(rng.uniform(0.2, 0.8, size=(4, 1)))
+    target = rng.uniform(0.2, 0.8, size=(4, 1))
 
     def f():
-        p = tk.clip(stack(x), 1e-7, 1 - 1e-7)
-        return tk.neg(tk.mean(tk.add(tk.mul(target, tk.log(p)),
-                                     tk.mul(tk.sub(1.0, target), tk.log(tk.sub(1.0, p))))))
+        return tk.bce(stack(x), target, 1.0 - target)
 
     err = tk.grad_check(f, stack.parameters(), fd_step=1e-6)
     assert err < 1e-4
@@ -519,10 +609,10 @@ def test_grad_check_rejects_parameter_without_gradient():
 
 
 def test_grad_check_rejects_non_finite_analytic_gradient():
-    w = tk.Tensor(np.array([0.0]), requires_grad=True, name="w")
-    # clip cuts the -inf log to a finite loss; log's backward gives 0/0
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(GradientError) as e:
-        tk.grad_check(lambda: tk.tsum(tk.clip(tk.log(w), -10.0, 10.0)), [("w", w)])
+    w = tk.Tensor(np.array([1.0]), requires_grad=True, name="w")
+    # the inf factor reaches w's gradient; grad_check must not average it in
+    with pytest.raises(GradientError) as e:
+        tk.grad_check(lambda: tk.tsum(tk.mul(w, np.inf)), [("w", w)])
     assert "non-finite gradient in parameter group w" in str(e.value)
 
 
