@@ -1,18 +1,20 @@
 """Tracking graphs over detections.
 
-Nodes are detections, edges connect detections in different frames that
-could belong to the same object.  Candidate edges are limited by a frame
-gap and pruned to mutual top-k nearest neighbors in appearance space.
-Nodes are held in a content-keyed canonical order (frame, box, id) so a
-relabeling of node ids leaves every internal array, and therefore every
-downstream float operation, unchanged.  The flow constraints on edge labels
-(at most one active edge into the past and one into the future per node)
-are counted and checked here for training and inference alike.
+A sequence's detections become per-node arrays once, in a NodeTable, and
+windows are row indices into it.  Nodes are detections, edges connect
+detections in different frames that could belong to the same object.
+Candidate edges are limited by a frame gap and pruned to mutual top-k
+nearest neighbors in appearance space.  Nodes are held in a content-keyed
+canonical order (frame, box, id) so a relabeling of node ids leaves every
+internal array, and therefore every downstream float operation, unchanged.
+The flow constraints on edge labels (at most one active edge into the past
+and one into the future per node) are counted and checked here for training
+and inference alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +22,97 @@ from .errors import ConfigError, FeasibilityError
 from .synthdata import Detection, Scenario
 
 
+def _payload(ids: np.ndarray, values: list, what: str) -> np.ndarray:
+    """Each detection's array, or None, in one object array; every array of a
+    kind must have the first one's shape."""
+    shape = next((np.shape(v) for v in values if v is not None), None)
+    for nid, v in zip(ids, values):
+        if v is not None and np.shape(v) != shape:
+            raise ConfigError(f"detection {nid}: {what} {np.shape(v)} does not match {shape}")
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _check_finite(ids: np.ndarray, rows: np.ndarray, what: str) -> None:
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"detection {ids[np.argmin(finite)]} has a non-finite {what}")
+
+
+@dataclass
+class NodeTable:
+    """Detections as parallel arrays, one row per node.  A payload column
+    (appearance, roi, gt_masks) holds each detection's own array, or None,
+    and is stacked where it is read."""
+
+    ids: np.ndarray                      # (n,) int64
+    frames: np.ndarray                   # (n,) int64
+    boxes: np.ndarray                    # (n, 4) float64: x, y, w, h
+    appearance: np.ndarray               # (n,) objects: (d_app,) arrays
+    roi: np.ndarray                      # (n,) objects: (H, W, d_roi) arrays
+    gt_masks: np.ndarray                 # (n,) objects: (H, W) arrays
+
+    @classmethod
+    def from_detections(cls, detections: list[Detection]) -> NodeTable:
+        """The one conversion of detections to arrays, in input order, with
+        every check a graph relies on: unique ids, finite boxes and
+        appearance vectors, and one shape per payload."""
+        ids = np.fromiter((d.node_id for d in detections), np.int64, len(detections))
+        repeat = np.ones(len(ids), dtype=bool)
+        repeat[np.unique(ids, return_index=True)[1]] = False
+        if repeat.any():
+            raise ConfigError(f"duplicate node id {ids[np.argmax(repeat)]}")
+        boxes = np.asarray([d.box for d in detections], dtype=np.float64).reshape(-1, 4)
+        _check_finite(ids, boxes, "box")
+        app = _payload(ids, [d.appearance for d in detections], "appearance vector")
+        has_app = np.fromiter((v is not None for v in app), bool, len(app))
+        if has_app.any():
+            _check_finite(ids[has_app], np.stack(app[has_app]), "appearance vector")
+        return cls(ids, np.fromiter((d.frame for d in detections), np.int64, len(ids)), boxes,
+                   app, _payload(ids, [d.roi_grid for d in detections], "roi grid"),
+                   _payload(ids, [d.gt_mask for d in detections], "mask"))
+
+    def take(self, rows: np.ndarray) -> NodeTable:
+        return NodeTable(*(col[rows] for col in vars(self).values()))
+
+    def canonical(self) -> NodeTable:
+        """The rows sorted by (frame, box, id): content first, so relabeled
+        ids cannot reorder distinct boxes, or the float sums over them."""
+        x, y, w, h = self.boxes.T
+        return self.take(np.lexsort((self.ids, h, w, y, x, self.frames)))
+
+    def stack(self, column: str, what: str) -> np.ndarray:
+        """A payload column stacked into one array, or a ConfigError naming
+        the first detection without one."""
+        values = getattr(self, column)
+        missing = next((i for i, v in enumerate(values) if v is None), None)
+        if missing is not None:
+            raise ConfigError(f"detection {self.ids[missing]} has no {what}")
+        return np.stack(values)
+
+
+def _as_table(nodes: NodeTable | list[Detection]) -> NodeTable:
+    return nodes if isinstance(nodes, NodeTable) else NodeTable.from_detections(nodes)
+
+
 @dataclass
 class TrackGraph:
     """Immutable edge structure; embeddings live with the forward pass."""
 
-    detections: list[Detection]              # canonical node order
-    edge_src: np.ndarray                     # positions into detections, earlier frame
-    edge_dst: np.ndarray                     # positions, later frame
-    node_ids: np.ndarray = field(init=False)
-    frames: np.ndarray = field(init=False)
+    nodes: NodeTable                         # canonical node order
+    edge_src: np.ndarray                     # node positions, earlier frame
+    edge_dst: np.ndarray                     # node positions, later frame
 
-    def __post_init__(self):
-        self.node_ids = np.asarray([d.node_id for d in self.detections], dtype=np.int64)
-        self.frames = np.asarray([d.frame for d in self.detections], dtype=np.int64)
+    @property
+    def node_ids(self) -> np.ndarray:
+        return self.nodes.ids
+
+    @property
+    def frames(self) -> np.ndarray:
+        return self.nodes.frames
 
     @property
     def num_nodes(self) -> int:
-        return len(self.detections)
+        return len(self.nodes.ids)
 
     @property
     def num_edges(self) -> int:
@@ -46,12 +122,6 @@ class TrackGraph:
         """Edges as (node_id_earlier, node_id_later) pairs in edge order."""
         return [(int(self.node_ids[u]), int(self.node_ids[v]))
                 for u, v in zip(self.edge_src, self.edge_dst)]
-
-
-def _canonical_order(detections: list[Detection]) -> list[Detection]:
-    # sort key uses detection content first so relabeled ids cannot change
-    # the order (and with it the float summation order) of distinct boxes
-    return sorted(detections, key=lambda d: (d.frame, d.box, d.node_id))
 
 
 def _app_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,37 +139,23 @@ def _check_graph_options(max_frame_gap: int | None, top_k: int) -> None:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
 
 
-def _check_unique_ids(detections: list[Detection]) -> None:
-    """The node id rule of every graph constructor: each id names one detection."""
-    seen = set()
-    for d in detections:
-        if d.node_id in seen:
-            raise ConfigError(f"duplicate node id {d.node_id}")
-        seen.add(d.node_id)
-
-
-def build_graph(detections: list[Detection], max_frame_gap: int | None,
+def build_graph(nodes: NodeTable | list[Detection], max_frame_gap: int | None,
                 top_k: int) -> TrackGraph:
     """Connect detections across frames, then keep mutual top-k neighbors.
 
-    Detections at most max_frame_gap frames apart are candidates; None sets
-    no gap limit, so a window's graph spans the whole window.  Ranking uses
-    Euclidean distance between appearance vectors, ties broken by lower node
-    id.  Edges always point from the earlier frame to the later one.
+    nodes is a node table, or detections to convert with
+    NodeTable.from_detections.  Detections at most max_frame_gap frames
+    apart are candidates; None sets no gap limit, so a window's graph spans
+    the whole window.  Ranking uses Euclidean distance between appearance
+    vectors, ties broken by lower node id.  Edges always point from the
+    earlier frame to the later one.
     """
     _check_graph_options(max_frame_gap, top_k)
-    _check_unique_ids(detections)
-    for d in detections:
-        if d.appearance is None:
-            raise ConfigError(f"detection {d.node_id} has no appearance vector")
-    ordered = _canonical_order(detections)
-    if not ordered:
-        return TrackGraph([], np.zeros(0, np.int64), np.zeros(0, np.int64))
-    frames, ids = np.asarray([(d.frame, d.node_id) for d in ordered], dtype=np.int64).T
-    app = np.stack([d.appearance for d in ordered])
-    finite = np.isfinite(app).all(axis=1)
-    if not finite.all():
-        raise ConfigError(f"detection {ids[np.argmin(finite)]} has a non-finite appearance vector")
+    nodes = _as_table(nodes).canonical()
+    frames, ids, n = nodes.frames, nodes.ids, len(nodes.ids)
+    if not n:
+        return TrackGraph(nodes, np.zeros(0, np.int64), np.zeros(0, np.int64))
+    app = nodes.stack("appearance", "appearance vector")
 
     gap = frames[None, :] - frames[:, None]
     candidate = gap >= 1                              # u earlier than v
@@ -108,7 +164,7 @@ def build_graph(detections: list[Detection], max_frame_gap: int | None,
     # distances of candidate pairs only, mirrored: a - b and b - a square to
     # the same values; the other entries rank last and are never read
     cu, cv = np.nonzero(candidate)
-    dist = np.zeros((len(ordered), len(ordered)))
+    dist = np.zeros((n, n))
     dist[cu, cv] = dist[cv, cu] = _app_dist(app[cu], app[cv])
 
     # per node: partners in either direction ranked by (distance, node id),
@@ -123,17 +179,15 @@ def build_graph(detections: list[Detection], max_frame_gap: int | None,
 
     # row-major nonzero order is already sorted by (src, dst)
     src, dst = np.nonzero(candidate & keep & keep.T)
-    return TrackGraph(ordered, src.astype(np.int64), dst.astype(np.int64))
+    return TrackGraph(nodes, src.astype(np.int64), dst.astype(np.int64))
 
 
-def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
+def graph_from_edge_list(nodes: NodeTable | list[Detection], pairs) -> TrackGraph:
     """Build a graph from explicit (node_id, node_id) cross-frame pairs,
-    given as a sequence of 2-tuples or an (n, 2) integer array."""
-    _check_unique_ids(detections)
-    ordered = _canonical_order(detections)
-    n = len(ordered)
-    ids = np.asarray([d.node_id for d in ordered], dtype=np.int64)
-    frames = np.asarray([d.frame for d in ordered], dtype=np.int64)
+    given as a sequence of 2-tuples or an (n, 2) integer array, over a node
+    table or detections to convert with NodeTable.from_detections."""
+    nodes = _as_table(nodes).canonical()
+    ids, frames, n = nodes.ids, nodes.frames, len(nodes.ids)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if n == 0 and len(pairs):
         raise ConfigError(f"edge ({pairs[0, 0]}, {pairs[0, 1]}) references unknown node ids")
@@ -152,12 +206,13 @@ def graph_from_edge_list(detections: list[Detection], pairs) -> TrackGraph:
     earlier, later = np.where(frame_i < frame_j, at.T, at.T[::-1])
     # sorted keys give the distinct edges in row-major (src, dst) order
     src, dst = np.divmod(np.unique(earlier * n + later), max(n, 1))
-    return TrackGraph(ordered, src, dst)
+    return TrackGraph(nodes, src, dst)
 
 
-def split_windows(detections: list[Detection], frames_per_graph: int) -> list[list[Detection]]:
-    """The detections of each frame window [f, f + n - 1], for every present
-    start frame f whose window fits, each window in input order.
+def split_windows(detections: list[Detection], frames_per_graph: int) -> list[np.ndarray]:
+    """Row indices into detections, and so into the node table made from
+    them, of each frame window [f, f + n - 1], for every present start
+    frame f whose window fits, each window in input order.
 
     A sequence spanning at most n frames yields exactly one window holding
     everything.  Consecutive windows overlap by n - 1 frames.
@@ -175,7 +230,7 @@ def split_windows(detections: list[Detection], frames_per_graph: int) -> list[li
     starts = present[fits]
     lo = np.searchsorted(frames, starts)
     hi = np.searchsorted(frames, starts + frames_per_graph - 1, side="right")
-    return [[detections[i] for i in np.sort(order[a:b]).tolist()] for a, b in zip(lo, hi)]
+    return [np.sort(order[a:b]) for a, b in zip(lo, hi)]
 
 
 def ground_truth_labels(graph: TrackGraph, scenario: Scenario) -> np.ndarray:

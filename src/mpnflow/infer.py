@@ -18,8 +18,8 @@ from scipy.optimize import linear_sum_assignment
 
 from . import tensorkit as tk
 from .errors import ConfigError, ParseError, read_text
-from .graph import (ConstraintReport, TrackGraph, _assert_feasible, _check_graph_options,
-                    _check_unique_ids, _degrees, build_graph, check_constraints,
+from .graph import (ConstraintReport, NodeTable, TrackGraph, _assert_feasible,
+                    _check_graph_options, _degrees, build_graph, check_constraints,
                     graph_from_edge_list, split_windows, violating_edges)
 from .mpn import ModelParams, mpn_forward, predict_masks
 from .synthdata import Box, Detection
@@ -195,14 +195,14 @@ def run_inference(detections: list[Detection], params: ModelParams, cfg: InferCo
     """Classify each window, average every edge and node over its windows in
     window order, round, and extract tracks."""
     cfg.validate()
-    _check_unique_ids(detections)
+    table = NodeTable.from_detections(detections)
     mpn_cfg = params.config
     srcs, dsts, probs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     mask_ids, grids = [np.zeros(0, np.int64)], [np.zeros((0, mpn_cfg.roi_h, mpn_cfg.roi_w))]
-    for dets_w in split_windows(detections, cfg.frames_per_graph):
-        if len(dets_w) < 2:
+    for rows in split_windows(detections, cfg.frames_per_graph):
+        if len(rows) < 2:
             continue
-        g = build_graph(dets_w, max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k)
+        g = build_graph(table.take(rows), max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k)
         with tk.no_grad():
             state = mpn_forward(g, params)
             if mpn_cfg.with_masks:
@@ -218,7 +218,7 @@ def run_inference(detections: list[Detection], params: ModelParams, cfg: InferCo
     pair_keys = list(map(tuple, pairs.tolist()))
     edge_probs = dict(zip(pair_keys, mean.tolist()))
 
-    union = graph_from_edge_list(detections, pairs)
+    union = graph_from_edge_list(table, pairs)
     # the union's edges are exactly the pairs; by_pair[i] is pair i's edge
     by_pair = np.lexsort((union.node_ids[union.edge_dst], union.node_ids[union.edge_src]))
     probs_arr = np.empty(len(mean))

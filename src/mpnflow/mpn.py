@@ -182,9 +182,8 @@ def edge_feature_matrix(graph: TrackGraph, app: np.ndarray) -> np.ndarray:
     edge joining equal frames or a box with non-positive size is a
     ConfigError naming the first such edge.
     """
-    boxes = np.asarray([d.box for d in graph.detections], dtype=np.float64).reshape(-1, 4)
     u, v = graph.edge_src, graph.edge_dst
-    box_u, box_v = boxes[u], boxes[v]
+    box_u, box_v = graph.nodes.boxes[u], graph.nodes.boxes[v]
     equal_frames = graph.frames[u] == graph.frames[v]
     bad = equal_frames | (box_u[:, 2:] <= 0).any(axis=1) | (box_v[:, 2:] <= 0).any(axis=1)
     if bad.any():
@@ -203,7 +202,7 @@ def edge_feature_matrix(graph: TrackGraph, app: np.ndarray) -> np.ndarray:
 
 
 def _appearance(graph: TrackGraph, params: ModelParams) -> np.ndarray:
-    app = np.stack([d.appearance for d in graph.detections]) if graph.num_nodes \
+    app = graph.nodes.stack("appearance", "appearance vector") if graph.num_nodes \
         else np.zeros((0, params.d_app))
     if app.shape[1] != params.d_app:
         raise ConfigError(f"appearance dim {app.shape[1]} does not match model {params.d_app}")
@@ -211,17 +210,14 @@ def _appearance(graph: TrackGraph, params: ModelParams) -> np.ndarray:
 
 
 def _roi_tensor(graph: TrackGraph, config: MpnConfig) -> tk.Tensor:
-    grids = []
-    for d in graph.detections:
-        if d.roi_grid is None:
-            raise ConfigError(f"detection {d.node_id} has no roi grid but masks are enabled")
-        if d.roi_grid.shape != (config.roi_h, config.roi_w, config.d_roi):
-            raise ConfigError(
-                f"detection {d.node_id}: roi grid {d.roi_grid.shape} does not match "
-                f"({config.roi_h}, {config.roi_w}, {config.d_roi})")
-        grids.append(d.roi_grid)
-    data = np.stack(grids) if grids else np.zeros((0, config.roi_h, config.roi_w, config.d_roi))
-    return tk.Tensor(data)
+    shape = (config.roi_h, config.roi_w, config.d_roi)
+    if not graph.num_nodes:
+        return tk.Tensor(np.zeros((0,) + shape))
+    roi = graph.nodes.stack("roi", "roi grid but masks are enabled")
+    if roi.shape[1:] != shape:
+        raise ConfigError(
+            f"detection {graph.node_ids[0]}: roi grid {roi.shape[1:]} does not match {shape}")
+    return tk.Tensor(roi)
 
 
 def attention_weights(state: MpnState, params: ModelParams, l: int) -> tuple[tk.Tensor, tk.Tensor]:

@@ -8,8 +8,10 @@ one flat vector, finite-difference gradient checking, and a JSON parameter
 container.  Every sum by segment id (segment sums, softmax denominators,
 gather gradients) is one product with a prebuilt scipy sparse ones-matrix, a
 Segments, that adds in the same order as a scatter-add.  All arithmetic is
-64-bit and single-threaded, so results are reproducible bit for bit.  The
-module imports nothing from the package but its errors.
+64-bit and reproducible bit for bit for a fixed BLAS thread count: OpenBLAS
+splits large products across threads with other rounding (a 30-identity,
+40-frame scenario trains to other parameters under OPENBLAS_NUM_THREADS=1
+and 2).  The module imports nothing from the package but its errors.
 """
 
 from __future__ import annotations

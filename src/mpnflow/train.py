@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensorkit as tk
 from .errors import ConfigError, TrainingError
-from .graph import _check_graph_options, build_graph, ground_truth_labels, split_windows
+from .graph import NodeTable, _check_graph_options, build_graph, ground_truth_labels, split_windows
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
-from .synthdata import Detection, Scenario, ScenarioConfig, generate_scenario
+from .synthdata import Scenario, ScenarioConfig, generate_scenario
 
 log = logging.getLogger(__name__)
 
@@ -116,24 +116,23 @@ def mask_loss(masks_by_step: dict[int, tk.Tensor],
                        for l in steps])
 
 
-def augment(detections: list[Detection], p_drop: float, shift_std: float,
-            rng: np.random.Generator) -> list[Detection]:
-    """Randomly drop detections and jitter surviving boxes.
+def augment(boxes: np.ndarray, p_drop: float, shift_std: float,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Randomly drop rows of an (n, 4) box array and jitter the survivors.
 
-    Widths and heights stay floored at one pixel.  Identities, appearance
-    vectors, and mask payloads are carried over untouched, so labels can be
-    recomputed on the augmented graph.
+    Returns the kept row positions and their jittered boxes.  Each row draws
+    one uniform, then, unless dropped, two normal pairs; widths and heights
+    stay floored at one pixel.
     """
-    out = []
-    for d in detections:
+    kept, out = [], []
+    for i, (x, y, w, h) in enumerate(boxes.tolist()):
         if rng.uniform() < p_drop:
             continue
-        x, y, w, h = d.box
         dx, dy = rng.normal(0.0, shift_std, size=2)
         dw, dh = rng.normal(0.0, shift_std, size=2)
-        box = (x + dx, y + dy, max(w + dw, 1.0), max(h + dh, 1.0))
-        out.append(replace(d, box=box))
-    return out
+        kept.append(i)
+        out.append((x + dx, y + dy, max(w + dw, 1.0), max(h + dh, 1.0)))
+    return np.asarray(kept, dtype=np.int64), np.asarray(out, dtype=np.float64).reshape(-1, 4)
 
 
 def joint_loss(state, params: ModelParams, labels_arr: np.ndarray,
@@ -144,7 +143,7 @@ def joint_loss(state, params: ModelParams, labels_arr: np.ndarray,
     if params.config.with_masks:
         masks_by_step = {l: predict_masks(state, params, step=l)
                          for l in state.recorded_steps()}
-        loss_m = mask_loss(masks_by_step, gt_masks or [])
+        loss_m = mask_loss(masks_by_step, [] if gt_masks is None else gt_masks)
         mask_val = loss_m.item()
         total = tk.add(loss_e, loss_m)
     report = LossReport(iteration=0, edge=loss_e.item(), mask=mask_val,
@@ -152,13 +151,15 @@ def joint_loss(state, params: ModelParams, labels_arr: np.ndarray,
     return total, report
 
 
-def _sample_graph(windows: list[list[Detection]], cfg: TrainConfig, rng):
+def _sample_graph(nodes: NodeTable, windows: list[np.ndarray], cfg: TrainConfig, rng):
     for _ in range(50):
-        dets = windows[rng.integers(len(windows))]
-        aug = augment(dets, cfg.node_drop_p, cfg.box_shift_std, rng)
-        if len(aug) < 2:
+        rows = windows[rng.integers(len(windows))]
+        kept, boxes = augment(nodes.boxes[rows], cfg.node_drop_p, cfg.box_shift_std, rng)
+        if len(kept) < 2:
             continue
-        graph = build_graph(aug, max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k)
+        window = nodes.take(rows[kept])
+        window.boxes = boxes
+        graph = build_graph(window, max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k)
         if graph.num_edges == 0:
             continue
         return graph
@@ -179,8 +180,10 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
     mpn_cfg.validate()
     if not scenarios or all(not s.detections for s in scenarios):
         raise ConfigError("training needs at least one scenario with detections")
-    d_app = next((d.appearance.size for s in scenarios for d in s.detections
-                  if d.appearance is not None), None)
+    usable = [(s, NodeTable.from_detections(s.detections),
+               split_windows(s.detections, cfg.frames_per_graph))
+              for s in scenarios if s.detections]
+    d_app = next((v.size for _, t, _ in usable for v in t.appearance if v is not None), None)
     if d_app is None:
         raise ConfigError("training scenarios carry no appearance vectors")
     if params is None:
@@ -188,8 +191,6 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
     elif params.config != mpn_cfg:
         raise ConfigError(f"params were built for {params.config}, not for {mpn_cfg}")
     rng = np.random.default_rng([cfg.seed, 0x5EED])
-    usable = [(s, split_windows(s.detections, cfg.frames_per_graph))
-              for s in scenarios if s.detections]
     adam = tk.AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                         weight_decay=cfg.weight_decay)
     named = params.named_parameters()
@@ -198,11 +199,11 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
         params.zero_grad()
         agg = LossReport(iteration=it, edge=0.0, mask=0.0, total=0.0)
         for _ in range(cfg.graphs_per_step):
-            scenario, windows = usable[rng.integers(len(usable))]
-            graph = _sample_graph(windows, cfg, rng)
+            scenario, nodes, windows = usable[rng.integers(len(usable))]
+            graph = _sample_graph(nodes, windows, cfg, rng)
             labels = ground_truth_labels(graph, scenario)
             state = mpn_forward(graph, params)
-            gt_masks = [d.gt_mask for d in graph.detections] if mpn_cfg.with_masks else None
+            gt_masks = graph.nodes.gt_masks if mpn_cfg.with_masks else None
             total, report = joint_loss(state, params, labels, gt_masks)
             if not np.isfinite(report.total):
                 raise TrainingError(f"non-finite loss at iteration {it}")
@@ -239,15 +240,14 @@ def build_gradcheck_case(with_masks: bool, seed: int = 0):
                             false_positive_rate=0.3, roi_h=4, roi_w=4, d_roi=2,
                             seed=seed)
     scenario = generate_scenario(sc_cfg)
-    dets = scenario.detections[:10]
-    scenario = replace(scenario, detections=dets)
-    graph = build_graph(dets, max_frame_gap=4, top_k=3)
+    graph = build_graph(NodeTable.from_detections(scenario.detections[:10]),
+                        max_frame_gap=4, top_k=3)
     labels = ground_truth_labels(graph, scenario)
     mpn_cfg = MpnConfig(num_steps=2, variant="time_aware", with_masks=with_masks,
                         d_node=4, d_edge=3, hidden=4, conv_hidden=2,
                         roi_h=4, roi_w=4, d_roi=2)
     params = ModelParams(mpn_cfg, d_app=3, seed=seed + 1)
-    gt_masks = [d.gt_mask for d in graph.detections]
+    gt_masks = graph.nodes.gt_masks
 
     def f():
         state = mpn_forward(graph, params)

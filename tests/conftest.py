@@ -13,7 +13,7 @@ import pytest
 from scoring import constraint_rate, gt_boxes_from_scenario, track_boxes
 
 from mpnflow import tensorkit as tk
-from mpnflow.graph import build_graph, split_windows
+from mpnflow.graph import NodeTable, build_graph, split_windows
 from mpnflow.infer import InferConfig, run_inference, threshold
 from mpnflow.metrics import idf1
 from mpnflow.mpn import MpnConfig, mpn_forward
@@ -92,10 +92,11 @@ class ModelBank:
         """(graph, thresholded labels) for every validation window."""
         pairs = []
         for sc in self.val_scenarios:
-            for dets in split_windows(sc.detections, FRAMES_PER_GRAPH):
-                if len(dets) < 2:
+            nodes = NodeTable.from_detections(sc.detections)
+            for rows in split_windows(sc.detections, FRAMES_PER_GRAPH):
+                if len(rows) < 2:
                     continue
-                g = build_graph(dets, max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
+                g = build_graph(nodes.take(rows), max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
                 if g.num_edges == 0:
                     continue
                 with tk.no_grad():

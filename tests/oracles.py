@@ -2,6 +2,7 @@
 random inputs to compare them on."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mpnflow.errors import ConfigError, FeasibilityError, ShapeError
-from mpnflow.graph import ConstraintReport, TrackGraph, _canonical_order, graph_from_edge_list
+from mpnflow.graph import ConstraintReport, NodeTable, TrackGraph, graph_from_edge_list
 from mpnflow.infer import threshold, violating_edges
 from mpnflow.synthdata import Detection
 from mpnflow.tensorkit import (AdamState, Tensor, _accum, _checked_grad, _live, _record,
@@ -97,7 +98,33 @@ def hand_built_graphs(draw, max_nodes=12):
     pairs = [(u, v) for u in range(len(ids)) for v in range(len(ids)) if u != v]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
     src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-    return TrackGraph(dets, src.copy(), dst.copy())
+    return TrackGraph(NodeTable.from_detections(dets), src.copy(), dst.copy())
+
+
+def reference_canonical_order(detections):
+    """The canonical node order as a Python sort on (frame, box, id)."""
+    # sort key uses detection content first so relabeled ids cannot change
+    # the order (and with it the float summation order) of distinct boxes
+    return sorted(detections, key=lambda d: (d.frame, d.box, d.node_id))
+
+
+def reference_augment(detections, p_drop, shift_std, rng):
+    """augment on a Detection list: one dataclasses.replace per survivor.
+
+    Widths and heights stay floored at one pixel.  Identities, appearance
+    vectors, and mask payloads are carried over untouched, so labels can be
+    recomputed on the augmented graph.
+    """
+    out = []
+    for d in detections:
+        if rng.uniform() < p_drop:
+            continue
+        x, y, w, h = d.box
+        dx, dy = rng.normal(0.0, shift_std, size=2)
+        dw, dh = rng.normal(0.0, shift_std, size=2)
+        box = (x + dx, y + dy, max(w + dw, 1.0), max(h + dh, 1.0))
+        out.append(replace(d, box=box))
+    return out
 
 
 def _reference_distances(app):
@@ -119,10 +146,11 @@ def reference_build_graph(detections, max_frame_gap, top_k):
         if d.node_id in seen:
             raise ConfigError(f"duplicate node id {d.node_id}")
         seen.add(d.node_id)
-    ordered = _canonical_order(detections)
+    ordered = reference_canonical_order(detections)
     n = len(ordered)
     if n == 0:
-        return TrackGraph([], np.zeros(0, np.int64), np.zeros(0, np.int64))
+        return TrackGraph(NodeTable.from_detections([]), np.zeros(0, np.int64),
+                          np.zeros(0, np.int64))
     frames = np.asarray([d.frame for d in ordered])
     ids = np.asarray([d.node_id for d in ordered])
     dist = _reference_distances(np.stack([d.appearance for d in ordered]))
@@ -143,12 +171,12 @@ def reference_build_graph(detections, max_frame_gap, top_k):
     edges = sorted((u, int(v)) for u in range(n) for v in np.nonzero(candidate[u])[0]
                    if v in keep[u] and u in keep[v])
     src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-    return TrackGraph(ordered, src.copy(), dst.copy())
+    return TrackGraph(NodeTable.from_detections(ordered), src.copy(), dst.copy())
 
 
 def reference_graph_from_edge_list(detections, pairs):
     """graph_from_edge_list as a per-pair loop over id -> position dicts."""
-    ordered = _canonical_order(detections)
+    ordered = reference_canonical_order(detections)
     pos = {d.node_id: i for i, d in enumerate(ordered)}
     frames = {d.node_id: d.frame for d in ordered}
     edges = set()
@@ -159,7 +187,8 @@ def reference_graph_from_edge_list(detections, pairs):
             raise ConfigError(f"edge ({i}, {j}) connects detections in the same frame")
         edges.add((pos[i], pos[j]) if frames[i] < frames[j] else (pos[j], pos[i]))
     edges = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    return TrackGraph(ordered, edges[:, 0].copy(), edges[:, 1].copy())
+    return TrackGraph(NodeTable.from_detections(ordered), edges[:, 0].copy(),
+                      edges[:, 1].copy())
 
 
 def reference_windows(detections, frames_per_graph):
@@ -246,7 +275,7 @@ def reference_ground_truth_labels(graph, scenario):
     """ground_truth_labels as a set of positive (node id, node id) pairs,
     collected per trajectory and looked up per edge."""
     in_graph = set(int(i) for i in graph.node_ids)
-    frame_of = {d.node_id: d.frame for d in graph.detections}
+    frame_of = dict(zip(graph.node_ids.tolist(), graph.frames.tolist()))
     positive = set()
     for ids in scenario.gt_trajectories.values():
         present = [i for i in ids if i in in_graph]
@@ -280,10 +309,11 @@ def reference_edge_feature_matrix(graph, app):
     """Edge features by one reference_encode_geometry call per edge, with
     the distance read from the N x N matrix reference_build_graph ranks by."""
     dist = _reference_distances(app)
+    nodes = [Detection(node_id=int(i), frame=int(f), box=tuple(b.tolist()))
+             for i, f, b in zip(graph.node_ids, graph.frames, graph.nodes.boxes)]
     feats = np.zeros((graph.num_edges, 6))
     for e, (u, v) in enumerate(zip(graph.edge_src, graph.edge_dst)):
-        feats[e] = reference_encode_geometry(graph.detections[u], graph.detections[v],
-                                             dist[u, v])
+        feats[e] = reference_encode_geometry(nodes[u], nodes[v], dist[u, v])
     return feats
 
 

@@ -19,7 +19,7 @@ from scoring import gt_masks_from_scenario
 
 from mpnflow import tensorkit as tk
 from mpnflow.cli import main as cli_main
-from mpnflow.graph import (build_graph, graph_from_edge_list, ground_truth_labels,
+from mpnflow.graph import (NodeTable, build_graph, graph_from_edge_list, ground_truth_labels,
                            split_windows)
 from mpnflow.infer import (InferConfig, check_constraints, exact_round, greedy_round,
                            run_inference, threshold, violating_edges)
@@ -290,10 +290,11 @@ def test_invariant_suite():
         false_positive_rate=0.2, seed=31))
     feasible = True
     windows = 0
-    for wdets in split_windows(scenario.detections, FRAMES_PER_GRAPH):
-        if len(wdets) < 2:
+    nodes = NodeTable.from_detections(scenario.detections)
+    for rows in split_windows(scenario.detections, FRAMES_PER_GRAPH):
+        if len(rows) < 2:
             continue
-        g = build_graph(wdets, max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
+        g = build_graph(nodes.take(rows), max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
         if g.num_edges == 0:
             continue
         y = ground_truth_labels(g, scenario)

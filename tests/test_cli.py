@@ -290,6 +290,8 @@ MALFORMED = {
                                      lambda text: "1,1,0,0,5,5,1,-1,-1,-1\n" * 2, None),
     "tracks_node_in_two_tracks": ("eval", "run/tracks.csv",
                                   lambda text: "track_id,node_id\n1,0\n2,0\n", 3),
+    # node 99999 gets a mask file below but has no line in det.txt
+    "tracks_node_not_in_det": ("eval", "run/tracks.csv", lambda text: text + "1,99999\n", None),
     "checkpoint_group_without_data": (
         "infer", "model/checkpoint.json", _edit_first_group(lambda g: g.pop("data")), None),
     "checkpoint_data_short_of_shape": (
@@ -333,12 +335,19 @@ MALFORMED = {
 }
 
 
+# case: {file to create: file to copy it from}, both under the mask_run copy
+MALFORMED_COPIES = {"tracks_node_not_in_det": {"run/masks/node_99999.pgm":
+                                               "run/masks/node_00000.pgm"}}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_1_naming_the_file(case, mask_run, tmp_path, capsys):
     command, name, edit, line = MALFORMED[case]
     for sub in ("data", "model", "run"):
         shutil.copytree(mask_run / sub, tmp_path / sub)
     shutil.copy(mask_run / "cfg.json", tmp_path / "cfg.json")
+    for made, source in MALFORMED_COPIES.get(case, {}).items():
+        shutil.copy(tmp_path / source, tmp_path / made)
     path = tmp_path / name
     edited = edit(path.read_text() if path.exists() else "")
     path.write_bytes(edited if isinstance(edited, bytes) else edited.encode())

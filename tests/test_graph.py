@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import (hand_built_graphs, reference_build_graph, reference_check_constraints,
-                     reference_degrees, reference_edge_feature_matrix,
+from oracles import (hand_built_graphs, reference_build_graph, reference_canonical_order,
+                     reference_check_constraints, reference_degrees, reference_edge_feature_matrix,
                      reference_graph_from_edge_list, reference_ground_truth_labels,
                      reference_windows)
 
@@ -150,11 +150,40 @@ def test_graph_from_edge_list_matches_dict_loop_reference(case, bad_id, at):
 def test_edge_feature_matrix_matches_per_edge_loop_bit_for_bit(dets, top_k, gap):
     with np.errstate(over="ignore"):
         g = gr.build_graph(dets, max_frame_gap=gap, top_k=top_k)
-        app = np.stack([d.appearance for d in g.detections]) if g.num_nodes else np.zeros((0, 2))
+        app = np.stack(g.nodes.appearance) if g.num_nodes else np.zeros((0, 2))
         feats = mpn.edge_feature_matrix(g, app)
         want = reference_edge_feature_matrix(g, app)
     assert feats.shape == (g.num_edges, mpn.EDGE_FEATURE_DIM)
     assert feats.tobytes() == want.tobytes()
+
+
+# few distinct values, so frames and whole boxes tie, and both signs of zero
+TIED = st.sampled_from([0.0, -0.0, 1.0, 5.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 3), TIED, TIED, st.sampled_from([1.0, 2.0]),
+                               st.sampled_from([1.0, 2.0])), max_size=30),
+       data=st.data())
+def test_canonical_order_matches_sorted_oracle(rows, data):
+    ids = data.draw(st.permutations(range(100)))[:len(rows)]
+    dets = [sd.Detection(node_id=nid, frame=f, box=box) for nid, (f, *box) in zip(ids, rows)]
+    dets = data.draw(st.permutations(dets))
+    got = gr.NodeTable.from_detections(dets).canonical().ids.tolist()
+    assert got == [d.node_id for d in reference_canonical_order(dets)]
+
+
+@pytest.mark.parametrize("coord", [0, 1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_box_rejected_naming_the_node(coord, bad):
+    dets = [det(0, 1), det(1, 2)]
+    box = list(dets[1].box)
+    box[coord] = bad
+    dets[1].box = tuple(box)        # set after the record's own size check
+    for build in (lambda: gr.build_graph(dets, max_frame_gap=None, top_k=3),
+                  lambda: gr.graph_from_edge_list(dets, [(0, 1)])):
+        with pytest.raises(ConfigError, match="^detection 1 has a non-finite box$"):
+            build()
 
 
 def test_relabeling_gives_isomorphic_graph():
@@ -179,22 +208,22 @@ def test_relabeling_gives_isomorphic_graph():
     assert np.array_equal(g1.edge_dst, g2.edge_dst)
 
 
-def window_frames(windows):
-    return [[d.frame for d in w] for w in windows]
+def window_frames(dets, windows):
+    return [[dets[i].frame for i in w] for w in windows]
 
 
 def test_split_windows_frozen_example():
     dets = [det(i, f) for i, f in enumerate(range(1, 21))]
     wins = gr.split_windows(dets, 15)
-    assert window_frames(wins) == [list(range(f, f + 15)) for f in range(1, 7)]
+    assert window_frames(dets, wins) == [list(range(f, f + 15)) for f in range(1, 7)]
 
 
 def test_split_windows_short_sequence_and_gaps():
     dets = [det(i, f) for i, f in enumerate(range(1, 11))]
-    assert window_frames(gr.split_windows(dets, 15)) == [list(range(1, 11))]
+    assert window_frames(dets, gr.split_windows(dets, 15)) == [list(range(1, 11))]
     # start frames must be present: frame 2 is missing
     dets = [det(0, 1), det(1, 3), det(2, 4), det(3, 5), det(4, 6)]
-    assert window_frames(gr.split_windows(dets, 3)) == [[1, 3], [3, 4, 5], [4, 5, 6]]
+    assert window_frames(dets, gr.split_windows(dets, 3)) == [[1, 3], [3, 4, 5], [4, 5, 6]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,7 +233,7 @@ def test_split_windows_matches_bounds_and_filter_reference(frames, frames_per_gr
     dets = [det(i, f) for i, f in enumerate(frames)]
     got = gr.split_windows(dets, frames_per_graph)
     want = reference_windows(dets, frames_per_graph)
-    assert [[id(d) for d in w] for w in got] == [[id(d) for d in w] for w in want]
+    assert [[id(dets[i]) for i in w] for w in got] == [[id(d) for d in w] for w in want]
 
 
 def make_scenario_by_hand(trajs, detections):
@@ -281,7 +310,7 @@ def labelled_scenarios(draw):
     pool = draw(st.permutations(g.node_ids.tolist() + list(range(40, 46))))
     cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=5)))
     trajs = {i: pool[a:b] for i, (a, b) in enumerate(zip([0] + cuts, cuts + [len(pool)]))}
-    return g, make_scenario_by_hand(trajs, g.detections)
+    return g, make_scenario_by_hand(trajs, [])    # labels read no detections
 
 
 @settings(max_examples=300, deadline=None)

@@ -191,3 +191,24 @@ def test_package_import_check_finds_every_spelling():
 def test_tensorkit_imports_nothing_from_the_package_but_errors():
     source = (ROOT / "src" / "mpnflow" / "tensorkit.py").read_text()
     assert package_imports(source) == ["errors"]
+
+
+def imported_names(source: str) -> list[str]:
+    """Names that the source imports from modules of the mpnflow package,
+    by relative or absolute name, anywhere in the file."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and _package_module(node) is not None
+            for a in node.names]
+
+
+def test_imported_name_check_finds_every_spelling():
+    source = ("from .synthdata import Box, Detection\nfrom numpy import array\n\n"
+              "def f():\n    from mpnflow.synthdata import Scenario\n")
+    assert imported_names(source) == ["Box", "Detection", "Scenario"]
+
+
+@pytest.mark.parametrize("module", ["mpn", "train", "tensorkit"])
+def test_model_and_training_code_never_sees_a_detection(module):
+    # a window reaches them as a graph.NodeTable, built once per sequence
+    source = (ROOT / "src" / "mpnflow" / f"{module}.py").read_text()
+    assert "Detection" not in imported_names(source)

@@ -9,7 +9,7 @@ import pytest
 from scoring import constraint_rate, gt_boxes_from_scenario, gt_masks_from_scenario, track_boxes
 
 import mpnflow
-from mpnflow.errors import MetricsError
+from mpnflow.errors import ConfigError, MetricsError
 from mpnflow.graph import graph_from_edge_list
 from mpnflow.metrics import (box_iou, clear_mot, format_table, idf1, mask_iou, mots_metrics,
                              track_masks, write_report)
@@ -179,6 +179,31 @@ def test_mask_adapters():
     pred_low = track_masks(ids, low, scenario.detections, threshold=0.5)
     assert all(not grid.any() for entries in pred_low.values()
                for _, grid in entries.values())
+
+
+@pytest.mark.parametrize("iou_min", [0.0, -1.0, 1.5, np.nan])
+def test_box_and_mask_metrics_reject_iou_min_outside_unit_interval(iou_min):
+    gt = {1: {1: BOX, 2: BOX}}
+    masks = {1: {1: (BOX, np.ones((2, 2), dtype=bool))}}
+    for metric, truth in ((clear_mot, gt), (idf1, gt), (mots_metrics, masks)):
+        with pytest.raises(ConfigError, match=r"^iou_min must be in \(0, 1\], got"):
+            metric(truth, truth, iou_min=iou_min)
+        assert metric(truth, truth, iou_min=1.0) is not None
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, np.nan])
+def test_track_masks_rejects_threshold_outside_open_unit_interval(threshold):
+    dets = [Detection(node_id=0, frame=1, box=BOX)]
+    with pytest.raises(ConfigError, match=r"^threshold must be in \(0, 1\), got"):
+        track_masks([[0]], {0: np.ones((2, 2))}, dets, threshold=threshold)
+
+
+def test_track_masks_rejects_a_masked_node_without_detection():
+    dets = [Detection(node_id=0, frame=1, box=BOX)]
+    masks = {0: np.ones((2, 2)), 7: np.ones((2, 2))}
+    assert set(track_masks([[0, 5]], masks, dets)) == {1}     # 5 has no mask: skipped
+    with pytest.raises(MetricsError, match="^node 7 has a mask but no detection$"):
+        track_masks([[0, 7]], masks, dets)
 
 
 def test_report_emitters(tmp_path):

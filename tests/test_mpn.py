@@ -33,7 +33,8 @@ def path_graph(n_nodes, rng, d_app=4):
 
 def one_edge_features(det_i, det_j):
     # edge_feature_matrix of the two-node graph with the single edge i -> j
-    g = gr.TrackGraph([det_i, det_j], np.zeros(1, np.int64), np.ones(1, np.int64))
+    g = gr.TrackGraph(gr.NodeTable.from_detections([det_i, det_j]), np.zeros(1, np.int64),
+                      np.ones(1, np.int64))
     return mpn.edge_feature_matrix(g, np.stack([det_i.appearance, det_j.appearance]))[0]
 
 
@@ -67,10 +68,10 @@ def test_edge_feature_matrix_names_the_first_offending_edge():
     dets = [det(0, 1), det(1, 2), det(2, 2), det(3, 3)]
     dets[3].box = (0.0, 0.0, 10.0, -1.0)   # bypass construction check on purpose
     app = np.zeros((4, 4))
-    g = gr.TrackGraph(dets, np.array([0, 1, 2]), np.array([1, 2, 3]))
+    g = gr.TrackGraph(gr.NodeTable.from_detections(dets), np.array([0, 1, 2]), np.array([1, 2, 3]))
     with pytest.raises(ConfigError, match=r"edge \(1, 2\) joins equal frames"):
         mpn.edge_feature_matrix(g, app)
-    g = gr.TrackGraph(dets, np.array([0, 2]), np.array([1, 3]))
+    g = gr.TrackGraph(gr.NodeTable.from_detections(dets), np.array([0, 2]), np.array([1, 3]))
     with pytest.raises(ConfigError, match=r"edge \(2, 3\) has non-positive box dims"):
         mpn.edge_feature_matrix(g, app)
 
@@ -87,7 +88,7 @@ def test_vanilla_update_matches_hand_formula():
     params = mpn.ModelParams(cfg, d_app=4, seed=1)
     state = mpn.mpn_forward(g, params)
 
-    app = np.stack([d.appearance for d in g.detections])
+    app = np.stack(g.nodes.appearance)
     h0 = params.node_encoder(tk.Tensor(app)).data
     e0 = params.edge_encoder(tk.Tensor(mpn.edge_feature_matrix(g, app))).data
     u, v = g.edge_src[0], g.edge_dst[0]
@@ -111,7 +112,7 @@ def test_time_aware_update_matches_hand_formula():
     params = mpn.ModelParams(cfg, d_app=4, seed=3)
     state = mpn.mpn_forward(g, params)
 
-    app = np.stack([d.appearance for d in g.detections])
+    app = np.stack(g.nodes.appearance)
     h0 = params.node_encoder(tk.Tensor(app)).data
     e0 = params.edge_encoder(tk.Tensor(mpn.edge_feature_matrix(g, app))).data
     u, v = g.edge_src[0], g.edge_dst[0]
@@ -166,10 +167,10 @@ def test_attention_normalizes_per_node_per_side():
     rng = np.random.default_rng(6)
     dets = [det(i, f, rng=rng) for i, f in enumerate([1, 1, 1, 2, 3, 3])]
     pairs = [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5), (0, 4), (1, 5)]
-    g = gr.graph_from_edge_list(dets, pairs)
-    cfg = tiny_config(with_masks=True, num_steps=2)
     for d in dets:
         d.roi_grid = rng.normal(size=(4, 4, 2))
+    g = gr.graph_from_edge_list(dets, pairs)
+    cfg = tiny_config(with_masks=True, num_steps=2)
     params = mpn.ModelParams(cfg, d_app=4, seed=7)
     state = mpn.mpn_forward(g, params)
     for l, (a_past, a_fut) in state.attention.items():

@@ -5,12 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import FRAMES_PER_GRAPH, MAX_FRAME_GAP, TOP_K, bench_scenario_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_augment
 
 from mpnflow import synthdata as sd
 from mpnflow import tensorkit as tk
 from mpnflow import train as tr
 from mpnflow.errors import ConfigError, TrainingError, config_from_dict
-from mpnflow.graph import build_graph, ground_truth_labels, split_windows
+from mpnflow.graph import NodeTable, build_graph, ground_truth_labels, split_windows
 from mpnflow.mpn import MpnConfig, ModelParams, mpn_forward
 
 
@@ -73,20 +76,46 @@ def test_mask_loss_skips_unsupervised_nodes():
 
 def test_augment_noop_and_full_drop():
     sc = sd.generate_scenario(sd.ScenarioConfig(num_frames=3, num_identities=2, seed=0))
-    rng = np.random.default_rng(0)
-    same = tr.augment(sc.detections, 0.0, 0.0, rng)
-    assert [d.box for d in same] == [d.box for d in sc.detections]
-    assert [d.node_id for d in same] == [d.node_id for d in sc.detections]
-    gone = tr.augment(sc.detections, 1.0, 0.0, np.random.default_rng(1))
-    assert gone == []
+    boxes = NodeTable.from_detections(sc.detections).boxes
+    kept, same = tr.augment(boxes, 0.0, 0.0, np.random.default_rng(0))
+    assert same.tolist() == [list(d.box) for d in sc.detections]
+    assert kept.tolist() == list(range(len(sc.detections)))
+    kept, gone = tr.augment(boxes, 1.0, 0.0, np.random.default_rng(1))
+    assert kept.shape == (0,) and gone.shape == (0, 4)
 
 
 def test_augment_floors_box_size():
-    d = sd.Detection(node_id=0, frame=1, box=(5.0, 5.0, 1.2, 1.2),
-                     appearance=np.zeros(2))
     rng = np.random.default_rng(2)
-    out = tr.augment([d] * 50, 0.0, 25.0, rng)
-    assert all(b.box[2] >= 1.0 and b.box[3] >= 1.0 for b in out)
+    _, out = tr.augment(np.tile([5.0, 5.0, 1.2, 1.2], (50, 1)), 0.0, 25.0, rng)
+    assert (out[:, 2:] >= 1.0).all()
+
+
+COORDS = st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes=st.lists(st.tuples(COORDS, COORDS, st.floats(0.01, 80), st.floats(0.01, 80)),
+                      max_size=30),
+       p_drop=st.sampled_from([0.0, 0.05, 0.5, 1.0]), shift_std=st.sampled_from([0.0, 1.0, 25.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_augment_matches_detection_list_oracle_bit_for_bit(boxes, p_drop, shift_std, seed):
+    dets = [sd.Detection(node_id=7 * i, frame=i % 3, box=b) for i, b in enumerate(boxes)]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    kept, out = tr.augment(NodeTable.from_detections(dets).boxes, p_drop, shift_std, rng)
+    want = reference_augment(dets, p_drop, shift_std, ref_rng)
+    assert [dets[i].node_id for i in kept] == [d.node_id for d in want]
+    assert out.tobytes() == np.asarray([d.box for d in want], np.float64).reshape(-1, 4).tobytes()
+    # the same draws were made: the generators continue alike
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_train_loop_builds_no_detection_per_iteration(monkeypatch):
+    scenario = easy_scenario()
+    made = []
+    init = sd.Detection.__post_init__
+    monkeypatch.setattr(sd.Detection, "__post_init__", lambda d: made.append(d) or init(d))
+    tr.train_loop([scenario], quick_cfg(iterations=5), small_model())
+    assert made == []
 
 
 def easy_scenario(seed=0):
@@ -194,7 +223,8 @@ def live_stacks(num_steps: int, variant: str, with_masks: bool) -> list[str]:
 def bench_window():
     scenario = sd.generate_scenario(bench_scenario_config(100))
     window = split_windows(scenario.detections, FRAMES_PER_GRAPH)[0]
-    graph = build_graph(window, max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
+    graph = build_graph(NodeTable.from_detections(scenario.detections).take(window),
+                        max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
     return graph, ground_truth_labels(graph, scenario)
 
 
@@ -208,7 +238,7 @@ def test_every_listed_group_gets_a_gradient(num_steps, variant, masks, bench_win
                          d_app=8, seed=0)
     stacks = [name.split("/")[0] for name, _ in params.named_parameters()]
     assert list(dict.fromkeys(stacks)) == live_stacks(num_steps, variant, with_masks)
-    gt_masks = [d.gt_mask for d in graph.detections] if masks == "supervised" else None
+    gt_masks = graph.nodes.gt_masks if masks == "supervised" else None
     if masks == "supervised":
         assert any(m is not None for m in gt_masks)
     total, _ = tr.joint_loss(mpn_forward(graph, params), params, labels, gt_masks)
