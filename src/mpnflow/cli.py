@@ -22,8 +22,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import tensorkit as tk
-from .errors import (ConfigError, MetricsError, MpnflowError, ParseError, config_from_dict,
-                     read_text)
+from .errors import ConfigError, MpnflowError, ParseError, config_from_dict, read_text
 from .infer import ROUNDERS, InferConfig, read_mask_pgm, run_inference, write_mask_pgm
 from .metrics import (clear_mot, format_table, idf1, mots_metrics, track_masks,
                       write_report)
@@ -218,10 +217,10 @@ def cmd_eval(args) -> int:
                 raise ParseError(f"{pgm}: mask file names must be node_<id>.pgm")
             node_masks[int(digits)] = read_mask_pgm(pgm)
         assignment = load_track_assignment(tracks_file)
-        try:
-            pred_masks = track_masks(assignment, node_masks, detections, threshold=args.tau)
-        except MetricsError as e:
-            raise ParseError(f"{tracks_file}: {e}") from e
+        unknown = next((nid for ids in assignment for nid in ids if nid not in det_by_id), None)
+        if unknown is not None:
+            raise ParseError(f"{tracks_file}: node {unknown} not in det.txt")
+        pred_masks = track_masks(assignment, node_masks, detections, threshold=args.tau)
         mots = mots_metrics(gt_masks, pred_masks, iou_min=args.iou_min)
         values.update({"motsa": mots.motsa, "smotsa": mots.smotsa,
                        "mask_iou_mean": mots.mask_iou_mean,

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the one text-file reader and
-the one config-section check."""
+"""Exception types shared across the package, the one text-file reader, the
+one config-section check and the one sign check of a config number."""
 
+import math
 from dataclasses import fields
 
 
@@ -65,6 +66,14 @@ def check_config(section: str, raw: dict, declared: dict[str, str]) -> None:
         if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
             raise ConfigError(f"{section} config key {key!r} must be {declared[key]}, "
                               f"got {value!r}")
+
+
+def check_finite_sign(name: str, value: float, *, positive: bool = False) -> None:
+    """A ConfigError naming the key unless value is finite and >= 0 (> 0 if
+    positive); NaN and inf would pass a comparison alone."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ConfigError(f"{name} must be finite and {'>' if positive else '>='} 0, "
+                          f"got {value}")
 
 
 def config_from_dict(cls, section: str, raw: dict):

@@ -159,6 +159,7 @@ class MpnState:
     graph: TrackGraph
     src: tk.Segments   # edges keyed by their earlier endpoint
     dst: tk.Segments   # edges keyed by their later endpoint
+    roi_grid: tk.ConvGrid | None = None   # every conv of a pass with masks
     node_h: list[tk.Tensor] = field(default_factory=list)
     edge_h: list[tk.Tensor] = field(default_factory=list)
     tilde_h: list[tk.Tensor] = field(default_factory=list)
@@ -289,7 +290,7 @@ def _mask_step(state: MpnState, params: ModelParams, l: int) -> None:
     c_past = tk.segment_sum(from_past, state.dst)
     c_fut = tk.segment_sum(from_fut, state.src)
     joined = tk.concat([c_past, c_fut, state.tilde_h[0]], axis=3)
-    state.tilde_h.append(params.context_update(joined))
+    state.tilde_h.append(params.context_update(joined, state.roi_grid))
 
 
 def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
@@ -301,7 +302,7 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
     config = params.config
     num_steps = config.num_steps
     # one sparse operator per endpoint serves every gather gradient, segment
-    # sum and attention softmax of the pass
+    # sum and attention softmax of the pass, and one ConvGrid every conv
     state = MpnState(graph=graph, src=tk.Segments(graph.edge_src, graph.num_nodes),
                      dst=tk.Segments(graph.edge_dst, graph.num_nodes))
     app = _appearance(graph, params)
@@ -309,6 +310,8 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
         state.node_h.append(params.node_encoder(tk.Tensor(app)))
     state.edge_h.append(params.edge_encoder(tk.Tensor(edge_feature_matrix(graph, app))))
     if config.with_masks:
+        state.roi_grid = tk.ConvGrid(graph.num_nodes, config.roi_h, config.roi_w,
+                                     params.mask_head.kernel)
         state.tilde_h.append(_roi_tensor(graph, config))
     m = config.resolved_last_m()
     first_recorded = num_steps - m + 1
@@ -337,6 +340,6 @@ def predict_masks(state: MpnState, params: ModelParams, step: int | None = None)
     if not 0 <= step < len(state.tilde_h):
         raise ConfigError(f"step {step} outside computed range 0..{len(state.tilde_h) - 1}")
     joined = tk.concat([state.tilde_h[step], state.tilde_h[0]], axis=3)
-    grids = params.mask_head(joined)
+    grids = params.mask_head(joined, state.roi_grid)
     n = state.graph.num_nodes
     return tk.reshape(grids, (n, params.config.roi_h, params.config.roi_w))

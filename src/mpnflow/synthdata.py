@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, read_text
+from .errors import ConfigError, ParseError, check_finite_sign, read_text
 
 Box = tuple[float, float, float, float]  # x, y, w, h with top-left origin
 
@@ -81,10 +81,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         for name in ("speed_max", "pos_noise_std", "false_positive_rate",
                      "box_jitter_std", "app_noise_std", "roi_noise_std"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ConfigError("image_width and image_height must be positive")
+            check_finite_sign(name, getattr(self, name))
+        for name in ("image_width", "image_height", "box_size_max"):
+            check_finite_sign(name, getattr(self, name), positive=True)
         if not 0 < self.box_size_min <= self.box_size_max:
             raise ConfigError(
                 f"box sizes must satisfy 0 < box_size_min <= box_size_max, "

@@ -7,7 +7,10 @@ reductions with per-segment softmax, scalar-loss backpropagation, Adam over
 one flat vector, finite-difference gradient checking, and a JSON parameter
 container.  Every sum by segment id (segment sums, softmax denominators,
 gather gradients) is one product with a prebuilt scipy sparse ones-matrix, a
-Segments, that adds in the same order as a scatter-add.  All arithmetic is
+Segments, that adds in the same order as a scatter-add.  So is conv2d's
+col2im, the sum of its im2col gradient by input pixel: a ConvGrid builds the
+ones-matrix once per grid, on the first backward, and it adds each pixel's
+taps in the row-major order of a tap-by-tap loop.  All arithmetic is
 64-bit and reproducible bit for bit for a fixed BLAS thread count: OpenBLAS
 splits large products across threads with other rounding (a 30-identity,
 40-frame scenario trains to other parameters under OPENBLAS_NUM_THREADS=1
@@ -365,8 +368,76 @@ def segment_softmax(logits, seg: Segments) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def conv2d(x, w, b, kernel: int) -> Tensor:
-    """Same-padded 2-D convolution on (N, H, W, Cin) with an odd square kernel.
+class ConvGrid:
+    """The (n, h, w) pixel grid and odd kernel of same-padded convolutions,
+    plus the sparse col2im operator that sums their input gradients.
+
+    conv2d reads its kernel size from the grid and checks its input against
+    the grid's shape; every conv of one forward pass shares one grid, so
+    its operator is built at most once per pass, lazily, by the first sum()
+    (a pass that runs no backward builds none).
+
+    The operator is the CSR ones-matrix of shape (n*h*w, n*h*w*kernel**2)
+    whose row for input pixel q lists the columns p*kernel**2 + t of every
+    (output pixel p, tap t) that read q, in ascending tap order (taps run
+    row-major over (dy, dx); a tap's part in the padding has no entry).
+    sum() multiplies it by the im2col gradient viewed as (n*h*w*kernel**2,
+    cin).  That product equals adding each tap's columns into a
+    +0.0-initialised array tap by tap, bit for bit: scipy's CSR-times-dense
+    product starts each output at +0.0 and adds its row's entries one by one
+    in stored order, which is tap order, and each entry is the gradient
+    times an exact 1.0.  So every element sums the same terms in the same
+    order, -0.0 terms included, and the running sum, starting at +0.0,
+    never becomes -0.0; another tap order would round differently.
+    """
+
+    __slots__ = ("shape", "kernel", "_matrix")
+
+    def __init__(self, n: int, h: int, w: int, kernel: int):
+        if kernel % 2 != 1 or kernel < 1:
+            raise ShapeError(f"kernel size must be odd and positive, got {kernel}")
+        if n < 0 or h < 1 or w < 1:
+            raise ShapeError(f"conv grid needs n >= 0 and h, w >= 1, got {(n, h, w)}")
+        self.shape = (n, h, w)
+        self.kernel = kernel
+        self._matrix = None
+
+    def _build(self) -> sparse.csr_array:
+        n, h, wd = self.shape
+        kernel, pad = self.kernel, self.kernel // 2
+        taps = kernel * kernel
+        t = np.arange(taps)
+        # (si, sj) is the output pixel whose tap t, at offset (oy, ox), reads
+        # input pixel (i, j); its im2col column is (si * w + sj) * taps + t
+        si = np.arange(h)[:, None, None] - (t // kernel - pad)
+        sj = np.arange(wd)[None, :, None] - (t % kernel - pad)
+        inside = (si >= 0) & (si < h) & (sj >= 0) & (sj < wd)
+        # boolean indexing walks (i, j, t) in C order: pixel by pixel, taps
+        # ascending within a pixel, which is the row layout of the operator
+        image = ((si * wd + sj) * taps + t)[inside]
+        columns = (np.arange(n)[:, None] * (h * wd * taps) + image).reshape(-1)
+        indptr = np.zeros(n * h * wd + 1, dtype=np.intp)
+        np.cumsum(np.tile(inside.sum(axis=2).reshape(-1), n), out=indptr[1:])
+        return sparse.csr_array((np.ones(columns.size), columns, indptr),
+                                shape=(n * h * wd, n * h * wd * taps))
+
+    def sum(self, gcols: np.ndarray) -> np.ndarray:
+        """Sum an (n*h*w, kernel**2 * cin) im2col gradient back onto the
+        input pixels it was read from, as (n, h, w, cin)."""
+        n, h, wd = self.shape
+        taps = self.kernel * self.kernel
+        if gcols.ndim != 2 or gcols.shape[0] != n * h * wd or gcols.shape[1] % taps:
+            raise ShapeError(f"im2col gradient {gcols.shape} does not match conv grid "
+                             f"{self.shape} with {taps} taps")
+        cin = gcols.shape[1] // taps
+        if self._matrix is None:
+            self._matrix = self._build()
+        return (self._matrix @ gcols.reshape(n * h * wd * taps, cin)).reshape(n, h, wd, cin)
+
+
+def conv2d(x, w, b, grid: ConvGrid) -> Tensor:
+    """Same-padded 2-D convolution on (N, H, W, Cin) input over grid, whose
+    (N, H, W) it must match, with grid's odd square kernel.
 
     The kernel matrix w is stored flattened as (kernel*kernel*Cin, Cout) with
     taps ordered row-major over (dy, dx).  The im2col matrix has one row per
@@ -374,19 +445,19 @@ def conv2d(x, w, b, kernel: int) -> Tensor:
     the zero-padded input at (n, i + dy - pad, j + dx - pad, c), so the
     forward is a single GEMM against w.
 
-    The input gradient adds each tap's columns back in that same row-major
-    (dy, dx) order into a +0.0-initialised array, skipping the parts of a
-    tap that fall in the padding.  Each element thus sums the same terms in
-    the same order as a scatter into a padded buffer followed by a crop, and
-    a running sum that starts at +0.0 never becomes -0.0, so the two forms
-    agree bit for bit; a different tap order would not.
+    The input gradient is the GEMM back to im2col columns, then col2im as
+    one product with grid's prebuilt sparse operator (see ConvGrid), which
+    adds each input pixel's terms in row-major tap order starting from
+    +0.0.  That equals a scatter into a padded buffer followed by a crop bit
+    for bit; a different tap order would not.
     """
     x, w, b = astensor(x), astensor(w), astensor(b)
-    if kernel % 2 != 1 or kernel < 1:
-        raise ShapeError(f"kernel size must be odd and positive, got {kernel}")
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d expects (N, H, W, C) input, got {x.data.shape}")
     n, h, wd, cin = x.data.shape
+    if (n, h, wd) != grid.shape:
+        raise ShapeError(f"conv grid {grid.shape} does not match input {x.data.shape}")
+    kernel = grid.kernel
     taps = kernel * kernel
     if w.data.shape[0] != taps * cin:
         raise ShapeError(f"kernel matrix {w.data.shape} does not match {taps}x{cin} taps")
@@ -406,17 +477,7 @@ def conv2d(x, w, b, kernel: int) -> Tensor:
         _accum(w, flat.T @ gflat)
         _accum(b, gflat.sum(axis=0))
         if _live(x):
-            gcols = (gflat @ w.data.T).reshape(n, h, wd, taps * cin)
-            gx = np.zeros_like(x.data)
-            for t_i in range(taps):
-                oy, ox = t_i // kernel - pad, t_i % kernel - pad
-                if abs(oy) >= h or abs(ox) >= wd:
-                    continue
-                # source pixel (i, j) of this tap feeds input pixel (i + oy, j + ox)
-                gx[:, max(oy, 0):h + min(oy, 0), max(ox, 0):wd + min(ox, 0), :] += \
-                    gcols[:, max(-oy, 0):h - max(oy, 0), max(-ox, 0):wd - max(ox, 0),
-                          t_i * cin:(t_i + 1) * cin]
-            _accum(x, gx)
+            _accum(x, grid.sum(gflat @ w.data.T))
 
     return _record(out, (x, w, b), bwd)
 
@@ -435,9 +496,9 @@ class _LayerStack:
     Layer k owns `<name>/<tag>k` (W for dense, K for conv) and `<name>/bk`;
     parameters() lists them layer by layer, weight before bias.  Calling a
     stack checks its input against expected_input, a tuple of named leading
-    axes closed by the required width, then applies the subclass's _layer op
-    per layer with ReLU between layers and out_activation ('identity' or
-    'sigmoid') after the last one.
+    axes closed by the required width, then applies the subclass's layer op
+    (linear or conv2d) per layer with ReLU between layers and out_activation
+    ('identity' or 'sigmoid') after the last one.
     """
 
     def __init__(self, name: str, out_activation: str, expected_input: tuple):
@@ -467,7 +528,7 @@ class _LayerStack:
             out.append((b.name, b))
         return out
 
-    def __call__(self, x) -> Tensor:
+    def _apply(self, x, layer) -> Tensor:
         x = astensor(x)
         expected = self.expected_input
         if x.data.ndim != len(expected) or x.data.shape[-1] != expected[-1]:
@@ -477,7 +538,7 @@ class _LayerStack:
         h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = self._layer(h, w, b)
+            h = layer(h, w, b)
             if k < last:
                 h = relu(h)
             elif self.out_activation == "sigmoid":
@@ -499,15 +560,17 @@ class DenseStack(_LayerStack):
         for fin, fout in zip(sizes[:-1], sizes[1:]):
             self._add_layer(rng, "W", fin, fout, (fin, fout))
 
-    def _layer(self, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        return linear(h, w, b)
+    def __call__(self, x) -> Tensor:
+        return self._apply(x, linear)
 
 
 class ConvStack(_LayerStack):
     """Same-padded conv layers on (n, h, w, channels) input.
 
     channels lists the channel widths per layer boundary; all kernels are
-    square with odd size.
+    square with odd size.  A call runs every layer over one ConvGrid of the
+    input's (n, h, w) and this kernel, which the caller may share with
+    other stacks run on the same grid.
     """
 
     def __init__(self, channels, kernel: int = 3, out_activation: str = "identity", *,
@@ -522,8 +585,8 @@ class ConvStack(_LayerStack):
         for cin, cout in zip(channels[:-1], channels[1:]):
             self._add_layer(rng, "K", taps * cin, taps * cout, (taps * cin, cout))
 
-    def _layer(self, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        return conv2d(h, w, b, self.kernel)
+    def __call__(self, x, grid: ConvGrid) -> Tensor:
+        return self._apply(x, lambda h, w, b: conv2d(h, w, b, grid))
 
 
 # ---------------------------------------------------------------------------

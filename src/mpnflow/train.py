@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorkit as tk
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, check_finite_sign
 from .graph import NodeTable, _check_graph_options, build_graph, ground_truth_labels, split_windows
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from .synthdata import Scenario, ScenarioConfig, generate_scenario
@@ -43,14 +43,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("lr", "weight_decay", "box_shift_std"):
+            check_finite_sign(name, getattr(self, name))
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not 0.0 <= self.node_drop_p <= 1.0:
             raise ConfigError(f"node_drop_p must be in [0, 1], got {self.node_drop_p}")
-        if self.box_shift_std < 0:
-            raise ConfigError(f"box_shift_std must be >= 0, got {self.box_shift_std}")
         if self.frames_per_graph < 2:
             raise ConfigError(f"frames_per_graph must be >= 2, got {self.frames_per_graph}")
         _check_graph_options(self.max_frame_gap, self.top_k)

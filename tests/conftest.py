@@ -20,6 +20,15 @@ from mpnflow.mpn import MpnConfig, mpn_forward
 from mpnflow.synthdata import ScenarioConfig, generate_scenario
 from mpnflow.train import TrainConfig, train_loop
 
+def count_calls(monkeypatch, cls, name):
+    """The instances that method cls.name is called on, in call order, from
+    now until the test ends."""
+    calls = []
+    method = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *args: calls.append(self) or method(self, *args))
+    return calls
+
+
 # benchmark geometry shared by training, validation, and inference
 FRAMES_PER_GRAPH = 15
 TOP_K = 10

@@ -383,6 +383,50 @@ def reference_conv2d(x, w, b, kernel: int) -> Tensor:
     return _record(out, (x, w, b), bwd)
 
 
+def reference_conv2d_tap_loop(x, w, b, kernel: int) -> Tensor:
+    """conv2d before its col2im became a sparse product: the input gradient
+    adds each tap's columns into a +0.0-initialised array in row-major
+    (dy, dx) order, skipping the parts of a tap in the padding."""
+    x, w, b = astensor(x), astensor(w), astensor(b)
+    if kernel % 2 != 1 or kernel < 1:
+        raise ShapeError(f"kernel size must be odd and positive, got {kernel}")
+    if x.data.ndim != 4:
+        raise ShapeError(f"conv2d expects (N, H, W, C) input, got {x.data.shape}")
+    n, h, wd, cin = x.data.shape
+    taps = kernel * kernel
+    if w.data.shape[0] != taps * cin:
+        raise ShapeError(f"kernel matrix {w.data.shape} does not match {taps}x{cin} taps")
+    cout = w.data.shape[1]
+    pad = kernel // 2
+    xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin))
+    xp[:, pad:pad + h, pad:pad + wd, :] = x.data
+    # (n, h, w, cin, dy, dx) window view, moved to (n, h, w, dy, dx, cin) and
+    # copied once into a fresh C-ordered buffer: a reshape alone can return a
+    # strided view for size-1 dims, and the GEMMs round differently on one
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(1, 2))
+    flat = windows.transpose(0, 1, 2, 4, 5, 3).copy().reshape(-1, taps * cin)
+    out = (flat @ w.data + b.data).reshape(n, h, wd, cout)
+
+    def bwd(g):
+        gflat = g.reshape(-1, cout)
+        _accum(w, flat.T @ gflat)
+        _accum(b, gflat.sum(axis=0))
+        if _live(x):
+            gcols = (gflat @ w.data.T).reshape(n, h, wd, taps * cin)
+            gx = np.zeros_like(x.data)
+            for t_i in range(taps):
+                oy, ox = t_i // kernel - pad, t_i % kernel - pad
+                if abs(oy) >= h or abs(ox) >= wd:
+                    continue
+                # source pixel (i, j) of this tap feeds input pixel (i + oy, j + ox)
+                gx[:, max(oy, 0):h + min(oy, 0), max(ox, 0):wd + min(ox, 0), :] += \
+                    gcols[:, max(-oy, 0):h - max(oy, 0), max(-ox, 0):wd - max(ox, 0),
+                          t_i * cin:(t_i + 1) * cin]
+            _accum(x, gx)
+
+    return _record(out, (x, w, b), bwd)
+
+
 def reference_segment_sum(values, ids, n):
     """A sum of rows by segment id as one np.add.at scatter into zeros."""
     values = np.asarray(values, dtype=np.float64)

@@ -279,7 +279,8 @@ def test_invariant_suite():
             tilde0 = tk.Tensor(att_state.tilde_h[0].data[i:i + 1])
             zeros = tk.Tensor(np.zeros_like(tilde0.data))
             want = att_params.context_update(
-                tk.concat([zeros, zeros, tilde0], axis=3))
+                tk.concat([zeros, zeros, tilde0], axis=3),
+                tk.ConvGrid(1, cfg.roi_h, cfg.roi_w, att_params.context_update.kernel))
             mask_ctx_zero = mask_ctx_zero and np.array_equal(
                 att_state.tilde_h[l].data[i], want.data[0])
     checks.append(("empty aggregation zeros", vanilla_zero and mask_ctx_zero))

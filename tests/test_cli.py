@@ -292,6 +292,9 @@ MALFORMED = {
                                   lambda text: "track_id,node_id\n1,0\n2,0\n", 3),
     # node 99999 gets a mask file below but has no line in det.txt
     "tracks_node_not_in_det": ("eval", "run/tracks.csv", lambda text: text + "1,99999\n", None),
+    # the same node with no mask file is still checked against det.txt
+    "tracks_node_not_in_det_without_mask": ("eval", "run/tracks.csv",
+                                            lambda text: text + "1,99999\n", None),
     "checkpoint_group_without_data": (
         "infer", "model/checkpoint.json", _edit_first_group(lambda g: g.pop("data")), None),
     "checkpoint_data_short_of_shape": (
@@ -387,6 +390,13 @@ BAD_CONFIGS = {
     "eval_iou_min_nan": ("eval", None, ["--iou-min", "nan"], "--iou-min must be in (0, 1]"),
     "eval_tau_1": ("eval", None, ["--tau", "1"], "--tau must be in (0, 1)"),
     "eval_tau_negative": ("eval", None, ["--tau", "-0.5"], "--tau must be in (0, 1)"),
+    "scenario_image_width_nan": ("generate", {"scenario": {"image_width": float("nan")}}, [],
+                                 "image_width must be finite"),
+    "scenario_speed_max_inf": ("generate", {"scenario": {"speed_max": float("inf")}}, [],
+                               "speed_max must be finite"),
+    "train_lr_nan": ("train", {"train": {"lr": float("nan")}}, [], "lr must be finite"),
+    "train_beta1_1": ("train", {"train": {"beta1": 1.0}}, [], "beta1 must be in [0, 1)"),
+    "train_beta2_negative": ("train", {"train": {"beta2": -0.5}}, [], "beta2 must be in [0, 1)"),
 }
 
 

@@ -165,6 +165,43 @@ def test_no_scatter_add_in_the_package(path):
     assert scatter_adds(path.read_text()) == []
 
 
+CACHES = ("lru_cache", "cache")
+
+
+def hidden_caches(source: str) -> list[str]:
+    """Uses of functools.lru_cache or functools.cache: an import of either
+    name from functools, or an attribute read through a name bound to the
+    functools module under any alias."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "functools"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, f"from functools import {a.name} (line {node.lineno})")
+                      for a in node.names if a.name in CACHES]
+        elif isinstance(node, ast.Attribute) and node.attr in CACHES \
+                and isinstance(node.value, ast.Name) and node.value.id in modules:
+            found.append((node.lineno, f"{ast.unparse(node)} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_hidden_cache_check_finds_a_cache():
+    source = ("import functools\nimport functools as ft\n"
+              "from functools import cache as memo, reduce\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef f(n):\n    return n\n\n"
+              "g = ft.cache(f)\nh = functools.reduce(max, [1, 2])\nother.cache(f)\n")
+    assert hidden_caches(source) == ["from functools import cache (line 3)",
+                                     "functools.lru_cache (line 5)", "ft.cache (line 9)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_hidden_cache_in_the_package(path):
+    # state that outlives a call is held by an object its caller owns, such
+    # as the per-pass tensorkit.ConvGrid, never by a module-level memo
+    assert hidden_caches(path.read_text()) == []
+
+
 def package_imports(source: str) -> list[str]:
     """Modules of the mpnflow package that the source imports, by relative
     or absolute name, anywhere in the file."""

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import count_calls
 
 from mpnflow import graph as gr
 from mpnflow import mpn
@@ -218,6 +219,31 @@ def test_mask_prediction_shape_and_range():
     assert first.data.shape == (3, 4, 4)
     with pytest.raises(ConfigError):
         mpn.predict_masks(state, params, step=9)
+
+
+def masked_path_graph(rng):
+    dets = [det(i, f, rng=rng) for i, f in enumerate([1, 2, 3])]
+    for d in dets:
+        d.roi_grid = rng.normal(size=(4, 4, 2))
+    return gr.graph_from_edge_list(dets, [(0, 1), (1, 2)])
+
+
+def test_mask_inference_builds_no_col2im_operator(monkeypatch):
+    # as run_inference does: no backward, so no conv input gradient to sum
+    builds = count_calls(monkeypatch, tk.ConvGrid, "_build")
+    params = mpn.ModelParams(tiny_config(with_masks=True), d_app=4, seed=9)
+    with tk.no_grad():
+        state = mpn.mpn_forward(masked_path_graph(np.random.default_rng(8)), params)
+        mpn.predict_masks(state, params)
+    assert state.roi_grid.shape == (3, 4, 4) and builds == []
+
+
+def test_model_without_masks_makes_no_conv_grid(monkeypatch):
+    made = count_calls(monkeypatch, tk.ConvGrid, "__init__")
+    params = mpn.ModelParams(tiny_config(with_masks=False), d_app=4, seed=9)
+    state = mpn.mpn_forward(masked_path_graph(np.random.default_rng(8)), params)
+    tk.backward(tk.tsum(state.edge_probs[max(state.edge_probs)]))
+    assert state.roi_grid is None and made == []
 
 
 def test_masks_with_zero_steps_use_initial_grids():

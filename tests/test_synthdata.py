@@ -94,6 +94,27 @@ def test_config_validation_names_field():
     assert "bogus" in str(e.value)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key,value,why", [
+    ("image_width", NAN, "image_width must be finite and > 0"),
+    ("image_width", INF, "image_width must be finite and > 0"),
+    ("image_height", 0.0, "image_height must be finite and > 0"),
+    ("speed_max", INF, "speed_max must be finite and >= 0"),
+    ("pos_noise_std", NAN, "pos_noise_std must be finite and >= 0"),
+    ("false_positive_rate", INF, "false_positive_rate must be finite and >= 0"),
+    ("roi_noise_std", -1.0, "roi_noise_std must be finite and >= 0"),
+    ("box_size_max", INF, "box_size_max must be finite and > 0"),
+], ids=["image_width_nan", "image_width_inf", "image_height_0", "speed_max_inf",
+        "pos_noise_std_nan", "false_positive_rate_inf", "roi_noise_std_negative",
+        "box_size_max_inf"])
+def test_config_rejects_non_finite_values_naming_the_field(key, value, why):
+    with pytest.raises(ConfigError) as e:
+        sd.generate_scenario(sd.ScenarioConfig(**{key: value}))
+    assert str(e.value).startswith(why)
+
+
 def test_frame_stride_subsamples():
     cfg = small_cfg(num_frames=9, frame_stride=4)
     sc = sd.generate_scenario(cfg)

@@ -3,10 +3,12 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import count_calls
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import (ReferenceAdamState, reference_adam_step, reference_bce, reference_conv2d,
-                     reference_linear, reference_segment_softmax, reference_segment_sum)
+                     reference_conv2d_tap_loop, reference_linear, reference_segment_softmax,
+                     reference_segment_sum)
 
 from mpnflow import tensorkit as tk
 from mpnflow.errors import CheckpointError, GradientError, ShapeError
@@ -32,6 +34,11 @@ def brute_conv2d(x, kmat, bias, kernel):
                         t += 1
                 out[b, i, j] = acc
     return out
+
+
+def grid_for(x, kernel):
+    """The ConvGrid of an (n, h, w, c) array or tensor."""
+    return tk.ConvGrid(*np.shape(getattr(x, "data", x))[:3], kernel)
 
 
 def numeric_grad(f, arr, h=1e-6):
@@ -113,8 +120,9 @@ def test_stacks_reject_wrong_input_rank_and_width(kind, shape):
         stack, want = tk.DenseStack([4, 2], rng=rng, name="probe"), "(n, 4)"
     else:
         stack, want = tk.ConvStack([3, 2], rng=rng, name="probe"), "(n, h, w, 3)"
+    grid = () if kind == "dense" else (tk.ConvGrid(1, 4, 4, 3),)
     with pytest.raises(ShapeError) as e:
-        stack(tk.Tensor(np.zeros(shape)))
+        stack(tk.Tensor(np.zeros(shape)), *grid)
     assert str(e.value) == f"probe: input shape {shape} does not match expected {want}"
 
 
@@ -124,7 +132,7 @@ def test_conv2d_all_ones_kernel_counts_neighbors():
     x = tk.Tensor(np.ones((1, 4, 4, 1)))
     w = tk.Tensor(np.ones((9, 1)))
     b = tk.Tensor(np.zeros(1))
-    out = tk.conv2d(x, w, b, 3).data[0, :, :, 0]
+    out = tk.conv2d(x, w, b, grid_for(x, 3)).data[0, :, :, 0]
     want = np.array([
         [4, 6, 6, 4],
         [6, 9, 9, 6],
@@ -142,7 +150,7 @@ def test_conv2d_matches_brute_force_oracle(kernel, h, w):
     kmat = rng.normal(size=(kernel * kernel * 3, 2))
     bias = rng.normal(size=2)
     want = brute_conv2d(x, kmat, bias, kernel)
-    got = tk.conv2d(tk.Tensor(x), tk.Tensor(kmat), tk.Tensor(bias), kernel)
+    got = tk.conv2d(tk.Tensor(x), tk.Tensor(kmat), tk.Tensor(bias), grid_for(x, kernel))
     assert np.allclose(got.data, want, atol=1e-10)
 
 
@@ -157,50 +165,114 @@ def test_conv2d_gradients_match_finite_differences(kernel):
     coef = rng.normal(size=(1, 3, 3, 2))
 
     def loss_value():
-        out = tk.conv2d(tk.Tensor(x.data), tk.Tensor(w.data), tk.Tensor(b.data), kernel)
+        out = tk.conv2d(tk.Tensor(x.data), tk.Tensor(w.data), tk.Tensor(b.data),
+                        grid_for(x, kernel))
         return float((out.data * coef).sum())
 
-    loss = tk.tsum(tk.mul(tk.conv2d(x, w, b, kernel), tk.Tensor(coef)))
+    loss = tk.tsum(tk.mul(tk.conv2d(x, w, b, grid_for(x, kernel)), tk.Tensor(coef)))
     tk.backward(loss)
     for t in (x, w, b):
         gn = numeric_grad(loss_value, t.data)
         assert np.allclose(t.grad, gn, atol=1e-5)
 
 
-@st.composite
-def conv_cases(draw):
-    n, h, w = draw(st.integers(0, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    cin, cout = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    kernel = draw(st.sampled_from([1, 3, 5]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+CONV_ORACLES = (reference_conv2d, reference_conv2d_tap_loop)
+
+
+def conv_results(conv, x, kmat, bias, kernel, upstream, live_x):
+    """Output and the x, kernel and bias gradients of one conv under upstream;
+    tk.conv2d gets a fresh grid, the oracles the kernel size."""
+    ts = (tk.Tensor(x.copy(), requires_grad=live_x), tk.Tensor(kmat.copy(), requires_grad=True),
+          tk.Tensor(bias.copy(), requires_grad=True))
+    out = conv(*ts, grid_for(x, kernel) if conv is tk.conv2d else kernel)
+    tk.backward(tk.tsum(tk.mul(out, tk.Tensor(upstream))))
+    return [out.data] + [t.grad for t in ts]
+
+
+def assert_conv_matches_oracles(x, kmat, bias, kernel, upstream, live_x):
+    out, gx, gw, gb = conv_results(tk.conv2d, x, kmat, bias, kernel, upstream, live_x)
+    for oracle in CONV_ORACLES:
+        ref_out, ref_gx, ref_gw, ref_gb = conv_results(oracle, x, kmat, bias, kernel,
+                                                       upstream, live_x)
+        assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
+        if live_x:
+            assert gx.shape == x.shape and gx.tobytes() == ref_gx.tobytes()
+        else:
+            assert gx is None and ref_gx is None
+        assert gw.shape == kmat.shape and gw.tobytes() == ref_gw.tobytes()
+        assert gb.shape == bias.shape and gb.tobytes() == ref_gb.tobytes()
+
+
+def conv_arrays(rng, n, h, w, cin, cout, kernel):
     # ReLU-style masking: masked negatives become -0.0 in the input and in
     # the upstream gradient
     x = rng.normal(size=(n, h, w, cin)) * (rng.random((n, h, w, cin)) < 0.7)
     upstream = rng.normal(size=(n, h, w, cout)) * (rng.random((n, h, w, cout)) < 0.5)
     kmat = rng.normal(size=(kernel * kernel * cin, cout))
     bias = rng.normal(size=cout)
-    return x, kmat, bias, kernel, upstream, draw(st.booleans())
+    return x, kmat, bias, kernel, upstream
+
+
+@st.composite
+def conv_cases(draw):
+    """Batches of 0 to 6 grids, down to 1x1 so that whole taps of the
+    larger kernels fall in the padding."""
+    n = draw(st.integers(0, 6))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cin, cout = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kernel = draw(st.sampled_from([1, 3, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return conv_arrays(rng, n, h, w, cin, cout, kernel) + (draw(st.booleans()),)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=conv_cases())
 def test_conv2d_matches_reference_bit_for_bit(case):
-    x, kmat, bias, kernel, upstream, live_x = case
-    results = []
-    for conv in (tk.conv2d, reference_conv2d):
-        ts = (tk.Tensor(x.copy(), requires_grad=live_x), tk.Tensor(kmat.copy(), requires_grad=True),
-              tk.Tensor(bias.copy(), requires_grad=True))
-        out = conv(*ts, kernel)
-        tk.backward(tk.tsum(tk.mul(out, tk.Tensor(upstream))))
-        results.append([out.data] + [t.grad for t in ts])
-    (out, gx, gw, gb), (ref_out, ref_gx, ref_gw, ref_gb) = results
-    assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
-    if live_x:
-        assert gx.shape == x.shape and gx.tobytes() == ref_gx.tobytes()
-    else:
-        assert gx is None and ref_gx is None
-    assert gw.shape == kmat.shape and gw.tobytes() == ref_gw.tobytes()
-    assert gb.shape == bias.shape and gb.tobytes() == ref_gb.tobytes()
+    assert_conv_matches_oracles(*case)
+
+
+@pytest.mark.parametrize("n,h,w,kernel", [(0, 4, 4, 3), (3, 1, 6, 3), (2, 2, 1, 5),
+                                          (2, 3, 2, 7), (1, 1, 1, 5)],
+                         ids=["empty_batch", "row", "column", "k7_small", "single_pixel"])
+def test_conv2d_matches_oracles_where_whole_taps_fall_in_padding(n, h, w, kernel):
+    rng = np.random.default_rng(n * 100 + h * 10 + w)
+    x, kmat, bias, kernel, upstream = conv_arrays(rng, n, h, w, 3, 2, kernel)
+    upstream[..., 0] = -0.0
+    assert_conv_matches_oracles(x, kmat, bias, kernel, upstream, True)
+
+
+@pytest.mark.parametrize("grid,why", [
+    (tk.ConvGrid(3, 5, 4, 3), "conv grid (3, 5, 4) does not match input (2, 5, 4, 3)"),
+    (tk.ConvGrid(2, 4, 5, 3), "conv grid (2, 4, 5) does not match input (2, 5, 4, 3)"),
+    (tk.ConvGrid(2, 5, 4, 5), "kernel matrix (27, 2) does not match 25x3 taps"),
+], ids=["batch", "height_width", "kernel"])
+def test_conv2d_rejects_a_grid_that_does_not_match(grid, why):
+    x = tk.Tensor(np.zeros((2, 5, 4, 3)))
+    with pytest.raises(ShapeError) as e:
+        tk.conv2d(x, tk.Tensor(np.zeros((27, 2))), tk.Tensor(np.zeros(2)), grid)
+    assert str(e.value) == why
+
+
+@pytest.mark.parametrize("args", [(1, 4, 4, 2), (1, 4, 4, 0), (-1, 4, 4, 3), (1, 0, 4, 3)],
+                         ids=["even_kernel", "zero_kernel", "negative_batch", "empty_rows"])
+def test_conv_grid_rejects_bad_sizes(args):
+    with pytest.raises(ShapeError):
+        tk.ConvGrid(*args)
+
+
+def test_conv_grid_builds_its_operator_once_and_only_on_a_backward(monkeypatch):
+    builds = count_calls(monkeypatch, tk.ConvGrid, "_build")
+    rng = np.random.default_rng(5)
+    grid = tk.ConvGrid(2, 4, 4, 3)
+    stack = tk.ConvStack([3, 4, 1], rng=rng, name="probe")
+    x = tk.Tensor(rng.normal(size=(2, 4, 4, 3)), requires_grad=True)
+    with tk.no_grad():
+        stack(x, grid)
+    stack(x, grid)
+    assert builds == []
+    tk.backward(tk.tsum(stack(x, grid)))
+    tk.backward(tk.tsum(stack(x, grid)))
+    assert builds == [grid]
 
 
 def _signed_zeros(rng, x, frac):

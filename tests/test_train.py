@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import FRAMES_PER_GRAPH, MAX_FRAME_GAP, TOP_K, bench_scenario_config
+from conftest import FRAMES_PER_GRAPH, MAX_FRAME_GAP, TOP_K, bench_scenario_config, count_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_augment
@@ -201,6 +201,15 @@ def test_train_loop_with_masks_on_unsupervised_windows_gives_mask_stacks_zero_gr
             assert p.grad is not None and not p.grad.any(), name
 
 
+def test_mask_training_iteration_builds_one_col2im_operator(monkeypatch):
+    # every conv backward of the pass shares the forward's one ConvGrid
+    builds = count_calls(monkeypatch, tk.ConvGrid, "_build")
+    sc = sd.generate_scenario(sd.ScenarioConfig(
+        num_frames=6, num_identities=2, d_app=4, roi_h=4, roi_w=4, d_roi=2, seed=1))
+    tr.train_loop([sc], quick_cfg(iterations=1, frames_per_graph=4), small_model(with_masks=True))
+    assert len(builds) == 1
+
+
 STACK_ORDER = ("node_encoder", "edge_encoder", "edge_update", "node_update_past",
                "node_update_fut", "node_update", "edge_logits", "context_update", "mask_head")
 
@@ -259,6 +268,32 @@ def test_train_config_validation():
         tr.TrainConfig(node_drop_p=1.5).validate()
     with pytest.raises(ConfigError):
         config_from_dict(tr.TrainConfig, "train", {"mystery": 2})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key,value,why", [
+    ("lr", NAN, "lr must be finite and >= 0"),
+    ("lr", INF, "lr must be finite and >= 0"),
+    ("lr", -1e-3, "lr must be finite and >= 0"),
+    ("weight_decay", NAN, "weight_decay must be finite and >= 0"),
+    ("box_shift_std", INF, "box_shift_std must be finite and >= 0"),
+    ("beta1", NAN, "beta1 must be in [0, 1)"),
+    ("beta1", 1.0, "beta1 must be in [0, 1)"),
+    ("beta1", -0.5, "beta1 must be in [0, 1)"),
+    ("beta2", 1.0, "beta2 must be in [0, 1)"),
+    ("beta2", INF, "beta2 must be in [0, 1)"),
+], ids=["lr_nan", "lr_inf", "lr_negative", "weight_decay_nan", "box_shift_std_inf",
+        "beta1_nan", "beta1_1", "beta1_negative", "beta2_1", "beta2_inf"])
+def test_train_config_rejects_non_finite_and_out_of_range_optimiser_values(key, value, why):
+    with pytest.raises(ConfigError) as e:
+        tr.TrainConfig(**{key: value}).validate()
+    assert str(e.value).startswith(why)
+
+
+def test_train_config_accepts_the_edges_of_its_ranges():
+    tr.TrainConfig(lr=0.0, weight_decay=0.0, box_shift_std=0.0, beta1=0.0, beta2=0.0).validate()
 
 
 def test_write_history_format(tmp_path):
