@@ -4,7 +4,10 @@ A sequence's detections become per-node arrays once, in a NodeTable, and
 windows are row indices into it.  Nodes are detections, edges connect
 detections in different frames that could belong to the same object.
 Candidate edges are limited by a frame gap and pruned to mutual top-k
-nearest neighbors in appearance space.  Nodes are held in a content-keyed
+nearest neighbors in appearance space.  Partners ranks every node's
+candidates once per table, and build_graph cuts each window's graph from
+that ranking: a node's top-k within a window are the first k of its ranked
+list that lie in the window.  Nodes are held in a content-keyed
 canonical order (frame, box, id) so a relabeling of node ids leaves every
 internal array, and therefore every downstream float operation, unchanged.
 The flow constraints on edge labels (at most one active edge into the past
@@ -131,55 +134,162 @@ def _app_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def _check_graph_options(max_frame_gap: int | None, top_k: int) -> None:
-    """The range checks on the graph options, for every caller that takes them."""
+def _check_gap(max_frame_gap: int | None) -> None:
     if max_frame_gap is not None and max_frame_gap < 1:
         raise ConfigError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
+
+
+def _check_graph_options(max_frame_gap: int | None, top_k: int) -> None:
+    """The range checks on the graph options, for every caller that takes them."""
+    _check_gap(max_frame_gap)
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
 
 
+def window_gap(max_frame_gap: int | None, frames_per_graph: int) -> int:
+    """The widest frame gap of a candidate pair in any window of
+    frames_per_graph frames, with None as no gap limit."""
+    span = frames_per_graph - 1
+    return span if max_frame_gap is None else min(max_frame_gap, span)
+
+
+def _candidate_pairs(frames: np.ndarray, max_frame_gap: int | None):
+    """(earlier, later) row arrays of the nodes 1 to max_frame_gap frames
+    apart, one piece per distance k between present frames: the nodes of
+    the i-th present frame paired with those of the (i + k)-th."""
+    order = np.argsort(frames, kind="stable")
+    present, start, count = np.unique(frames[order], return_index=True, return_counts=True)
+    for k in range(1, len(present)):
+        near = present[k:] - present[:-k]
+        if max_frame_gap is not None:
+            near = near <= max_frame_gap
+            if not near.any():         # distances grow with k
+                return
+        a = np.flatnonzero(near)
+        b = a + k
+        size = count[a] * count[b]
+        block = np.repeat(np.arange(len(a)), size)
+        t = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        yield (order[start[a][block] + t // count[b][block]],
+               order[start[b][block] + t % count[b][block]])
+
+
+class Partners:
+    """Every node's candidate partners in a node table, ranked once.
+
+    A candidate pair is two nodes 1 to max_frame_gap frames apart, or in any
+    two frames with None.  Each node's partners in either direction are
+    listed by (appearance distance, node id), so its top-k partners among
+    any rows of the table are the first k entries of its list among those
+    rows; build_graph cuts each window's graph from these lists with no
+    sort.  A node is held by its slot, its position in ascending id order.
+    """
+
+    __slots__ = ("ids", "max_frame_gap", "_indptr", "_partners")
+
+    def __init__(self, nodes: NodeTable, max_frame_gap: int | None):
+        _check_gap(max_frame_gap)
+        n = len(nodes.ids)
+        by_id = np.argsort(nodes.ids, kind="stable")
+        slot = np.empty(n, np.int64)
+        slot[by_id] = np.arange(n)
+        self.ids = nodes.ids[by_id]
+        self.max_frame_gap = max_frame_gap
+        pieces = list(_candidate_pairs(nodes.frames, max_frame_gap))
+        app = nodes.stack("appearance", "appearance vector") if n else None
+        earlier = np.concatenate([np.zeros(0, np.int64)] + [u for u, _ in pieces])
+        later = np.concatenate([np.zeros(0, np.int64)] + [v for _, v in pieces])
+        dist = np.concatenate([np.zeros(0)] + [_app_dist(app[u], app[v]) for u, v in pieces])
+        owners = slot[np.concatenate((earlier, later))]
+        partners = slot[np.concatenate((later, earlier))]
+        # order each owner's entries by (distance, partner id) through one
+        # sort of integer keys; slots ascend with ids, and dense ranks keep
+        # the keys below n * entries
+        _, dist_rank = np.unique(dist, return_inverse=True)
+        keys, key_rank = np.unique(np.tile(dist_rank, 2) * n + partners, return_inverse=True)
+        ranked = np.sort(owners * len(keys) + key_rank) % max(len(keys), 1)
+        self._partners = keys[ranked] % max(n, 1)
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=n))))
+
+    def _slots(self, ids: np.ndarray) -> np.ndarray:
+        """Each id's slot, or a ConfigError naming the first unknown id."""
+        slot = np.searchsorted(self.ids, ids)
+        known = slot < len(self.ids)
+        known[known] = self.ids[slot[known]] == ids[known]
+        if not known.all():
+            raise ConfigError(f"node {ids[np.argmin(known)]} is not in the ranked node table")
+        return slot
+
+    def _check_covers(self, frames: np.ndarray, max_frame_gap: int | None) -> None:
+        """A ConfigError if two of the frames form a candidate pair under
+        max_frame_gap that lies beyond the ranking's gap."""
+        ranked = self.max_frame_gap
+        if ranked is None or (max_frame_gap is not None and max_frame_gap <= ranked):
+            return
+        present = np.unique(frames)
+        beyond = np.searchsorted(present, present + ranked, side="right")
+        upto = len(present) if max_frame_gap is None \
+            else np.searchsorted(present, present + max_frame_gap, side="right")
+        if (upto > beyond).any():
+            raise ConfigError(f"partners are ranked up to a frame gap of {ranked}, but the "
+                              f"window has candidate pairs further apart")
+
+    def mutual_top_k(self, nodes: NodeTable, max_frame_gap: int | None,
+                     top_k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(src, dst) positions in nodes, which are in frame order, of every
+        candidate pair under max_frame_gap in which each node is among the
+        other's top_k partners, earlier node first, in row-major order."""
+        self._check_covers(nodes.frames, max_frame_gap)
+        frames, m = nodes.frames, len(nodes.ids)
+        slot = self._slots(nodes.ids)
+        pos = np.full(len(self.ids), -1)
+        pos[slot] = np.arange(m)
+        lo = self._indptr[slot]
+        size = self._indptr[slot + 1] - lo
+        owner = np.repeat(np.arange(m), size)
+        entry = np.arange(len(owner)) + (lo - (np.cumsum(size) - size))[owner]
+        partner = pos[self._partners[entry]]
+        inside = partner >= 0
+        if max_frame_gap is not None and max_frame_gap != self.max_frame_gap:
+            inside &= np.abs(frames[partner] - frames[owner]) <= max_frame_gap
+        keep = np.flatnonzero(inside)
+        owner = owner[keep]
+        # each owner's partners stay in ranked order: keep its first top_k
+        top = np.arange(len(owner)) - np.searchsorted(owner, np.arange(m))[owner] < top_k
+        owner, partner = owner[top], partner[keep[top]]
+        # partners lie in other frames, so the earlier node has the lower
+        # position; a pair chosen from both ends appears twice, and sorted
+        # keys are in row-major (src, dst) order
+        key = np.sort(np.minimum(owner, partner) * m + np.maximum(owner, partner))
+        return np.divmod(key[1:][key[1:] == key[:-1]], max(m, 1))
+
+
 def build_graph(nodes: NodeTable | list[Detection], max_frame_gap: int | None,
-                top_k: int) -> TrackGraph:
+                top_k: int, partners: Partners | None = None) -> TrackGraph:
     """Connect detections across frames, then keep mutual top-k neighbors.
 
     nodes is a node table, or detections to convert with
     NodeTable.from_detections.  Detections at most max_frame_gap frames
     apart are candidates; None sets no gap limit, so a window's graph spans
-    the whole window.  Ranking uses Euclidean distance between appearance
-    vectors, ties broken by lower node id.  Edges always point from the
-    earlier frame to the later one.
+    the whole window.  Each node ranks its candidates in either direction
+    by Euclidean distance between appearance vectors, ties broken by lower
+    node id, and an edge joins two candidates that each rank among the
+    other's first top_k.  Edges always point from the earlier frame to the
+    later one, in row-major (src, dst) order of canonical positions.
+
+    partners, if given, is the ranking of a table that nodes is a window
+    of: its rows are matched by node id (boxes may differ, as after
+    augmentation), and the graph is cut from the ranked lists with no
+    sort.  An id missing from the ranked table, or a candidate pair beyond
+    the ranking's gap, is a ConfigError.  Without partners, nodes are
+    ranked here the same way.
     """
     _check_graph_options(max_frame_gap, top_k)
     nodes = _as_table(nodes).canonical()
-    frames, ids, n = nodes.frames, nodes.ids, len(nodes.ids)
-    if not n:
-        return TrackGraph(nodes, np.zeros(0, np.int64), np.zeros(0, np.int64))
-    app = nodes.stack("appearance", "appearance vector")
-
-    gap = frames[None, :] - frames[:, None]
-    candidate = gap >= 1                              # u earlier than v
-    if max_frame_gap is not None:
-        candidate &= gap <= max_frame_gap
-    # distances of candidate pairs only, mirrored: a - b and b - a square to
-    # the same values; the other entries rank last and are never read
-    cu, cv = np.nonzero(candidate)
-    dist = np.zeros((n, n))
-    dist[cu, cv] = dist[cv, cu] = _app_dist(app[cu], app[cv])
-
-    # per node: partners in either direction ranked by (distance, node id),
-    # non-partners last; keep[u, v] marks v among u's top_k partners.  Dense on
-    # purpose: one lexsort over the candidate pairs alone, ranked with
-    # searchsorted, measured about 1.5x slower per window
-    partner_mask = candidate | candidate.T
-    rank_order = np.lexsort((np.broadcast_to(ids, dist.shape), dist, ~partner_mask), axis=1)
-    keep = np.zeros_like(partner_mask)
-    np.put_along_axis(keep, rank_order[:, :top_k], True, axis=1)
-    keep &= partner_mask
-
-    # row-major nonzero order is already sorted by (src, dst)
-    src, dst = np.nonzero(candidate & keep & keep.T)
-    return TrackGraph(nodes, src.astype(np.int64), dst.astype(np.int64))
+    if partners is None:
+        partners = Partners(nodes, max_frame_gap)
+    src, dst = partners.mutual_top_k(nodes, max_frame_gap, top_k)
+    return TrackGraph(nodes, src, dst)
 
 
 def graph_from_edge_list(nodes: NodeTable | list[Detection], pairs) -> TrackGraph:

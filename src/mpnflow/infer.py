@@ -18,9 +18,9 @@ from scipy.optimize import linear_sum_assignment
 
 from . import tensorkit as tk
 from .errors import ConfigError, ParseError, read_text
-from .graph import (ConstraintReport, NodeTable, TrackGraph, _assert_feasible,
+from .graph import (ConstraintReport, NodeTable, Partners, TrackGraph, _assert_feasible,
                     _check_graph_options, _degrees, build_graph, check_constraints,
-                    graph_from_edge_list, split_windows, violating_edges)
+                    graph_from_edge_list, split_windows, violating_edges, window_gap)
 from .mpn import ModelParams, mpn_forward, predict_masks
 from .synthdata import Box, Detection
 
@@ -167,6 +167,8 @@ class InferConfig:
             raise ConfigError(f"rounder must be one of {ROUNDERS}, got {self.rounder!r}")
         if self.min_track_len < 1:
             raise ConfigError(f"min_track_len must be >= 1, got {self.min_track_len}")
+        if self.frames_per_graph < 2:
+            raise ConfigError(f"frames_per_graph must be >= 2, got {self.frames_per_graph}")
         _check_graph_options(self.max_frame_gap, self.top_k)
         _check_tau(self.tau)
         if self.threads != 1:
@@ -193,16 +195,19 @@ def _window_means(keys: tuple[np.ndarray, ...], values: np.ndarray):
 
 def run_inference(detections: list[Detection], params: ModelParams, cfg: InferConfig) -> Solution:
     """Classify each window, average every edge and node over its windows in
-    window order, round, and extract tracks."""
+    window order, round, and extract tracks.  Graph partners are ranked once
+    for the whole sequence, and each window's graph is cut from them."""
     cfg.validate()
     table = NodeTable.from_detections(detections)
+    partners = Partners(table, window_gap(cfg.max_frame_gap, cfg.frames_per_graph))
     mpn_cfg = params.config
     srcs, dsts, probs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     mask_ids, grids = [np.zeros(0, np.int64)], [np.zeros((0, mpn_cfg.roi_h, mpn_cfg.roi_w))]
     for rows in split_windows(detections, cfg.frames_per_graph):
         if len(rows) < 2:
             continue
-        g = build_graph(table.take(rows), max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k)
+        g = build_graph(table.take(rows), max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k,
+                        partners=partners)
         with tk.no_grad():
             state = mpn_forward(g, params)
             if mpn_cfg.with_masks:

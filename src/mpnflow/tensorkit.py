@@ -577,8 +577,8 @@ class ConvStack(_LayerStack):
                  rng: np.random.Generator, name: str):
         if len(channels) < 2:
             raise ShapeError(f"{name}: need at least one conv layer")
-        if kernel % 2 != 1:
-            raise ShapeError(f"{name}: kernel must be odd, got {kernel}")
+        if kernel < 1 or kernel % 2 != 1:
+            raise ShapeError(f"{name}: kernel must be odd and positive, got {kernel}")
         super().__init__(name, out_activation, ("n", "h", "w", channels[0]))
         self.kernel = kernel
         taps = kernel * kernel

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import tensorkit as tk
 from .errors import ConfigError, TrainingError, check_finite_sign
-from .graph import NodeTable, _check_graph_options, build_graph, ground_truth_labels, split_windows
+from .graph import (NodeTable, Partners, _check_graph_options, build_graph, ground_truth_labels,
+                    split_windows, window_gap)
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from .synthdata import Scenario, ScenarioConfig, generate_scenario
 
@@ -150,7 +151,8 @@ def joint_loss(state, params: ModelParams, labels_arr: np.ndarray,
     return total, report
 
 
-def _sample_graph(nodes: NodeTable, windows: list[np.ndarray], cfg: TrainConfig, rng):
+def _sample_graph(nodes: NodeTable, windows: list[np.ndarray], partners: Partners,
+                  cfg: TrainConfig, rng):
     for _ in range(50):
         rows = windows[rng.integers(len(windows))]
         kept, boxes = augment(nodes.boxes[rows], cfg.node_drop_p, cfg.box_shift_std, rng)
@@ -158,7 +160,8 @@ def _sample_graph(nodes: NodeTable, windows: list[np.ndarray], cfg: TrainConfig,
             continue
         window = nodes.take(rows[kept])
         window.boxes = boxes
-        graph = build_graph(window, max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k)
+        graph = build_graph(window, max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k,
+                            partners=partners)
         if graph.num_edges == 0:
             continue
         return graph
@@ -189,6 +192,9 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
         params = ModelParams(mpn_cfg, d_app=d_app, seed=cfg.seed)
     elif params.config != mpn_cfg:
         raise ConfigError(f"params were built for {params.config}, not for {mpn_cfg}")
+    # graph partners ranked once per scenario; each sampled window is cut from them
+    gap = window_gap(cfg.max_frame_gap, cfg.frames_per_graph)
+    usable = [(s, t, w, Partners(t, gap)) for s, t, w in usable]
     rng = np.random.default_rng([cfg.seed, 0x5EED])
     adam = tk.AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                         weight_decay=cfg.weight_decay)
@@ -198,8 +204,8 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
         params.zero_grad()
         agg = LossReport(iteration=it, edge=0.0, mask=0.0, total=0.0)
         for _ in range(cfg.graphs_per_step):
-            scenario, nodes, windows = usable[rng.integers(len(usable))]
-            graph = _sample_graph(nodes, windows, cfg, rng)
+            scenario, nodes, windows, partners = usable[rng.integers(len(usable))]
+            graph = _sample_graph(nodes, windows, partners, cfg, rng)
             labels = ground_truth_labels(graph, scenario)
             state = mpn_forward(graph, params)
             gt_masks = graph.nodes.gt_masks if mpn_cfg.with_masks else None

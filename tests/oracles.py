@@ -134,8 +134,9 @@ def _reference_distances(app):
 
 
 def reference_build_graph(detections, max_frame_gap, top_k):
-    """build_graph as per-node sorted() top-k plus a per-edge mutual check."""
-    if max_frame_gap < 1:
+    """build_graph as per-node sorted() top-k plus a per-edge mutual check;
+    max_frame_gap None sets no gap limit."""
+    if max_frame_gap is not None and max_frame_gap < 1:
         raise ConfigError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
@@ -156,7 +157,9 @@ def reference_build_graph(detections, max_frame_gap, top_k):
     dist = _reference_distances(np.stack([d.appearance for d in ordered]))
 
     gap = frames[None, :] - frames[:, None]
-    candidate = (gap >= 1) & (gap <= max_frame_gap)   # u earlier than v
+    candidate = gap >= 1                              # u earlier than v
+    if max_frame_gap is not None:
+        candidate &= gap <= max_frame_gap
 
     # per node: partners in either direction ranked by (distance, node id)
     keep = [set() for _ in range(n)]

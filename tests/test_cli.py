@@ -380,6 +380,8 @@ BAD_CONFIGS = {
     "infer_float_as_str": ("infer", {"infer": {"tau": "0.5"}}, [], "tau"),
     "infer_unknown_key": ("infer", {"infer": {"typo": 1}}, [], "typo"),
     "infer_threads_2": ("infer", {"infer": {"threads": 2}}, [], "threads"),
+    "infer_frames_per_graph_1": ("infer", {"infer": {"frames_per_graph": 1}}, [],
+                                 "frames_per_graph must be >= 2"),
     "infer_max_frame_gap_0": ("infer", {"infer": {"max_frame_gap": 0}}, [], "max_frame_gap"),
     "infer_max_frame_gap_flag_0": ("infer", {}, ["--max-frame-gap", "0"], "max_frame_gap"),
     "infer_tau_1_5": ("infer", {"infer": {"tau": 1.5}}, [], "tau must be in (0, 1)"),

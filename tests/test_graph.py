@@ -90,7 +90,7 @@ def detection_sets(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(dets=detection_sets(), top_k=st.integers(1, 12), gap=st.integers(1, 6))
+@given(dets=detection_sets(), top_k=st.integers(1, 12), gap=st.none() | st.integers(1, 6))
 def test_build_graph_matches_loop_reference_bit_for_bit(dets, top_k, gap):
     with np.errstate(over="ignore"):
         g = gr.build_graph(dets, max_frame_gap=gap, top_k=top_k)
@@ -102,6 +102,107 @@ def test_build_graph_matches_loop_reference_bit_for_bit(dets, top_k, gap):
     # a graph rebuilt from its own pairs gets the same arrays
     for name in ("edge_src", "edge_dst"):
         assert getattr(rebuilt, name).tobytes() == getattr(g, name).tobytes(), name
+
+
+def _uncovered(frames, gap, ranked_gap):
+    """Whether two of the frames are a candidate pair under gap but lie
+    further apart than ranked_gap, by brute force."""
+    return ranked_gap is not None and any(
+        ranked_gap < b - a and (gap is None or b - a <= gap) for a in frames for b in frames)
+
+
+@st.composite
+def ranked_windows(draw):
+    """Detections, a row subset of them with jittered boxes, and the same
+    window as detections for the oracle."""
+    dets = draw(detection_sets())
+    rows = sorted(draw(st.sets(st.sampled_from(range(len(dets))))) if dets else [])
+    window = []
+    for i in rows:
+        x, y, w, h = dets[i].box
+        dx, dy, dw, dh = (draw(st.sampled_from([0.0, 0.5, -3.0])) for _ in range(4))
+        window.append(dataclasses.replace(
+            dets[i], box=(x + dx, y + dy, max(w + dw, 1.0), max(h + dh, 1.0))))
+    return dets, np.asarray(rows, dtype=np.int64), window
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=ranked_windows(), top_k=st.integers(1, 12), gap=st.none() | st.integers(1, 6),
+       ranked_gap=st.none() | st.integers(1, 8))
+def test_cut_from_partners_matches_loop_reference_on_every_window(case, top_k, gap, ranked_gap):
+    dets, rows, window = case
+    table = gr.NodeTable.from_detections(dets)
+    nodes = table.take(rows)
+    nodes.boxes = gr.NodeTable.from_detections(window).boxes
+    with np.errstate(over="ignore"):
+        partners = gr.Partners(table, ranked_gap)
+        if _uncovered([d.frame for d in window], gap, ranked_gap):
+            with pytest.raises(ConfigError, match="ranked up to a frame gap"):
+                gr.build_graph(nodes, max_frame_gap=gap, top_k=top_k, partners=partners)
+            return
+        g = gr.build_graph(nodes, max_frame_gap=gap, top_k=top_k, partners=partners)
+        ref = reference_build_graph(window, max_frame_gap=gap, top_k=top_k)
+    assert g.node_ids.tolist() == ref.node_ids.tolist()
+    assert g.nodes.boxes.tobytes() == ref.nodes.boxes.tobytes()
+    for name in ("edge_src", "edge_dst"):
+        got, want = getattr(g, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_cut_breaks_distance_ties_by_lower_node_id():
+    # node 0's partners 9, 3 and 5 all lie at distance 1; with k=2 it keeps 3 and 5
+    dets = [det(0, 1, app=(0.0,)), det(9, 2, x=1, app=(1.0,)), det(3, 2, x=2, app=(-1.0,)),
+            det(5, 3, x=3, app=(1.0,))]
+    table = gr.NodeTable.from_detections(dets)
+    g = gr.build_graph(table, max_frame_gap=2, top_k=2, partners=gr.Partners(table, 2))
+    assert [pair for pair in g.edge_pairs() if 0 in pair] == [(0, 3), (0, 5)]
+
+
+def test_cut_of_an_empty_window_and_of_nodes_without_partners():
+    dets = [det(0, 1), det(1, 1, x=5), det(2, 4, app=(0.3,))]
+    table = gr.NodeTable.from_detections(dets)
+    for ranked_gap in (None, 2):
+        partners = gr.Partners(table, ranked_gap)
+        empty = gr.build_graph(table.take(np.zeros(0, np.int64)), max_frame_gap=2, top_k=3,
+                               partners=partners)
+        assert empty.num_nodes == 0 and empty.num_edges == 0
+        assert empty.edge_src.dtype == empty.edge_dst.dtype == np.int64
+        # one frame, or frames 3 apart under a gap of 2: no node has a partner
+        lone = gr.build_graph(table, max_frame_gap=2, top_k=3, partners=partners)
+        assert lone.num_nodes == 3 and lone.num_edges == 0
+    nothing = gr.Partners(gr.NodeTable.from_detections([]), None)
+    assert gr.build_graph([], max_frame_gap=None, top_k=1, partners=nothing).num_nodes == 0
+
+
+def test_cut_rejects_a_node_missing_from_the_ranked_table():
+    table = gr.NodeTable.from_detections([det(0, 1), det(4, 2, app=(1.0,))])
+    other = gr.NodeTable.from_detections([det(0, 1), det(7, 2, app=(1.0,))])
+    for partners in (gr.Partners(table, None), gr.Partners(table.take(np.zeros(0, int)), None)):
+        with pytest.raises(ConfigError, match="^node 7 is not in the ranked node table$"):
+            gr.build_graph(other.take(np.array([1])), max_frame_gap=None, top_k=3,
+                           partners=partners)
+
+
+@pytest.mark.parametrize("gap", [None, 3])
+def test_cut_rejects_a_window_wider_than_the_ranking_gap(gap):
+    dets = [det(0, 1), det(1, 2, app=(0.1,)), det(2, 4, app=(0.2,))]
+    table = gr.NodeTable.from_detections(dets)
+    partners = gr.Partners(table, 2)
+    with pytest.raises(ConfigError, match="^partners are ranked up to a frame gap of 2"):
+        gr.build_graph(table, max_frame_gap=gap, top_k=3, partners=partners)
+    # the same window under the ranking's own gap, or a narrower one, is covered
+    for narrower in (2, 1):
+        got = gr.build_graph(table, max_frame_gap=narrower, top_k=3, partners=partners)
+        want = gr.build_graph(table, max_frame_gap=narrower, top_k=3)
+        assert got.edge_pairs() == want.edge_pairs()
+
+
+def test_partners_check_the_gap_and_name_a_node_without_appearance():
+    with pytest.raises(ConfigError, match="^max_frame_gap must be >= 1, got 0$"):
+        gr.Partners(gr.NodeTable.from_detections([det(0, 1)]), 0)
+    dets = [det(0, 1), sd.Detection(node_id=8, frame=2, box=(0, 0, 5, 5))]
+    with pytest.raises(ConfigError, match="^detection 8 has no appearance vector$"):
+        gr.Partners(gr.NodeTable.from_detections(dets), None)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from oracles import (brute_force_round, hand_built_graphs, random_rounding_insta
                      subgraph_objective)
 
 from mpnflow.errors import ConfigError, FeasibilityError, ParseError
-from mpnflow.graph import build_graph, graph_from_edge_list
+from mpnflow.graph import build_graph, graph_from_edge_list, split_windows
 from mpnflow.infer import (InferConfig, _window_means, check_constraints, exact_round,
                            extract_trajectories, greedy_round, interpolate_track, read_mask_pgm,
                            run_inference, threshold, violating_edges, write_mask_pgm)
@@ -297,6 +297,36 @@ def test_run_inference_rejects_a_repeated_node_id_before_any_window_forward(monk
     with pytest.raises(ConfigError, match=f"^duplicate node id {dets[first].node_id}$"):
         run_inference(dets, params, InferConfig(frames_per_graph=5, top_k=3))
     assert calls == []
+
+
+def test_run_inference_builds_one_graph_per_window_of_two_or_more(monkeypatch):
+    # the benchmark counts graphs, nodes and visited frames from these calls
+    scenario, params = _inference_fixture()
+    dets = scenario.detections
+    calls = []
+
+    def counted(nodes, *args, **kwargs):
+        calls.append(len(nodes.ids))
+        return build_graph(nodes, *args, **kwargs)
+
+    monkeypatch.setattr("mpnflow.infer.build_graph", counted)
+    run_inference(dets, params, InferConfig(frames_per_graph=3, top_k=3))
+    sizes = [len(rows) for rows in split_windows(dets, 3)]
+    assert calls == [n for n in sizes if n >= 2] and len(calls) > 3
+
+
+def test_run_inference_names_a_detection_without_appearance():
+    scenario, params = _inference_fixture()
+    dets = list(scenario.detections)
+    dets[5] = replace(dets[5], appearance=None)
+    with pytest.raises(ConfigError, match=f"^detection {dets[5].node_id} has no appearance"):
+        run_inference(dets, params, InferConfig(frames_per_graph=5, top_k=3))
+
+
+def test_infer_config_rejects_a_one_frame_window():
+    with pytest.raises(ConfigError, match="^frames_per_graph must be >= 2, got 1$"):
+        InferConfig(frames_per_graph=1).validate()
+    InferConfig(frames_per_graph=2).validate()
 
 
 def test_run_inference_emits_masks_when_enabled():

@@ -126,6 +126,12 @@ def test_stacks_reject_wrong_input_rank_and_width(kind, shape):
     assert str(e.value) == f"probe: input shape {shape} does not match expected {want}"
 
 
+@pytest.mark.parametrize("kernel", [-1, -3, 0, 2])
+def test_conv_stack_rejects_a_kernel_that_is_not_odd_and_positive(kernel):
+    with pytest.raises(ShapeError, match=f"^probe: kernel must be odd and positive, got {kernel}$"):
+        tk.ConvStack([2, 3], kernel=kernel, rng=np.random.default_rng(0), name="probe")
+
+
 def test_conv2d_all_ones_kernel_counts_neighbors():
     # constant-1 input, all-ones 3x3 kernel, zero padding: each output pixel
     # equals the number of in-bounds taps (corner 4, edge 6, interior 9)

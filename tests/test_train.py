@@ -1,6 +1,10 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,37 @@ def small_model(**kw):
     return MpnConfig(**base)
 
 
+def test_train_loop_builds_one_graph_per_sampling_attempt(monkeypatch):
+    # the benchmark counts graphs and nodes from these calls; an attempt that
+    # keeps fewer than two nodes builds none
+    kept, calls = [], []
+    augment = tr.augment
+
+    def counted_augment(*args):
+        rows, boxes = augment(*args)
+        kept.append(len(rows))
+        return rows, boxes
+
+    def counted_build(nodes, *args, **kwargs):
+        calls.append(len(nodes.ids))
+        return build_graph(nodes, *args, **kwargs)
+
+    monkeypatch.setattr("mpnflow.train.augment", counted_augment)
+    monkeypatch.setattr("mpnflow.train.build_graph", counted_build)
+    tr.train_loop([easy_scenario()], quick_cfg(iterations=6, node_drop_p=0.9), small_model())
+    assert calls == [n for n in kept if n >= 2]
+    assert len(kept) > len(calls) >= 6
+
+
+def test_train_loop_names_a_detection_without_appearance():
+    scenario = easy_scenario()
+    dets = list(scenario.detections)
+    dets[3] = replace(dets[3], appearance=None)
+    with pytest.raises(ConfigError, match=f"^detection {dets[3].node_id} has no appearance"):
+        tr.train_loop([replace(scenario, detections=dets)], quick_cfg(iterations=1),
+                      small_model())
+
+
 def test_train_loop_reduces_loss():
     params, history = tr.train_loop([easy_scenario()], quick_cfg(), small_model())
     assert len(history) == 40
@@ -152,6 +187,38 @@ def test_train_loop_is_seed_deterministic():
     assert [r.total for r in h1] == [r.total for r in h2]
     for (n1, a), (n2, b) in zip(p1.named_parameters(), p2.named_parameters()):
         assert n1 == n2 and a.data.tobytes() == b.data.tobytes()
+
+
+# trains the 30-identity scenario, whose windows reach about 1400 edges, and
+# prints the SHA-256 of the parameter bytes
+_DENSE_TRAINING = """
+import hashlib
+from dataclasses import replace
+from conftest import FRAMES_PER_GRAPH, MAX_FRAME_GAP, TOP_K, MODEL_KINDS, bench_scenario_config
+from mpnflow.synthdata import generate_scenario
+from mpnflow.train import TrainConfig, train_loop
+scenario = generate_scenario(replace(bench_scenario_config(100), num_identities=30,
+                                     num_frames=40))
+cfg = TrainConfig(iterations=5, frames_per_graph=FRAMES_PER_GRAPH, top_k=TOP_K,
+                  max_frame_gap=MAX_FRAME_GAP, seed=0)
+params, _ = train_loop([scenario], cfg, MODEL_KINDS["time_aware"])
+h = hashlib.sha256()
+for name, p in params.named_parameters():
+    h.update(name.encode() + p.data.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_training_is_bit_reproducible_for_a_fixed_blas_thread_count():
+    # the promise is narrowed to a fixed thread count: OpenBLAS splits large
+    # GEMMs across threads in a way that changes the rounding
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join((str(here.parent / "src"), str(here)))}
+    digests = [subprocess.run([sys.executable, "-c", _DENSE_TRAINING], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+               for _ in range(2)]
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_train_loop_zero_lr_keeps_parameters():
