@@ -5,11 +5,12 @@ windows are row indices into it.  Nodes are detections, edges connect
 detections in different frames that could belong to the same object.
 Candidate edges are limited by a frame gap and pruned to mutual top-k
 nearest neighbors in appearance space.  Partners ranks every node's
-candidates once per table, and build_graph cuts each window's graph from
-that ranking: a node's top-k within a window are the first k of its ranked
-list that lie in the window.  Nodes are held in a content-keyed
-canonical order (frame, box, id) so a relabeling of node ids leaves every
-internal array, and therefore every downstream float operation, unchanged.
+candidates once per table under that gap, and build_graph, the one way to
+make a tracking graph, cuts each window's graph from the ranking: a node's
+top-k within a window are the first k of its ranked list that lie in the
+window.  Nodes are held in a content-keyed canonical order (frame, box, id)
+so a relabeling of node ids leaves every internal array, and therefore
+every downstream float operation, unchanged.
 The flow constraints on edge labels (at most one active edge into the past
 and one into the future per node) are counted and checked here for training
 and inference alike.
@@ -93,10 +94,6 @@ class NodeTable:
         return np.stack(values)
 
 
-def _as_table(nodes: NodeTable | list[Detection]) -> NodeTable:
-    return nodes if isinstance(nodes, NodeTable) else NodeTable.from_detections(nodes)
-
-
 @dataclass
 class TrackGraph:
     """Immutable edge structure; embeddings live with the forward pass."""
@@ -134,16 +131,21 @@ def _app_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
 def _check_gap(max_frame_gap: int | None) -> None:
-    if max_frame_gap is not None and max_frame_gap < 1:
-        raise ConfigError(f"max_frame_gap must be >= 1, got {max_frame_gap}")
+    if max_frame_gap is not None:
+        _check_at_least("max_frame_gap", max_frame_gap, 1)
 
 
-def _check_graph_options(max_frame_gap: int | None, top_k: int) -> None:
-    """The range checks on the graph options, for every caller that takes them."""
+def check_window_options(frames_per_graph: int, max_frame_gap: int | None, top_k: int) -> None:
+    """The range checks on the window options, for every config that takes them."""
+    _check_at_least("frames_per_graph", frames_per_graph, 2)
     _check_gap(max_frame_gap)
-    if top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+    _check_at_least("top_k", top_k, 1)
 
 
 def window_gap(max_frame_gap: int | None, frames_per_graph: int) -> int:
@@ -178,14 +180,16 @@ class Partners:
     """Every node's candidate partners in a node table, ranked once.
 
     A candidate pair is two nodes 1 to max_frame_gap frames apart, or in any
-    two frames with None.  Each node's partners in either direction are
-    listed by (appearance distance, node id), so its top-k partners among
-    any rows of the table are the first k entries of its list among those
-    rows; build_graph cuts each window's graph from these lists with no
-    sort.  A node is held by its slot, its position in ascending id order.
+    two frames with None; this gap is the gap of every graph cut from the
+    ranking, so windows of frames_per_graph frames are ranked at
+    window_gap(max_frame_gap, frames_per_graph).  Each node's partners in
+    either direction are listed by (appearance distance, node id), so its
+    top-k partners among any rows of the table are the first k entries of
+    its list among those rows.  A node is held by its slot, its position in
+    ascending id order.
     """
 
-    __slots__ = ("ids", "max_frame_gap", "_indptr", "_partners")
+    __slots__ = ("ids", "_indptr", "_partners")
 
     def __init__(self, nodes: NodeTable, max_frame_gap: int | None):
         _check_gap(max_frame_gap)
@@ -194,7 +198,6 @@ class Partners:
         slot = np.empty(n, np.int64)
         slot[by_id] = np.arange(n)
         self.ids = nodes.ids[by_id]
-        self.max_frame_gap = max_frame_gap
         pieces = list(_candidate_pairs(nodes.frames, max_frame_gap))
         app = nodes.stack("appearance", "appearance vector") if n else None
         earlier = np.concatenate([np.zeros(0, np.int64)] + [u for u, _ in pieces])
@@ -220,75 +223,43 @@ class Partners:
             raise ConfigError(f"node {ids[np.argmin(known)]} is not in the ranked node table")
         return slot
 
-    def _check_covers(self, frames: np.ndarray, max_frame_gap: int | None) -> None:
-        """A ConfigError if two of the frames form a candidate pair under
-        max_frame_gap that lies beyond the ranking's gap."""
-        ranked = self.max_frame_gap
-        if ranked is None or (max_frame_gap is not None and max_frame_gap <= ranked):
-            return
-        present = np.unique(frames)
-        beyond = np.searchsorted(present, present + ranked, side="right")
-        upto = len(present) if max_frame_gap is None \
-            else np.searchsorted(present, present + max_frame_gap, side="right")
-        if (upto > beyond).any():
-            raise ConfigError(f"partners are ranked up to a frame gap of {ranked}, but the "
-                              f"window has candidate pairs further apart")
 
-    def mutual_top_k(self, nodes: NodeTable, max_frame_gap: int | None,
-                     top_k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) positions in nodes, which are in frame order, of every
-        candidate pair under max_frame_gap in which each node is among the
-        other's top_k partners, earlier node first, in row-major order."""
-        self._check_covers(nodes.frames, max_frame_gap)
-        frames, m = nodes.frames, len(nodes.ids)
-        slot = self._slots(nodes.ids)
-        pos = np.full(len(self.ids), -1)
-        pos[slot] = np.arange(m)
-        lo = self._indptr[slot]
-        size = self._indptr[slot + 1] - lo
-        owner = np.repeat(np.arange(m), size)
-        entry = np.arange(len(owner)) + (lo - (np.cumsum(size) - size))[owner]
-        partner = pos[self._partners[entry]]
-        inside = partner >= 0
-        if max_frame_gap is not None and max_frame_gap != self.max_frame_gap:
-            inside &= np.abs(frames[partner] - frames[owner]) <= max_frame_gap
-        keep = np.flatnonzero(inside)
-        owner = owner[keep]
-        # each owner's partners stay in ranked order: keep its first top_k
-        top = np.arange(len(owner)) - np.searchsorted(owner, np.arange(m))[owner] < top_k
-        owner, partner = owner[top], partner[keep[top]]
-        # partners lie in other frames, so the earlier node has the lower
-        # position; a pair chosen from both ends appears twice, and sorted
-        # keys are in row-major (src, dst) order
-        key = np.sort(np.minimum(owner, partner) * m + np.maximum(owner, partner))
-        return np.divmod(key[1:][key[1:] == key[:-1]], max(m, 1))
+def build_graph(nodes: NodeTable, partners: Partners, top_k: int) -> TrackGraph:
+    """Cut a window's graph from its table's ranking, keeping mutual top-k
+    neighbors.
 
-
-def build_graph(nodes: NodeTable | list[Detection], max_frame_gap: int | None,
-                top_k: int, partners: Partners | None = None) -> TrackGraph:
-    """Connect detections across frames, then keep mutual top-k neighbors.
-
-    nodes is a node table, or detections to convert with
-    NodeTable.from_detections.  Detections at most max_frame_gap frames
-    apart are candidates; None sets no gap limit, so a window's graph spans
-    the whole window.  Each node ranks its candidates in either direction
-    by Euclidean distance between appearance vectors, ties broken by lower
+    nodes is a window of the table that partners ranks: its rows are
+    matched by node id (boxes may differ, as after augmentation), and an id
+    missing from the ranked table is a ConfigError.  Every ranked candidate
+    pair inside the window is a candidate, so the ranking's frame gap is the
+    graph's.  Each node ranks its candidates in either direction by
+    Euclidean distance between appearance vectors, ties broken by lower
     node id, and an edge joins two candidates that each rank among the
-    other's first top_k.  Edges always point from the earlier frame to the
-    later one, in row-major (src, dst) order of canonical positions.
-
-    partners, if given, is the ranking of a table that nodes is a window
-    of: its rows are matched by node id (boxes may differ, as after
-    augmentation), and the graph is cut from the ranked lists with no
-    sort.  An id missing from the ranked table, or a candidate pair beyond
-    the ranking's gap, is a ConfigError.  Without partners, nodes are
-    ranked here the same way.
+    other's first top_k in the window, read off the ranked lists with no
+    sort.  Edges always point from the earlier frame to the later one, in
+    row-major (src, dst) order of canonical positions.
     """
-    _check_graph_options(max_frame_gap, top_k)
-    nodes = _as_table(nodes).canonical()
-    if partners is None:
-        partners = Partners(nodes, max_frame_gap)
-    src, dst = partners.mutual_top_k(nodes, max_frame_gap, top_k)
+    _check_at_least("top_k", top_k, 1)
+    nodes = nodes.canonical()
+    m = len(nodes.ids)
+    slot = partners._slots(nodes.ids)
+    pos = np.full(len(partners.ids), -1)
+    pos[slot] = np.arange(m)
+    lo = partners._indptr[slot]
+    size = partners._indptr[slot + 1] - lo
+    owner = np.repeat(np.arange(m), size)
+    entry = np.arange(len(owner)) + (lo - (np.cumsum(size) - size))[owner]
+    partner = pos[partners._partners[entry]]
+    keep = np.flatnonzero(partner >= 0)
+    owner = owner[keep]
+    # each owner's partners in the window stay in ranked order: keep its first top_k
+    top = np.arange(len(owner)) - np.searchsorted(owner, np.arange(m))[owner] < top_k
+    owner, partner = owner[top], partner[keep[top]]
+    # partners lie in other frames, so the earlier node has the lower
+    # position; a pair chosen from both ends appears twice, and sorted
+    # keys are in row-major (src, dst) order
+    key = np.sort(np.minimum(owner, partner) * m + np.maximum(owner, partner))
+    src, dst = np.divmod(key[1:][key[1:] == key[:-1]], max(m, 1))
     return TrackGraph(nodes, src, dst)
 
 
@@ -296,7 +267,9 @@ def graph_from_edge_list(nodes: NodeTable | list[Detection], pairs) -> TrackGrap
     """Build a graph from explicit (node_id, node_id) cross-frame pairs,
     given as a sequence of 2-tuples or an (n, 2) integer array, over a node
     table or detections to convert with NodeTable.from_detections."""
-    nodes = _as_table(nodes).canonical()
+    if not isinstance(nodes, NodeTable):
+        nodes = NodeTable.from_detections(nodes)
+    nodes = nodes.canonical()
     ids, frames, n = nodes.ids, nodes.frames, len(nodes.ids)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if n == 0 and len(pairs):
@@ -327,8 +300,7 @@ def split_windows(detections: list[Detection], frames_per_graph: int) -> list[np
     A sequence spanning at most n frames yields exactly one window holding
     everything.  Consecutive windows overlap by n - 1 frames.
     """
-    if frames_per_graph < 2:
-        raise ConfigError(f"frames_per_graph must be >= 2, got {frames_per_graph}")
+    _check_at_least("frames_per_graph", frames_per_graph, 2)
     if not detections:
         return []
     frames = np.asarray([d.frame for d in detections], dtype=np.int64)

@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from . import tensorkit as tk
 from .errors import ConfigError, ParseError, read_text
 from .graph import (ConstraintReport, NodeTable, Partners, TrackGraph, _assert_feasible,
-                    _check_graph_options, _degrees, build_graph, check_constraints,
+                    _degrees, build_graph, check_constraints, check_window_options,
                     graph_from_edge_list, split_windows, violating_edges, window_gap)
 from .mpn import ModelParams, mpn_forward, predict_masks
 from .synthdata import Box, Detection
@@ -167,9 +167,7 @@ class InferConfig:
             raise ConfigError(f"rounder must be one of {ROUNDERS}, got {self.rounder!r}")
         if self.min_track_len < 1:
             raise ConfigError(f"min_track_len must be >= 1, got {self.min_track_len}")
-        if self.frames_per_graph < 2:
-            raise ConfigError(f"frames_per_graph must be >= 2, got {self.frames_per_graph}")
-        _check_graph_options(self.max_frame_gap, self.top_k)
+        check_window_options(self.frames_per_graph, self.max_frame_gap, self.top_k)
         _check_tau(self.tau)
         if self.threads != 1:
             raise ConfigError(
@@ -206,8 +204,7 @@ def run_inference(detections: list[Detection], params: ModelParams, cfg: InferCo
     for rows in split_windows(detections, cfg.frames_per_graph):
         if len(rows) < 2:
             continue
-        g = build_graph(table.take(rows), max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k,
-                        partners=partners)
+        g = build_graph(table.take(rows), partners, cfg.top_k)
         with tk.no_grad():
             state = mpn_forward(g, params)
             if mpn_cfg.with_masks:

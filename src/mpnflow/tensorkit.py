@@ -736,7 +736,8 @@ def save_checkpoint(path, params: list[tuple[str, Tensor]], extra: dict | None =
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint, returning (name -> array, extra metadata)."""
+    """Read a checkpoint, returning (name -> array, extra metadata); a group
+    holding a non-finite value is a CheckpointError naming the file and group."""
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
@@ -754,6 +755,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             groups[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: parameter group {name!r} is malformed ({e!r})") from e
+        if not np.isfinite(groups[name]).all():
+            raise CheckpointError(f"{path}: parameter group {name!r} holds a non-finite value")
     return groups, doc["extra"]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensorkit as tk
 from .errors import ConfigError, TrainingError, check_finite_sign
-from .graph import (NodeTable, Partners, _check_graph_options, build_graph, ground_truth_labels,
+from .graph import (NodeTable, Partners, build_graph, check_window_options, ground_truth_labels,
                     split_windows, window_gap)
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
 from .synthdata import Scenario, ScenarioConfig, generate_scenario
@@ -51,9 +51,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not 0.0 <= self.node_drop_p <= 1.0:
             raise ConfigError(f"node_drop_p must be in [0, 1], got {self.node_drop_p}")
-        if self.frames_per_graph < 2:
-            raise ConfigError(f"frames_per_graph must be >= 2, got {self.frames_per_graph}")
-        _check_graph_options(self.max_frame_gap, self.top_k)
+        check_window_options(self.frames_per_graph, self.max_frame_gap, self.top_k)
         if self.graphs_per_step < 1:
             raise ConfigError(f"graphs_per_step must be >= 1, got {self.graphs_per_step}")
         if self.checkpoint_every < 0:
@@ -160,8 +158,7 @@ def _sample_graph(nodes: NodeTable, windows: list[np.ndarray], partners: Partner
             continue
         window = nodes.take(rows[kept])
         window.boxes = boxes
-        graph = build_graph(window, max_frame_gap=cfg.max_frame_gap, top_k=cfg.top_k,
-                            partners=partners)
+        graph = build_graph(window, partners, cfg.top_k)
         if graph.num_edges == 0:
             continue
         return graph
@@ -245,8 +242,8 @@ def build_gradcheck_case(with_masks: bool, seed: int = 0):
                             false_positive_rate=0.3, roi_h=4, roi_w=4, d_roi=2,
                             seed=seed)
     scenario = generate_scenario(sc_cfg)
-    graph = build_graph(NodeTable.from_detections(scenario.detections[:10]),
-                        max_frame_gap=4, top_k=3)
+    table = NodeTable.from_detections(scenario.detections[:10])
+    graph = build_graph(table, Partners(table, 4), top_k=3)
     labels = ground_truth_labels(graph, scenario)
     mpn_cfg = MpnConfig(num_steps=2, variant="time_aware", with_masks=with_masks,
                         d_node=4, d_edge=3, hidden=4, conv_hidden=2,

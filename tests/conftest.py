@@ -13,7 +13,7 @@ import pytest
 from scoring import constraint_rate, gt_boxes_from_scenario, track_boxes
 
 from mpnflow import tensorkit as tk
-from mpnflow.graph import NodeTable, build_graph, split_windows
+from mpnflow.graph import NodeTable, Partners, build_graph, split_windows, window_gap
 from mpnflow.infer import InferConfig, run_inference, threshold
 from mpnflow.metrics import idf1
 from mpnflow.mpn import MpnConfig, mpn_forward
@@ -27,6 +27,13 @@ def count_calls(monkeypatch, cls, name):
     method = getattr(cls, name)
     monkeypatch.setattr(cls, name, lambda self, *args: calls.append(self) or method(self, *args))
     return calls
+
+
+def graph_over(detections, max_frame_gap, top_k):
+    """The graph of all the detections, cut from their own ranking at
+    max_frame_gap, as for a window that is its whole table."""
+    table = NodeTable.from_detections(detections)
+    return build_graph(table, Partners(table, max_frame_gap), top_k)
 
 
 # benchmark geometry shared by training, validation, and inference
@@ -102,10 +109,11 @@ class ModelBank:
         pairs = []
         for sc in self.val_scenarios:
             nodes = NodeTable.from_detections(sc.detections)
+            partners = Partners(nodes, window_gap(MAX_FRAME_GAP, FRAMES_PER_GRAPH))
             for rows in split_windows(sc.detections, FRAMES_PER_GRAPH):
                 if len(rows) < 2:
                     continue
-                g = build_graph(nodes.take(rows), max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
+                g = build_graph(nodes.take(rows), partners, TOP_K)
                 if g.num_edges == 0:
                     continue
                 with tk.no_grad():

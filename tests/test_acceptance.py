@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from conftest import (FRAMES_PER_GRAPH, MAX_FRAME_GAP, TOP_K,
-                      mask_scenario_config, record_acceptance)
+                      graph_over, mask_scenario_config, record_acceptance)
 from oracles import (brute_force_round, random_rounding_instance,
                      subgraph_objective)
 from scoring import gt_masks_from_scenario
 
 from mpnflow import tensorkit as tk
 from mpnflow.cli import main as cli_main
-from mpnflow.graph import (NodeTable, build_graph, graph_from_edge_list, ground_truth_labels,
-                           split_windows)
+from mpnflow.graph import (NodeTable, Partners, build_graph, graph_from_edge_list,
+                           ground_truth_labels, split_windows, window_gap)
 from mpnflow.infer import (InferConfig, check_constraints, exact_round, greedy_round,
                            run_inference, threshold, violating_edges)
 from mpnflow.metrics import clear_mot, idf1, mots_metrics, track_masks
@@ -226,14 +226,14 @@ def test_invariant_suite():
                     d_node=6, d_edge=4, hidden=6, conv_hidden=2,
                     roi_h=4, roi_w=4, d_roi=2)
     params = ModelParams(cfg, d_app=4, seed=3)
-    g1 = build_graph(dets, max_frame_gap=3, top_k=3)
+    g1 = graph_over(dets, 3, 3)
     state1 = mpn_forward(g1, params)
     masks1 = predict_masks(state1, params)
     perm = {d.node_id: 977 - 13 * d.node_id for d in dets}
     relabeled = [Detection(node_id=perm[d.node_id], frame=d.frame, box=d.box,
                            appearance=d.appearance, roi_grid=d.roi_grid)
                  for d in reversed(dets)]
-    g2 = build_graph(relabeled, max_frame_gap=3, top_k=3)
+    g2 = graph_over(relabeled, 3, 3)
     state2 = mpn_forward(g2, params)
     masks2 = predict_masks(state2, params)
     perm_edges = {(perm[a], perm[b]) for a, b in g1.edge_pairs()} == set(g2.edge_pairs())
@@ -261,7 +261,7 @@ def test_invariant_suite():
                               box=(1.0, 2.0, 3.0, 4.0),
                               appearance=rng.normal(size=4),
                               roi_grid=rng.normal(size=(4, 4, 2))))
-    g_iso = build_graph(iso_dets, max_frame_gap=3, top_k=2)
+    g_iso = graph_over(iso_dets, 3, 2)
     van_params = ModelParams(MpnConfig(num_steps=3, variant="vanilla",
                                        d_node=6, d_edge=4, hidden=6),
                              d_app=4, seed=5)
@@ -292,10 +292,11 @@ def test_invariant_suite():
     feasible = True
     windows = 0
     nodes = NodeTable.from_detections(scenario.detections)
+    partners = Partners(nodes, window_gap(MAX_FRAME_GAP, FRAMES_PER_GRAPH))
     for rows in split_windows(scenario.detections, FRAMES_PER_GRAPH):
         if len(rows) < 2:
             continue
-        g = build_graph(nodes.take(rows), max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
+        g = build_graph(nodes.take(rows), partners, TOP_K)
         if g.num_edges == 0:
             continue
         y = ground_truth_labels(g, scenario)

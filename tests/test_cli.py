@@ -299,6 +299,10 @@ MALFORMED = {
         "infer", "model/checkpoint.json", _edit_first_group(lambda g: g.pop("data")), None),
     "checkpoint_data_short_of_shape": (
         "infer", "model/checkpoint.json", _edit_first_group(lambda g: g["data"].pop()), None),
+    # json writes and reads NaN; a parameter holding one is rejected at load
+    "checkpoint_value_nan": (
+        "infer", "model/checkpoint.json",
+        _edit_first_group(lambda g: g["data"].__setitem__(0, float("nan"))), None),
     "checkpoint_num_steps_str": (
         "infer", "model/checkpoint.json", _edit_model_metadata(lambda m: m.update(num_steps="2")),
         None),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import graph_over
 from oracles import (hand_built_graphs, reference_build_graph, reference_canonical_order,
                      reference_check_constraints, reference_degrees, reference_edge_feature_matrix,
                      reference_graph_from_edge_list, reference_ground_truth_labels,
@@ -23,7 +24,7 @@ def det(nid, frame, x=0.0, app=(0.0,)):
 def test_all_pairs_connected_with_generous_budget():
     dets = [det(0, 1, app=(0.0,)), det(1, 1, x=20, app=(1.0,)),
             det(2, 2, app=(0.2,)), det(3, 3, app=(0.4,))]
-    g = gr.build_graph(dets, max_frame_gap=5, top_k=10)
+    g = graph_over(dets, 5, 10)
     # 2 nodes in frame 1 each connect to frames 2 and 3, plus the 2-3 pair
     assert g.num_edges == 5
     for u, v in zip(g.edge_src, g.edge_dst):
@@ -32,41 +33,41 @@ def test_all_pairs_connected_with_generous_budget():
 
 def test_frame_gap_limits_candidates():
     dets = [det(0, 1), det(1, 2, app=(0.1,)), det(2, 5, app=(0.2,))]
-    g = gr.build_graph(dets, max_frame_gap=2, top_k=10)
+    g = graph_over(dets, 2, 10)
     pairs = set(g.edge_pairs())
     assert (0, 1) in pairs
     assert (0, 2) not in pairs            # gap 4 exceeds the limit
     assert (1, 2) not in pairs            # gap 3 exceeds the limit
     # None sets no limit
-    g = gr.build_graph(dets, max_frame_gap=None, top_k=10)
+    g = graph_over(dets, None, 10)
     assert set(g.edge_pairs()) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_mutual_top_k_prunes_one_sided_neighbors():
     # b's nearest is c, but c prefers a; with k=1 only (a, c) survives
     dets = [det(0, 1, app=(0.0,)), det(1, 1, x=30, app=(1.0,)), det(2, 2, app=(0.1,))]
-    g = gr.build_graph(dets, max_frame_gap=3, top_k=1)
+    g = graph_over(dets, 3, 1)
     assert g.edge_pairs() == [(0, 2)]
 
 
 def test_knn_tie_broken_by_lower_node_id():
     # two frame-2 nodes at identical appearance distance from node 0
     dets = [det(0, 1, app=(0.0,)), det(5, 2, x=10, app=(1.0,)), det(3, 2, x=50, app=(-1.0,))]
-    g = gr.build_graph(dets, max_frame_gap=2, top_k=1)
+    g = graph_over(dets, 2, 1)
     assert g.edge_pairs() == [(0, 3)]
 
 
 def test_missing_appearance_rejected():
     d = sd.Detection(node_id=0, frame=1, box=(0, 0, 5, 5))
     with pytest.raises(ConfigError):
-        gr.build_graph([d], max_frame_gap=2, top_k=3)
+        graph_over([d], 2, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_appearance_rejected_naming_the_node(bad):
     dets = [det(0, 1, app=(0.0, 1.0)), det(7, 2, app=(bad, 1.0)), det(2, 3, app=(1.0, 1.0))]
     with pytest.raises(ConfigError, match="detection 7 "):
-        gr.build_graph(dets, max_frame_gap=2, top_k=3)
+        graph_over(dets, 2, 3)
 
 
 # a few shared values force distance ties; huge ones overflow distances to inf
@@ -93,8 +94,8 @@ def detection_sets(draw):
 @given(dets=detection_sets(), top_k=st.integers(1, 12), gap=st.none() | st.integers(1, 6))
 def test_build_graph_matches_loop_reference_bit_for_bit(dets, top_k, gap):
     with np.errstate(over="ignore"):
-        g = gr.build_graph(dets, max_frame_gap=gap, top_k=top_k)
-        ref = reference_build_graph(dets, max_frame_gap=gap, top_k=top_k)
+        g = graph_over(dets, gap, top_k)
+        ref = reference_build_graph(dets, gap, top_k)
         rebuilt = gr.graph_from_edge_list(dets, g.edge_pairs())
     assert g.edge_src.dtype == g.edge_dst.dtype == np.int64
     assert np.array_equal(g.edge_src, ref.edge_src)
@@ -102,13 +103,6 @@ def test_build_graph_matches_loop_reference_bit_for_bit(dets, top_k, gap):
     # a graph rebuilt from its own pairs gets the same arrays
     for name in ("edge_src", "edge_dst"):
         assert getattr(rebuilt, name).tobytes() == getattr(g, name).tobytes(), name
-
-
-def _uncovered(frames, gap, ranked_gap):
-    """Whether two of the frames are a candidate pair under gap but lie
-    further apart than ranked_gap, by brute force."""
-    return ranked_gap is not None and any(
-        ranked_gap < b - a and (gap is None or b - a <= gap) for a in frames for b in frames)
 
 
 @st.composite
@@ -126,22 +120,7 @@ def ranked_windows(draw):
     return dets, np.asarray(rows, dtype=np.int64), window
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=ranked_windows(), top_k=st.integers(1, 12), gap=st.none() | st.integers(1, 6),
-       ranked_gap=st.none() | st.integers(1, 8))
-def test_cut_from_partners_matches_loop_reference_on_every_window(case, top_k, gap, ranked_gap):
-    dets, rows, window = case
-    table = gr.NodeTable.from_detections(dets)
-    nodes = table.take(rows)
-    nodes.boxes = gr.NodeTable.from_detections(window).boxes
-    with np.errstate(over="ignore"):
-        partners = gr.Partners(table, ranked_gap)
-        if _uncovered([d.frame for d in window], gap, ranked_gap):
-            with pytest.raises(ConfigError, match="ranked up to a frame gap"):
-                gr.build_graph(nodes, max_frame_gap=gap, top_k=top_k, partners=partners)
-            return
-        g = gr.build_graph(nodes, max_frame_gap=gap, top_k=top_k, partners=partners)
-        ref = reference_build_graph(window, max_frame_gap=gap, top_k=top_k)
+def assert_same_graph(g, ref):
     assert g.node_ids.tolist() == ref.node_ids.tolist()
     assert g.nodes.boxes.tobytes() == ref.nodes.boxes.tobytes()
     for name in ("edge_src", "edge_dst"):
@@ -149,12 +128,41 @@ def test_cut_from_partners_matches_loop_reference_on_every_window(case, top_k, g
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=ranked_windows(), top_k=st.integers(1, 12), ranked_gap=st.none() | st.integers(1, 8))
+def test_cut_from_partners_matches_loop_reference_on_every_window(case, top_k, ranked_gap):
+    dets, rows, window = case
+    table = gr.NodeTable.from_detections(dets)
+    nodes = table.take(rows)
+    nodes.boxes = gr.NodeTable.from_detections(window).boxes
+    with np.errstate(over="ignore"):
+        g = gr.build_graph(nodes, gr.Partners(table, ranked_gap), top_k)
+        ref = reference_build_graph(window, ranked_gap, top_k)
+    assert_same_graph(g, ref)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dets=detection_sets(), frames_per_graph=st.integers(2, 6), top_k=st.integers(1, 12))
+def test_ranking_at_the_window_gap_gives_every_split_window_the_graph_of_the_gap(
+        dets, frames_per_graph, top_k):
+    # a window spans at most frames_per_graph - 1 frames, so ranking at
+    # window_gap(gap, frames_per_graph) gives each window the graph of gap
+    table = gr.NodeTable.from_detections(dets)
+    windows = gr.split_windows(dets, frames_per_graph)
+    for gap in [None, *range(1, frames_per_graph + 3)]:
+        with np.errstate(over="ignore"):
+            partners = gr.Partners(table, gr.window_gap(gap, frames_per_graph))
+            for rows in windows:
+                g = gr.build_graph(table.take(rows), partners, top_k)
+                assert_same_graph(g, reference_build_graph([dets[i] for i in rows], gap, top_k))
+
+
 def test_cut_breaks_distance_ties_by_lower_node_id():
     # node 0's partners 9, 3 and 5 all lie at distance 1; with k=2 it keeps 3 and 5
     dets = [det(0, 1, app=(0.0,)), det(9, 2, x=1, app=(1.0,)), det(3, 2, x=2, app=(-1.0,)),
             det(5, 3, x=3, app=(1.0,))]
     table = gr.NodeTable.from_detections(dets)
-    g = gr.build_graph(table, max_frame_gap=2, top_k=2, partners=gr.Partners(table, 2))
+    g = gr.build_graph(table, gr.Partners(table, 2), 2)
     assert [pair for pair in g.edge_pairs() if 0 in pair] == [(0, 3), (0, 5)]
 
 
@@ -163,15 +171,17 @@ def test_cut_of_an_empty_window_and_of_nodes_without_partners():
     table = gr.NodeTable.from_detections(dets)
     for ranked_gap in (None, 2):
         partners = gr.Partners(table, ranked_gap)
-        empty = gr.build_graph(table.take(np.zeros(0, np.int64)), max_frame_gap=2, top_k=3,
-                               partners=partners)
+        empty = gr.build_graph(table.take(np.zeros(0, np.int64)), partners, 3)
         assert empty.num_nodes == 0 and empty.num_edges == 0
         assert empty.edge_src.dtype == empty.edge_dst.dtype == np.int64
-        # one frame, or frames 3 apart under a gap of 2: no node has a partner
-        lone = gr.build_graph(table, max_frame_gap=2, top_k=3, partners=partners)
-        assert lone.num_nodes == 3 and lone.num_edges == 0
-    nothing = gr.Partners(gr.NodeTable.from_detections([]), None)
-    assert gr.build_graph([], max_frame_gap=None, top_k=1, partners=nothing).num_nodes == 0
+        # a window of one frame: no node has a partner in it
+        lone = gr.build_graph(table.take(np.array([0, 1])), partners, 3)
+        assert lone.num_nodes == 2 and lone.num_edges == 0
+    # frames 3 apart under a ranking gap of 2: no node has a partner at all
+    lone = gr.build_graph(table, gr.Partners(table, 2), 3)
+    assert lone.num_nodes == 3 and lone.num_edges == 0
+    empty = gr.NodeTable.from_detections([])
+    assert gr.build_graph(empty, gr.Partners(empty, None), 1).num_nodes == 0
 
 
 def test_cut_rejects_a_node_missing_from_the_ranked_table():
@@ -179,22 +189,7 @@ def test_cut_rejects_a_node_missing_from_the_ranked_table():
     other = gr.NodeTable.from_detections([det(0, 1), det(7, 2, app=(1.0,))])
     for partners in (gr.Partners(table, None), gr.Partners(table.take(np.zeros(0, int)), None)):
         with pytest.raises(ConfigError, match="^node 7 is not in the ranked node table$"):
-            gr.build_graph(other.take(np.array([1])), max_frame_gap=None, top_k=3,
-                           partners=partners)
-
-
-@pytest.mark.parametrize("gap", [None, 3])
-def test_cut_rejects_a_window_wider_than_the_ranking_gap(gap):
-    dets = [det(0, 1), det(1, 2, app=(0.1,)), det(2, 4, app=(0.2,))]
-    table = gr.NodeTable.from_detections(dets)
-    partners = gr.Partners(table, 2)
-    with pytest.raises(ConfigError, match="^partners are ranked up to a frame gap of 2"):
-        gr.build_graph(table, max_frame_gap=gap, top_k=3, partners=partners)
-    # the same window under the ranking's own gap, or a narrower one, is covered
-    for narrower in (2, 1):
-        got = gr.build_graph(table, max_frame_gap=narrower, top_k=3, partners=partners)
-        want = gr.build_graph(table, max_frame_gap=narrower, top_k=3)
-        assert got.edge_pairs() == want.edge_pairs()
+            gr.build_graph(other.take(np.array([1])), partners, 3)
 
 
 def test_partners_check_the_gap_and_name_a_node_without_appearance():
@@ -250,7 +245,7 @@ def test_graph_from_edge_list_matches_dict_loop_reference(case, bad_id, at):
 @given(dets=detection_sets(), top_k=st.integers(1, 12), gap=st.integers(1, 6))
 def test_edge_feature_matrix_matches_per_edge_loop_bit_for_bit(dets, top_k, gap):
     with np.errstate(over="ignore"):
-        g = gr.build_graph(dets, max_frame_gap=gap, top_k=top_k)
+        g = graph_over(dets, gap, top_k)
         app = np.stack(g.nodes.appearance) if g.num_nodes else np.zeros((0, 2))
         feats = mpn.edge_feature_matrix(g, app)
         want = reference_edge_feature_matrix(g, app)
@@ -281,7 +276,7 @@ def test_non_finite_box_rejected_naming_the_node(coord, bad):
     box = list(dets[1].box)
     box[coord] = bad
     dets[1].box = tuple(box)        # set after the record's own size check
-    for build in (lambda: gr.build_graph(dets, max_frame_gap=None, top_k=3),
+    for build in (lambda: graph_over(dets, None, 3),
                   lambda: gr.graph_from_edge_list(dets, [(0, 1)])):
         with pytest.raises(ConfigError, match="^detection 1 has a non-finite box$"):
             build()
@@ -297,11 +292,11 @@ def test_relabeling_gives_isomorphic_graph():
                                      box=tuple(rng.uniform(1, 100, size=4)),
                                      appearance=rng.normal(size=4)))
             nid += 1
-    g1 = gr.build_graph(dets, max_frame_gap=3, top_k=2)
+    g1 = graph_over(dets, 3, 2)
     perm = {d.node_id: 1000 - d.node_id for d in dets}
     relabeled = [sd.Detection(node_id=perm[d.node_id], frame=d.frame, box=d.box,
                               appearance=d.appearance) for d in reversed(dets)]
-    g2 = gr.build_graph(relabeled, max_frame_gap=3, top_k=2)
+    g2 = graph_over(relabeled, 3, 2)
     mapped = {(perm[a], perm[b]) for a, b in g1.edge_pairs()}
     assert mapped == set(g2.edge_pairs())
     # canonical order is content-keyed, so positional arrays agree too
@@ -348,13 +343,13 @@ def test_ground_truth_labels_consecutive_and_skip():
                          appearance=rng.normal(size=3))
             for i, f in enumerate([1, 2, 3])]
     sc = make_scenario_by_hand({0: [0, 1, 2]}, dets)
-    g = gr.build_graph(dets, max_frame_gap=2, top_k=5)
+    g = graph_over(dets, 2, 5)
     labels = dict(zip(g.edge_pairs(), gr.ground_truth_labels(g, sc)))
     assert labels[(0, 1)] == 1 and labels[(1, 2)] == 1
     assert labels[(0, 2)] == 0
 
     # drop the middle detection: the skip edge becomes the consecutive one
-    g2 = gr.build_graph([dets[0], dets[2]], max_frame_gap=2, top_k=5)
+    g2 = graph_over([dets[0], dets[2]], 2, 5)
     labels2 = dict(zip(g2.edge_pairs(), gr.ground_truth_labels(g2, sc)))
     assert labels2[(0, 2)] == 1
 
@@ -365,7 +360,7 @@ def test_background_nodes_keep_negative_labels():
                          appearance=rng.normal(size=3))
             for i, f in enumerate([1, 1, 2])]
     sc = make_scenario_by_hand({0: [0, 2]}, dets)   # node 1 is clutter
-    g = gr.build_graph(dets, max_frame_gap=1, top_k=5)
+    g = graph_over(dets, 1, 5)
     labels = gr.ground_truth_labels(g, sc)
     assert labels.dtype == np.float64 and labels.shape == (g.num_edges,)
     by_pair = dict(zip(g.edge_pairs(), labels))
@@ -380,7 +375,7 @@ def test_labels_respect_degree_constraints_on_random_scenarios():
                                 detection_dropout=0.25, false_positive_rate=0.8,
                                 pos_noise_std=1.0, seed=seed)
         sc = sd.generate_scenario(cfg)
-        g = gr.build_graph(sc.detections, max_frame_gap=12, top_k=4)
+        g = graph_over(sc.detections, 12, 4)
         labels = gr.ground_truth_labels(g, sc)   # raises if infeasible
         assert set(np.unique(labels)).issubset({0.0, 1.0})
 
@@ -445,6 +440,6 @@ def test_graph_from_edge_list_accepts_detections_without_appearance():
 def test_both_constructors_reject_a_repeated_node_id():
     dets = [det(0, 1), det(1, 2, x=20), det(0, 3, x=40)]
     with pytest.raises(ConfigError, match="^duplicate node id 0$"):
-        gr.build_graph(dets, max_frame_gap=None, top_k=3)
+        graph_over(dets, None, 3)
     with pytest.raises(ConfigError, match="^duplicate node id 0$"):
         gr.graph_from_edge_list(dets, [(0, 1)])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import graph_over
 from oracles import (brute_force_round, hand_built_graphs, random_rounding_instance,
                      reference_exact_round, reference_window_means, reference_windows,
                      subgraph_objective)
@@ -360,7 +361,7 @@ def test_run_inference_averages_windows_in_window_order():
     for dets in windows:
         if len(dets) < 2:
             continue
-        g = build_graph(dets, max_frame_gap=4, top_k=3)
+        g = graph_over(dets, 4, 3)
         with no_grad():
             state = mpn_forward(g, params)
             grids = predict_masks(state, params).data
@@ -394,7 +395,7 @@ def test_run_inference_averages_eight_or_more_windows_bit_for_bit():
     for dets_w in reference_windows(dets, 10):
         if len(dets_w) < 2:
             continue
-        g = build_graph(dets_w, max_frame_gap=10, top_k=3)
+        g = graph_over(dets_w, 10, 3)
         with no_grad():
             state = mpn_forward(g, params)
             grids = predict_masks(state, params).data

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import count_calls
+from conftest import count_calls, graph_over
 
 from mpnflow import graph as gr
 from mpnflow import mpn
@@ -273,7 +273,7 @@ def test_permutation_equivariance_is_bit_exact():
             nid += 1
     cfg = tiny_config(with_masks=True, num_steps=2)
     params = mpn.ModelParams(cfg, d_app=4, seed=11)
-    g1 = gr.build_graph(dets, max_frame_gap=3, top_k=3)
+    g1 = graph_over(dets, 3, 3)
     state1 = mpn.mpn_forward(g1, params)
     masks1 = mpn.predict_masks(state1, params)
 
@@ -281,7 +281,7 @@ def test_permutation_equivariance_is_bit_exact():
     relabeled = [sd.Detection(node_id=perm[d.node_id], frame=d.frame, box=d.box,
                               appearance=d.appearance, roi_grid=d.roi_grid)
                  for d in reversed(dets)]
-    g2 = gr.build_graph(relabeled, max_frame_gap=3, top_k=3)
+    g2 = graph_over(relabeled, 3, 3)
     state2 = mpn.mpn_forward(g2, params)
     masks2 = mpn.predict_masks(state2, params)
 

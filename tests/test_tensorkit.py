@@ -766,6 +766,18 @@ def test_checkpoint_rejects_garbage_and_mismatch(tmp_path):
         tk.assign_parameters(b.parameters(), groups)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_a_non_finite_value_naming_the_file_and_group(bad, tmp_path):
+    stack = tk.DenseStack([2, 2], rng=np.random.default_rng(13), name="a")
+    stack.parameters()[-1][1].data[0] = bad
+    path = tmp_path / "a.json"
+    tk.save_checkpoint(path, stack.parameters())
+    name = stack.parameters()[-1][0]
+    with pytest.raises(CheckpointError) as err:
+        tk.load_checkpoint(path)
+    assert str(err.value) == f"{path}: parameter group '{name}' holds a non-finite value"
+
+
 def test_glorot_init_respects_bound_and_seed():
     rng = np.random.default_rng(14)
     fan_in, fan_out = 6, 10

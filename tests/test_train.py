@@ -17,7 +17,8 @@ from mpnflow import synthdata as sd
 from mpnflow import tensorkit as tk
 from mpnflow import train as tr
 from mpnflow.errors import ConfigError, TrainingError, config_from_dict
-from mpnflow.graph import NodeTable, build_graph, ground_truth_labels, split_windows
+from mpnflow.graph import (NodeTable, Partners, build_graph, ground_truth_labels, split_windows,
+                           window_gap)
 from mpnflow.mpn import MpnConfig, ModelParams, mpn_forward
 
 
@@ -299,8 +300,9 @@ def live_stacks(num_steps: int, variant: str, with_masks: bool) -> list[str]:
 def bench_window():
     scenario = sd.generate_scenario(bench_scenario_config(100))
     window = split_windows(scenario.detections, FRAMES_PER_GRAPH)[0]
-    graph = build_graph(NodeTable.from_detections(scenario.detections).take(window),
-                        max_frame_gap=MAX_FRAME_GAP, top_k=TOP_K)
+    table = NodeTable.from_detections(scenario.detections)
+    graph = build_graph(table.take(window),
+                        Partners(table, window_gap(MAX_FRAME_GAP, FRAMES_PER_GRAPH)), TOP_K)
     return graph, ground_truth_labels(graph, scenario)
 
 
