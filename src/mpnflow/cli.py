@@ -30,7 +30,7 @@ from .mpn import VARIANTS, ModelParams, MpnConfig
 from .synthdata import (ScenarioConfig, attach_embeddings, attach_roi_grids, generate_scenario,
                         load_gt_masks, load_mot_detections, load_track_assignment, load_tracks,
                         write_detections, write_embeddings, write_gt_masks, write_results,
-                        write_roi_grids)
+                        write_roi_grids, write_track_assignment)
 from .train import TrainConfig, build_gradcheck_case, train_loop, write_history
 
 CONFIG_SECTIONS = ("scenario", "model", "train", "infer")
@@ -164,11 +164,7 @@ def cmd_infer(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # tracks.csv numbers the tracks as results.txt does
     order = write_results(solution.tracks, out / "results.txt")
-    with open(out / "tracks.csv", "w") as fh:
-        fh.write("track_id,node_id\n")
-        for new_id, i in enumerate(order, start=1):
-            for nid in solution.track_node_ids[i]:
-                fh.write(f"{new_id},{nid}\n")
+    write_track_assignment([solution.track_node_ids[i] for i in order], out / "tracks.csv")
     with open(out / "edges.csv", "w") as fh:
         fh.write("src,dst,prob,label\n")
         for (src, dst), p in solution.edge_probs.items():

@@ -11,9 +11,9 @@ top-k within a window are the first k of its ranked list that lie in the
 window.  Nodes are held in a content-keyed canonical order (frame, box, id)
 so a relabeling of node ids leaves every internal array, and therefore
 every downstream float operation, unchanged.
-The flow constraints on edge labels (at most one active edge into the past
-and one into the future per node) are counted and checked here for training
-and inference alike.
+Edge labels, read in training from the identities the node table holds,
+obey flow constraints (at most one active edge into the past and one into
+the future per node), counted and checked here for training and inference.
 """
 
 from __future__ import annotations
@@ -23,21 +23,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FeasibilityError
-from .synthdata import Detection, Scenario
+from .synthdata import Detection
 
 
 def _payload(ids: np.ndarray, values: list, what: str) -> np.ndarray:
     """Each detection's array, or None, in one object array; every array of a
-    kind must have the first one's shape."""
+    kind must have the first one's shape and finite values."""
     shape = next((np.shape(v) for v in values if v is not None), None)
     for nid, v in zip(ids, values):
         if v is not None and np.shape(v) != shape:
             raise ConfigError(f"detection {nid}: {what} {np.shape(v)} does not match {shape}")
+    present = [i for i, v in enumerate(values) if v is not None]
+    if present:
+        _check_finite(ids[present], np.stack([values[i] for i in present]), what)
     return np.fromiter(values, dtype=object, count=len(values))
 
 
 def _check_finite(ids: np.ndarray, rows: np.ndarray, what: str) -> None:
-    finite = np.isfinite(rows).all(axis=1)
+    finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
     if not finite.all():
         raise ConfigError(f"detection {ids[np.argmin(finite)]} has a non-finite {what}")
 
@@ -51,6 +54,7 @@ class NodeTable:
     ids: np.ndarray                      # (n,) int64
     frames: np.ndarray                   # (n,) int64
     boxes: np.ndarray                    # (n, 4) float64: x, y, w, h
+    gt_identity: np.ndarray              # (n,) int64, -1 without an identity
     appearance: np.ndarray               # (n,) objects: (d_app,) arrays
     roi: np.ndarray                      # (n,) objects: (H, W, d_roi) arrays
     gt_masks: np.ndarray                 # (n,) objects: (H, W) arrays
@@ -59,7 +63,7 @@ class NodeTable:
     def from_detections(cls, detections: list[Detection]) -> NodeTable:
         """The one conversion of detections to arrays, in input order, with
         every check a graph relies on: unique ids, finite boxes and
-        appearance vectors, and one shape per payload."""
+        payloads, and one shape per payload."""
         ids = np.fromiter((d.node_id for d in detections), np.int64, len(detections))
         repeat = np.ones(len(ids), dtype=bool)
         repeat[np.unique(ids, return_index=True)[1]] = False
@@ -67,12 +71,11 @@ class NodeTable:
             raise ConfigError(f"duplicate node id {ids[np.argmax(repeat)]}")
         boxes = np.asarray([d.box for d in detections], dtype=np.float64).reshape(-1, 4)
         _check_finite(ids, boxes, "box")
-        app = _payload(ids, [d.appearance for d in detections], "appearance vector")
-        has_app = np.fromiter((v is not None for v in app), bool, len(app))
-        if has_app.any():
-            _check_finite(ids[has_app], np.stack(app[has_app]), "appearance vector")
         return cls(ids, np.fromiter((d.frame for d in detections), np.int64, len(ids)), boxes,
-                   app, _payload(ids, [d.roi_grid for d in detections], "roi grid"),
+                   np.fromiter((-1 if d.gt_identity is None else d.gt_identity
+                                for d in detections), np.int64, len(ids)),
+                   _payload(ids, [d.appearance for d in detections], "appearance vector"),
+                   _payload(ids, [d.roi_grid for d in detections], "roi grid"),
                    _payload(ids, [d.gt_mask for d in detections], "mask"))
 
     def take(self, rows: np.ndarray) -> NodeTable:
@@ -315,28 +318,26 @@ def split_windows(detections: list[Detection], frames_per_graph: int) -> list[np
     return [np.sort(order[a:b]) for a, b in zip(lo, hi)]
 
 
-def ground_truth_labels(graph: TrackGraph, scenario: Scenario) -> np.ndarray:
-    """Mark edges joining consecutive same-identity detections as positive.
+def ground_truth_labels(graph: TrackGraph) -> np.ndarray:
+    """Mark edges joining consecutive detections of one identity positive.
 
     Returns one float64 target (0.0 or 1.0) per edge, in edge order.
-
-    Consecutive means consecutive among the trajectory's detections that
-    are present in the graph, so a dropped middle detection makes the
-    surviving skip edge the positive one.  Detections without an identity
-    count as background and keep all incident edges negative.
+    Identities come from graph.nodes.gt_identity; a node without one (< 0)
+    is background and keeps all incident edges negative.  Consecutive means
+    next in frame order among the identity's nodes in the graph, so a
+    dropped middle detection makes the surviving skip edge the positive
+    one.  Two nodes of one identity in one frame are a ConfigError.
     """
-    trajectories = list(scenario.gt_trajectories.values())
-    members = np.concatenate([np.zeros(0, np.int64), *trajectories])
-    owner = np.repeat(np.arange(len(trajectories)), list(map(len, trajectories)))
-    present = np.isin(members, graph.node_ids)
-    by_id = np.argsort(graph.node_ids, kind="stable")
-    at = by_id[np.searchsorted(graph.node_ids, members[present], sorter=by_id)]
-    # each trajectory's detections in the graph by frame, ties in trajectory order
-    order = np.lexsort((graph.frames[at], owner[present]))
-    at, owner = at[order], owner[present][order]
-    follows = owner[1:] == owner[:-1]
+    ident, frames = graph.nodes.gt_identity, graph.frames
+    order = np.lexsort((frames, ident))
+    a, b = order[:-1], order[1:]
+    same = (ident[a] == ident[b]) & (ident[a] >= 0)
+    tie = same & (frames[a] == frames[b])
+    if tie.any():
+        i = a[np.argmax(tie)]
+        raise ConfigError(f"identity {ident[i]} has two detections in frame {frames[i]}")
     next_pos = np.full(graph.num_nodes, -1)
-    next_pos[at[:-1][follows]] = at[1:][follows]
+    next_pos[a[same]] = b[same]
     y = (next_pos[graph.edge_src] == graph.edge_dst).astype(np.float64)
     _assert_feasible(graph, y, "ground-truth labels")
     return y

@@ -11,7 +11,7 @@ config reproduces byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,9 +103,7 @@ class ScenarioConfig:
 @dataclass
 class Scenario:
     config: ScenarioConfig
-    detections: list[Detection]
-    # identity -> node ids in frame order, true detections only
-    gt_trajectories: dict[int, list[int]] = field(default_factory=dict)
+    detections: list[Detection]             # ground truth in each gt_identity
 
 
 def _render_mask(h: int, w: int, shape: str, fill: float) -> np.ndarray:
@@ -155,7 +153,6 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     masks = [_render_mask(cfg.roi_h, cfg.roi_w, shapes[i], fills[i]) for i in range(m)]
 
     detections: list[Detection] = []
-    trajectories: dict[int, list[int]] = {i: [] for i in range(m)}
     next_id = 0
     for frame in range(1, cfg.num_frames + 1, cfg.frame_stride):
         step = frame - 1
@@ -176,7 +173,6 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
                 node_id=next_id, frame=frame, box=(x, y, w, h), confidence=conf,
                 appearance=app, roi_grid=roi, gt_identity=ident,
                 gt_mask=masks[ident].copy()))
-            trajectories[ident].append(next_id)
             next_id += 1
         for _ in range(rng.poisson(cfg.false_positive_rate)):
             w = rng.uniform(cfg.box_size_min, cfg.box_size_max)
@@ -190,8 +186,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
                 node_id=next_id, frame=frame, box=(x, y, w, h), confidence=conf,
                 appearance=app, roi_grid=roi, gt_identity=None, gt_mask=None))
             next_id += 1
-    trajectories = {i: ids for i, ids in trajectories.items() if ids}
-    return Scenario(config=replace(cfg), detections=detections, gt_trajectories=trajectories)
+    return Scenario(config=replace(cfg), detections=detections)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +300,13 @@ def load_tracks(path) -> dict[int, dict[int, Box]]:
             raise ParseError(f"{path}: repeated track id {det.gt_identity} in frame {det.frame}")
         tracks[det.gt_identity][det.frame] = det.box
     return tracks
+
+
+def write_track_assignment(tracks: list[list[int]], path) -> None:
+    """Write node id lists as track_id,node_id rows, the k-th list as track k + 1."""
+    rows = [f"{tid},{nid}\n" for tid, ids in enumerate(tracks, start=1) for nid in ids]
+    with open(path, "w") as fh:
+        fh.write("track_id,node_id\n" + "".join(rows))
 
 
 def load_track_assignment(path) -> list[list[int]]:

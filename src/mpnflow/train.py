@@ -179,10 +179,10 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
     mpn_cfg.validate()
     if not scenarios or all(not s.detections for s in scenarios):
         raise ConfigError("training needs at least one scenario with detections")
-    usable = [(s, NodeTable.from_detections(s.detections),
+    usable = [(NodeTable.from_detections(s.detections),
                split_windows(s.detections, cfg.frames_per_graph))
               for s in scenarios if s.detections]
-    d_app = next((v.size for _, t, _ in usable for v in t.appearance if v is not None), None)
+    d_app = next((v.size for t, _ in usable for v in t.appearance if v is not None), None)
     if d_app is None:
         raise ConfigError("training scenarios carry no appearance vectors")
     if params is None:
@@ -191,7 +191,7 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
         raise ConfigError(f"params were built for {params.config}, not for {mpn_cfg}")
     # graph partners ranked once per scenario; each sampled window is cut from them
     gap = window_gap(cfg.max_frame_gap, cfg.frames_per_graph)
-    usable = [(s, t, w, Partners(t, gap)) for s, t, w in usable]
+    usable = [(t, w, Partners(t, gap)) for t, w in usable]
     rng = np.random.default_rng([cfg.seed, 0x5EED])
     adam = tk.AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                         weight_decay=cfg.weight_decay)
@@ -201,9 +201,9 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
         params.zero_grad()
         agg = LossReport(iteration=it, edge=0.0, mask=0.0, total=0.0)
         for _ in range(cfg.graphs_per_step):
-            scenario, nodes, windows, partners = usable[rng.integers(len(usable))]
+            nodes, windows, partners = usable[rng.integers(len(usable))]
             graph = _sample_graph(nodes, windows, partners, cfg, rng)
-            labels = ground_truth_labels(graph, scenario)
+            labels = ground_truth_labels(graph)
             state = mpn_forward(graph, params)
             gt_masks = graph.nodes.gt_masks if mpn_cfg.with_masks else None
             total, report = joint_loss(state, params, labels, gt_masks)
@@ -244,7 +244,7 @@ def build_gradcheck_case(with_masks: bool, seed: int = 0):
     scenario = generate_scenario(sc_cfg)
     table = NodeTable.from_detections(scenario.detections[:10])
     graph = build_graph(table, Partners(table, 4), top_k=3)
-    labels = ground_truth_labels(graph, scenario)
+    labels = ground_truth_labels(graph)
     mpn_cfg = MpnConfig(num_steps=2, variant="time_aware", with_masks=with_masks,
                         d_node=4, d_edge=3, hidden=4, conv_hidden=2,
                         roi_h=4, roi_w=4, d_roi=2)

@@ -274,16 +274,18 @@ def reference_exact_round(graph, probs, tau=0.5):
     return y
 
 
-def reference_ground_truth_labels(graph, scenario):
+def reference_ground_truth_labels(graph):
     """ground_truth_labels as a set of positive (node id, node id) pairs,
-    collected per trajectory and looked up per edge."""
-    in_graph = set(int(i) for i in graph.node_ids)
+    collected per identity of the graph's nodes and looked up per edge."""
     frame_of = dict(zip(graph.node_ids.tolist(), graph.frames.tolist()))
+    members = {}
+    for nid, ident in zip(graph.node_ids.tolist(), graph.nodes.gt_identity.tolist()):
+        if ident >= 0:
+            members.setdefault(ident, []).append(nid)
     positive = set()
-    for ids in scenario.gt_trajectories.values():
-        present = [i for i in ids if i in in_graph]
-        present.sort(key=lambda i: frame_of[i])
-        for a, b in zip(present, present[1:]):
+    for ids in members.values():
+        ids.sort(key=lambda i: frame_of[i])
+        for a, b in zip(ids, ids[1:]):
             positive.add((a, b))
     y = np.asarray([pair in positive for pair in graph.edge_pairs()], dtype=np.float64)
     _reference_assert_feasible(graph, y, "ground-truth labels")

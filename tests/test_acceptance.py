@@ -299,7 +299,7 @@ def test_invariant_suite():
         g = build_graph(nodes.take(rows), partners, TOP_K)
         if g.num_edges == 0:
             continue
-        y = ground_truth_labels(g, scenario)
+        y = ground_truth_labels(g)
         feasible = feasible and check_constraints(g, y).violations == []
         windows += 1
     checks.append(("label feasibility", feasible and windows > 0))

@@ -282,6 +282,25 @@ def test_non_finite_box_rejected_naming_the_node(coord, bad):
             build()
 
 
+@pytest.mark.parametrize("column, what", [("roi_grid", "roi grid"), ("gt_mask", "mask")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_roi_grid_or_mask_rejected_naming_the_node(column, what, bad):
+    dets = [sd.Detection(node_id=i, frame=i, box=(0.0, 0.0, 5.0, 5.0), appearance=np.zeros(2),
+                         roi_grid=np.zeros((4, 4, 2)), gt_mask=np.ones((4, 4))) for i in range(3)]
+    getattr(dets[1], column)[2, 1] = bad
+    with pytest.raises(ConfigError, match=f"^detection 1 has a non-finite {what}$"):
+        gr.NodeTable.from_detections(dets)
+
+
+def test_node_table_carries_each_identity_through_canonical_order():
+    dets = [dataclasses.replace(det(5, 2), gt_identity=3), det(1, 1),
+            dataclasses.replace(det(9, 1, x=4.0), gt_identity=0)]
+    table = gr.NodeTable.from_detections(dets)
+    assert table.gt_identity.dtype == np.int64 and table.gt_identity.tolist() == [3, -1, 0]
+    canon = table.canonical()
+    assert canon.ids.tolist() == [1, 9, 5] and canon.gt_identity.tolist() == [-1, 0, 3]
+
+
 def test_relabeling_gives_isomorphic_graph():
     rng = np.random.default_rng(0)
     dets = []
@@ -332,36 +351,29 @@ def test_split_windows_matches_bounds_and_filter_reference(frames, frames_per_gr
     assert [[id(dets[i]) for i in w] for w in got] == [[id(d) for d in w] for w in want]
 
 
-def make_scenario_by_hand(trajs, detections):
-    cfg = sd.ScenarioConfig()
-    return sd.Scenario(config=cfg, detections=detections, gt_trajectories=trajs)
-
-
 def test_ground_truth_labels_consecutive_and_skip():
     rng = np.random.default_rng(1)
     dets = [sd.Detection(node_id=i, frame=f, box=(10.0 * i, 0, 5, 5),
-                         appearance=rng.normal(size=3))
+                         appearance=rng.normal(size=3), gt_identity=0)
             for i, f in enumerate([1, 2, 3])]
-    sc = make_scenario_by_hand({0: [0, 1, 2]}, dets)
     g = graph_over(dets, 2, 5)
-    labels = dict(zip(g.edge_pairs(), gr.ground_truth_labels(g, sc)))
+    labels = dict(zip(g.edge_pairs(), gr.ground_truth_labels(g)))
     assert labels[(0, 1)] == 1 and labels[(1, 2)] == 1
     assert labels[(0, 2)] == 0
 
     # drop the middle detection: the skip edge becomes the consecutive one
     g2 = graph_over([dets[0], dets[2]], 2, 5)
-    labels2 = dict(zip(g2.edge_pairs(), gr.ground_truth_labels(g2, sc)))
+    labels2 = dict(zip(g2.edge_pairs(), gr.ground_truth_labels(g2)))
     assert labels2[(0, 2)] == 1
 
 
 def test_background_nodes_keep_negative_labels():
     rng = np.random.default_rng(2)
     dets = [sd.Detection(node_id=i, frame=f, box=(5.0 * i, 0, 5, 5),
-                         appearance=rng.normal(size=3))
-            for i, f in enumerate([1, 1, 2])]
-    sc = make_scenario_by_hand({0: [0, 2]}, dets)   # node 1 is clutter
+                         appearance=rng.normal(size=3), gt_identity=ident)
+            for i, (f, ident) in enumerate([(1, 0), (1, None), (2, 0)])]   # node 1 is clutter
     g = graph_over(dets, 1, 5)
-    labels = gr.ground_truth_labels(g, sc)
+    labels = gr.ground_truth_labels(g)
     assert labels.dtype == np.float64 and labels.shape == (g.num_edges,)
     by_pair = dict(zip(g.edge_pairs(), labels))
     assert by_pair[(0, 2)] == 1.0
@@ -376,8 +388,20 @@ def test_labels_respect_degree_constraints_on_random_scenarios():
                                 pos_noise_std=1.0, seed=seed)
         sc = sd.generate_scenario(cfg)
         g = graph_over(sc.detections, 12, 4)
-        labels = gr.ground_truth_labels(g, sc)   # raises if infeasible
+        labels = gr.ground_truth_labels(g)   # raises if infeasible
         assert set(np.unique(labels)).issubset({0.0, 1.0})
+
+
+def test_ground_truth_labels_reject_an_identity_twice_in_one_frame():
+    dets = [dataclasses.replace(det(nid, f, x=x, app=(x,)), gt_identity=ident)
+            for nid, f, x, ident in [(0, 1, 0.0, 3), (1, 2, 1.0, 3), (2, 2, 2.0, 3), (3, 2, 3.0, 4)]]
+    g = graph_over(dets, 2, 5)
+    with pytest.raises(ConfigError, match="^identity 3 has two detections in frame 2$"):
+        gr.ground_truth_labels(g)
+    # background nodes may share a frame
+    for d in dets[1:3]:
+        d.gt_identity = None
+    assert gr.ground_truth_labels(graph_over(dets, 2, 5)).sum() == 0
 
 
 @st.composite
@@ -399,21 +423,25 @@ def test_degrees_and_constraint_report_match_loop_references(case):
 
 
 @st.composite
-def labelled_scenarios(draw):
-    """A hand-built graph and a scenario whose disjoint trajectories, in no
-    frame order, hold some of its node ids and some ids outside it."""
+def identity_graphs(draw):
+    """A hand-built graph whose nodes each have an identity or -1 (clutter),
+    at most one node per identity and frame.  Node ids are drawn in no frame
+    order, and frames skip values, as after a dropped middle detection."""
     g = draw(hand_built_graphs())
-    pool = draw(st.permutations(g.node_ids.tolist() + list(range(40, 46))))
-    cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=5)))
-    trajs = {i: pool[a:b] for i, (a, b) in enumerate(zip([0] + cuts, cuts + [len(pool)]))}
-    return g, make_scenario_by_hand(trajs, [])    # labels read no detections
+    taken = set()
+    ident = []
+    for frame in g.frames.tolist():
+        i = draw(st.sampled_from([-1, 0, 1, 2, 3]))
+        ident.append(-1 if (i, frame) in taken else i)
+        taken.add((i, frame))
+    g.nodes.gt_identity = np.asarray(ident, dtype=np.int64)
+    return g
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=labelled_scenarios())
-def test_ground_truth_labels_match_pair_set_reference(case):
-    g, sc = case
-    got, want = gr.ground_truth_labels(g, sc), reference_ground_truth_labels(g, sc)
+@given(g=identity_graphs())
+def test_ground_truth_labels_match_pair_set_reference(g):
+    got, want = gr.ground_truth_labels(g), reference_ground_truth_labels(g)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -152,7 +152,7 @@ def test_scenario_adapters_round_trip():
     scenario = generate_scenario(ScenarioConfig(
         num_frames=6, num_identities=2, d_app=4, seed=5))
     gt = gt_boxes_from_scenario(scenario)
-    assert set(gt) == set(scenario.gt_trajectories)
+    assert set(gt) == {0, 1}
     # feeding the ground truth back as tracks scores perfectly
     series = []
     for ident in sorted(gt):
@@ -167,8 +167,8 @@ def test_mask_adapters():
     scenario = generate_scenario(ScenarioConfig(
         num_frames=4, num_identities=2, d_app=4, roi_h=4, roi_w=4, d_roi=2, seed=2))
     gt = gt_masks_from_scenario(scenario)
-    assert set(gt) == set(scenario.gt_trajectories)
-    ids = [list(v) for v in scenario.gt_trajectories.values()]
+    assert set(gt) == {0, 1}
+    ids = [[d.node_id for d in scenario.detections if d.gt_identity == ident] for ident in (0, 1)]
     node_masks = {d.node_id: np.full((4, 4), 0.7) for d in scenario.detections}
     pred = track_masks(ids, node_masks, scenario.detections, threshold=0.5)
     for entries in pred.values():

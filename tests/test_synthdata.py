@@ -16,8 +16,7 @@ def test_single_identity_three_frames_no_noise():
     sc = sd.generate_scenario(small_cfg())
     assert len(sc.detections) == 3
     assert [d.frame for d in sc.detections] == [1, 2, 3]
-    assert all(d.gt_identity == 0 for d in sc.detections)
-    assert list(sc.gt_trajectories) == [0]
+    assert [d.gt_identity for d in sc.detections] == [0, 0, 0]
     # constant velocity: centers advance by the same step each frame
     centers = [(d.box[0] + d.box[2] / 2, d.box[1] + d.box[3] / 2) for d in sc.detections]
     step1 = np.subtract(centers[1], centers[0])
@@ -37,14 +36,13 @@ def test_generation_is_byte_deterministic():
         assert da.box == db.box and da.confidence == db.confidence
         assert da.appearance.tobytes() == db.appearance.tobytes()
         assert da.roi_grid.tobytes() == db.roi_grid.tobytes()
-    assert a.gt_trajectories == b.gt_trajectories
+        assert da.gt_identity == db.gt_identity
 
 
 def test_full_dropout_leaves_only_clutter():
     cfg = small_cfg(detection_dropout=1.0, false_positive_rate=1.0, num_frames=5)
     sc = sd.generate_scenario(cfg)
-    assert all(d.gt_identity is None for d in sc.detections)
-    assert sc.gt_trajectories == {}
+    assert sc.detections and all(d.gt_identity is None for d in sc.detections)
 
 
 def test_false_positives_have_no_mask_and_fresh_appearance():

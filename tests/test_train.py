@@ -303,7 +303,7 @@ def bench_window():
     table = NodeTable.from_detections(scenario.detections)
     graph = build_graph(table.take(window),
                         Partners(table, window_gap(MAX_FRAME_GAP, FRAMES_PER_GRAPH)), TOP_K)
-    return graph, ground_truth_labels(graph, scenario)
+    return graph, ground_truth_labels(graph)
 
 
 @pytest.mark.parametrize("masks", ["off", "supervised", "unsupervised"])
