@@ -22,7 +22,8 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import tensorkit as tk
-from .errors import ConfigError, MpnflowError, ParseError, config_from_dict, read_text
+from .errors import (ConfigError, MpnflowError, ParseError, check_finite_sign, check_in,
+                     config_from_dict, read_text)
 from .infer import ROUNDERS, InferConfig, read_mask_pgm, run_inference, write_mask_pgm
 from .metrics import (clear_mot, format_table, idf1, mots_metrics, track_masks,
                       write_report)
@@ -182,10 +183,8 @@ def cmd_infer(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
-    if not 0.0 < args.iou_min <= 1.0:
-        raise ConfigError(f"--iou-min must be in (0, 1], got {args.iou_min}")
-    if not 0.0 < args.tau < 1.0:
-        raise ConfigError(f"--tau must be in (0, 1), got {args.tau}")
+    check_in("--iou-min", args.iou_min, 0, 1, open_low=True)
+    check_in("--tau", args.tau, 0, 1, open_low=True, open_high=True)
     data = Path(args.data)
     run = Path(args.run)
     gt = load_tracks(data / "gt.txt")
@@ -235,6 +234,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     tolerance = args.tolerance
+    check_finite_sign("--tolerance", tolerance, positive=True)
     failed = False
     for with_masks in (False, True):
         f, params = build_gradcheck_case(with_masks=with_masks, seed=args.seed)

@@ -1,5 +1,7 @@
 """Exception types shared across the package, the one text-file reader, the
-one config-section check and the one sign check of a config number."""
+one config-section check, and the range checks of a user-set number: its
+sign, a lower bound and an interval.  No other module spells a range
+message."""
 
 import math
 from dataclasses import fields
@@ -74,6 +76,22 @@ def check_finite_sign(name: str, value: float, *, positive: bool = False) -> Non
     if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
         raise ConfigError(f"{name} must be finite and {'>' if positive else '>='} 0, "
                           f"got {value}")
+
+
+def check_at_least(name: str, value, low) -> None:
+    """A ConfigError naming the key unless value >= low; NaN fails."""
+    if not value >= low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
+def check_in(name: str, value, low, high, *, open_low: bool = False,
+             open_high: bool = False) -> None:
+    """A ConfigError naming the key unless low <= value <= high, each bound
+    excluded if open; NaN fails."""
+    if not ((value > low if open_low else value >= low)
+            and (value < high if open_high else value <= high)):
+        raise ConfigError(f"{name} must be in {'(' if open_low else '['}{low}, {high}"
+                          f"{')' if open_high else ']'}, got {value}")
 
 
 def config_from_dict(cls, section: str, raw: dict):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FeasibilityError
+from .errors import ConfigError, FeasibilityError, check_at_least
 from .synthdata import Detection
 
 
@@ -134,21 +134,16 @@ def _app_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def _check_at_least(name: str, value: int, low: int) -> None:
-    if value < low:
-        raise ConfigError(f"{name} must be >= {low}, got {value}")
-
-
 def _check_gap(max_frame_gap: int | None) -> None:
     if max_frame_gap is not None:
-        _check_at_least("max_frame_gap", max_frame_gap, 1)
+        check_at_least("max_frame_gap", max_frame_gap, 1)
 
 
 def check_window_options(frames_per_graph: int, max_frame_gap: int | None, top_k: int) -> None:
     """The range checks on the window options, for every config that takes them."""
-    _check_at_least("frames_per_graph", frames_per_graph, 2)
+    check_at_least("frames_per_graph", frames_per_graph, 2)
     _check_gap(max_frame_gap)
-    _check_at_least("top_k", top_k, 1)
+    check_at_least("top_k", top_k, 1)
 
 
 def window_gap(max_frame_gap: int | None, frames_per_graph: int) -> int:
@@ -242,7 +237,7 @@ def build_graph(nodes: NodeTable, partners: Partners, top_k: int) -> TrackGraph:
     sort.  Edges always point from the earlier frame to the later one, in
     row-major (src, dst) order of canonical positions.
     """
-    _check_at_least("top_k", top_k, 1)
+    check_at_least("top_k", top_k, 1)
     nodes = nodes.canonical()
     m = len(nodes.ids)
     slot = partners._slots(nodes.ids)
@@ -303,7 +298,7 @@ def split_windows(detections: list[Detection], frames_per_graph: int) -> list[np
     A sequence spanning at most n frames yields exactly one window holding
     everything.  Consecutive windows overlap by n - 1 frames.
     """
-    _check_at_least("frames_per_graph", frames_per_graph, 2)
+    check_at_least("frames_per_graph", frames_per_graph, 2)
     if not detections:
         return []
     frames = np.asarray([d.frame for d in detections], dtype=np.int64)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensorkit as tk
-from .errors import ConfigError, ParseError, read_text
+from .errors import ConfigError, ParseError, check_at_least, check_in, read_text
 from .graph import (ConstraintReport, NodeTable, Partners, TrackGraph, _assert_feasible,
                     _degrees, build_graph, check_constraints, check_window_options,
                     graph_from_edge_list, split_windows, violating_edges, window_gap)
@@ -25,14 +25,9 @@ from .mpn import ModelParams, mpn_forward, predict_masks
 from .synthdata import Box, Detection
 
 
-def _check_tau(tau: float) -> None:
-    if not 0.0 < tau < 1.0:
-        raise ConfigError(f"tau must be in (0, 1), got {tau}")
-
-
 def threshold(probs: np.ndarray, tau: float = 0.5) -> np.ndarray:
     """Binary labels from probabilities; a tie at tau counts as active."""
-    _check_tau(tau)
+    check_in("tau", tau, 0, 1, open_low=True, open_high=True)
     return (np.asarray(probs) >= tau).astype(np.int64)
 
 
@@ -165,10 +160,9 @@ class InferConfig:
     def validate(self) -> None:
         if self.rounder not in ROUNDERS:
             raise ConfigError(f"rounder must be one of {ROUNDERS}, got {self.rounder!r}")
-        if self.min_track_len < 1:
-            raise ConfigError(f"min_track_len must be >= 1, got {self.min_track_len}")
+        check_at_least("min_track_len", self.min_track_len, 1)
         check_window_options(self.frames_per_graph, self.max_frame_gap, self.top_k)
-        _check_tau(self.tau)
+        check_in("tau", self.tau, 0, 1, open_low=True, open_high=True)
         if self.threads != 1:
             raise ConfigError(
                 f"threads must be 1 (windows run one after another), got {self.threads}")

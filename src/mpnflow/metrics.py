@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigError, MetricsError
+from .errors import MetricsError, check_in
 from .synthdata import Box
 
 
@@ -77,17 +77,11 @@ def mask_iou(box_a: Box, grid_a: np.ndarray, box_b: Box, grid_b: np.ndarray) -> 
     return float(np.logical_and(a, b).sum() / union)
 
 
-def _check_threshold(name: str, value: float, one_allowed: bool) -> None:
-    """The one range check on metric thresholds; NaN fails it."""
-    if not (0.0 < value < 1.0 or one_allowed and value == 1.0):
-        raise ConfigError(f"{name} must be in (0, 1{']' if one_allowed else ')'}, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # frame-by-frame matching shared by the box and mask variants
 
 def _match_sequence(gt: dict, pred: dict, iou_fn, iou_min: float):
-    _check_threshold("iou_min", iou_min, one_allowed=True)
+    check_in("iou_min", iou_min, 0, 1, open_low=True)
     frames = sorted({f for t in gt.values() for f in t}
                     | {f for t in pred.values() for f in t})
     last: dict = {}
@@ -159,7 +153,7 @@ def clear_mot(gt: dict, pred: dict, iou_min: float = 0.5) -> ClearMotReport:
 
 def idf1(gt: dict, pred: dict, iou_min: float = 0.5) -> float:
     """Identity F1: hits under the best global identity-to-track assignment."""
-    _check_threshold("iou_min", iou_min, one_allowed=True)
+    check_in("iou_min", iou_min, 0, 1, open_low=True)
     num_gt = sum(len(t) for t in gt.values())
     num_pred = sum(len(t) for t in pred.values())
     if num_gt == 0 and num_pred == 0:
@@ -219,7 +213,7 @@ def mots_metrics(gt: dict, pred: dict, iou_min: float = 0.5) -> MotsReport:
 def track_masks(track_node_ids: list, node_masks: dict, detections: list,
                 threshold: float = 0.5) -> dict:
     """Per-track binary masks at the frames that have a detection."""
-    _check_threshold("threshold", threshold, one_allowed=False)
+    check_in("threshold", threshold, 0, 1, open_low=True, open_high=True)
     det_by_id = {d.node_id: d for d in detections}
     pred: dict = {}
     for i, ids in enumerate(track_node_ids):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensorkit as tk
-from .errors import CheckpointError, ConfigError, check_config, config_from_dict
+from .errors import CheckpointError, ConfigError, check_at_least, check_config, config_from_dict
 from .graph import TrackGraph, _app_dist
 
 EDGE_FEATURE_DIM = 6
@@ -46,13 +46,11 @@ class MpnConfig:
         return self.last_m_steps
 
     def validate(self) -> None:
-        if self.num_steps < 0:
-            raise ConfigError(f"num_steps must be >= 0, got {self.num_steps}")
+        check_at_least("num_steps", self.num_steps, 0)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name in ("d_node", "d_edge", "hidden", "conv_hidden", "d_roi"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_at_least(name, getattr(self, name), 1)
         if self.roi_h < 4 or self.roi_w < 4:
             raise ConfigError(f"roi grid must be at least 4x4, got {self.roi_h}x{self.roi_w}")
         m = self.resolved_last_m()
@@ -66,8 +64,7 @@ class ModelParams:
 
     def __init__(self, config: MpnConfig, d_app: int, seed: int = 0):
         config.validate()
-        if d_app < 1:
-            raise ConfigError(f"d_app must be >= 1, got {d_app}")
+        check_at_least("d_app", d_app, 1)
         self.config = config
         self.d_app = d_app
         rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, check_finite_sign, read_text
+from .errors import ConfigError, ParseError, check_at_least, check_finite_sign, check_in, read_text
 
 Box = tuple[float, float, float, float]  # x, y, w, h with top-left origin
 
@@ -37,8 +37,7 @@ class Detection:
         x, y, w, h = self.box
         if not (w > 0 and h > 0):
             raise ConfigError(f"detection {self.node_id}: box needs positive size, got w={w}, h={h}")
-        if self.frame < 0:
-            raise ConfigError(f"detection {self.node_id}: frame must be >= 0, got {self.frame}")
+        check_at_least(f"detection {self.node_id}: frame", self.frame, 0)
         if self.roi_grid is not None and self.gt_mask is not None:
             if self.roi_grid.shape[:2] != self.gt_mask.shape:
                 raise ConfigError(
@@ -71,14 +70,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.num_frames < 2:
-            raise ConfigError(f"num_frames must be >= 2, got {self.num_frames}")
-        if self.num_identities < 1:
-            raise ConfigError(f"num_identities must be >= 1, got {self.num_identities}")
-        for name in ("detection_dropout",):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
+        check_at_least("num_frames", self.num_frames, 2)
+        check_at_least("num_identities", self.num_identities, 1)
+        check_in("detection_dropout", self.detection_dropout, 0, 1)
         for name in ("speed_max", "pos_noise_std", "false_positive_rate",
                      "box_jitter_std", "app_noise_std", "roi_noise_std"):
             check_finite_sign(name, getattr(self, name))
@@ -88,16 +82,14 @@ class ScenarioConfig:
             raise ConfigError(
                 f"box sizes must satisfy 0 < box_size_min <= box_size_max, "
                 f"got {self.box_size_min}, {self.box_size_max}")
-        if self.d_app < 1:
-            raise ConfigError(f"d_app must be >= 1, got {self.d_app}")
+        check_at_least("d_app", self.d_app, 1)
         if self.roi_h < 4 or self.roi_w < 4:
             raise ConfigError(f"roi grid must be at least 4x4, got {self.roi_h}x{self.roi_w}")
-        if self.d_roi < 1:
-            raise ConfigError(f"d_roi must be >= 1, got {self.d_roi}")
+        check_at_least("d_roi", self.d_roi, 1)
         if not 0.0 < self.mask_fill_min <= self.mask_fill_max <= 1.0:
             raise ConfigError("mask fill fractions must satisfy 0 < min <= max <= 1")
-        if self.frame_stride < 1:
-            raise ConfigError(f"frame_stride must be >= 1, got {self.frame_stride}")
+        check_at_least("frame_stride", self.frame_stride, 1)
+        check_at_least("seed", self.seed, 0)
 
 
 @dataclass
@@ -384,15 +376,25 @@ def attach_roi_grids(detections: list[Detection], path) -> None:
             raise ParseError(f"{path}: no roi grid for node id {d.node_id}")
 
 
+def _binary(mask: np.ndarray) -> bool:
+    return bool(((mask == 0) | (mask == 1)).all())
+
+
 def write_gt_masks(detections: list[Detection], path) -> None:
+    """Write each detection's mask as a node_id,identity,frame,h,w,values row;
+    a mask value other than 0 or 1 is a ConfigError and writes nothing."""
+    rows = []
+    for d in detections:
+        if d.gt_mask is None:
+            continue
+        if not _binary(d.gt_mask):
+            raise ConfigError(f"detection {d.node_id}: gt mask values must be 0 or 1")
+        h, w = d.gt_mask.shape
+        ident = -1 if d.gt_identity is None else d.gt_identity
+        bits = ",".join(str(int(v)) for v in d.gt_mask.reshape(-1))
+        rows.append(f"{d.node_id},{ident},{d.frame},{h},{w},{bits}\n")
     with open(path, "w") as fh:
-        for d in detections:
-            if d.gt_mask is None:
-                continue
-            h, w = d.gt_mask.shape
-            ident = -1 if d.gt_identity is None else d.gt_identity
-            bits = ",".join(str(int(v)) for v in d.gt_mask.reshape(-1))
-            fh.write(f"{d.node_id},{ident},{d.frame},{h},{w},{bits}\n")
+        fh.writelines(rows)
 
 
 def load_gt_masks(path) -> dict[int, tuple[int, int, np.ndarray]]:
@@ -403,6 +405,8 @@ def load_gt_masks(path) -> dict[int, tuple[int, int, np.ndarray]]:
         mask = np.asarray(vals[5:], dtype=np.float64)
         if mask.size != h * w:
             raise ValueError(f"expected {h * w} values, got {mask.size}")
+        if not _binary(mask):
+            raise ValueError("mask values must be 0 or 1")
         return nid, (ident, frame, mask.reshape(h, w))
 
     return dict(_read_rows(path, parse, key=lambda r: f"node id {r[0]}"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorkit as tk
-from .errors import ConfigError, TrainingError, check_finite_sign
+from .errors import ConfigError, TrainingError, check_at_least, check_finite_sign, check_in
 from .graph import (NodeTable, Partners, build_graph, check_window_options, ground_truth_labels,
                     split_windows, window_gap)
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
@@ -42,20 +42,16 @@ class TrainConfig:
     checkpoint_every: int = 0            # 0 disables periodic snapshots
 
     def validate(self) -> None:
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        check_at_least("iterations", self.iterations, 1)
         for name in ("lr", "weight_decay", "box_shift_std"):
             check_finite_sign(name, getattr(self, name))
         for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not 0.0 <= self.node_drop_p <= 1.0:
-            raise ConfigError(f"node_drop_p must be in [0, 1], got {self.node_drop_p}")
+            check_in(name, getattr(self, name), 0, 1, open_high=True)
+        check_in("node_drop_p", self.node_drop_p, 0, 1)
         check_window_options(self.frames_per_graph, self.max_frame_gap, self.top_k)
-        if self.graphs_per_step < 1:
-            raise ConfigError(f"graphs_per_step must be >= 1, got {self.graphs_per_step}")
-        if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        check_at_least("graphs_per_step", self.graphs_per_step, 1)
+        check_at_least("seed", self.seed, 0)
+        check_at_least("checkpoint_every", self.checkpoint_every, 0)
 
 
 @dataclass

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 from mpnflow import cli
 from mpnflow import tensorkit as tk
 from mpnflow.cli import main
-from mpnflow.errors import ParseError
+from mpnflow.errors import ConfigError, ParseError, check_at_least, check_in, config_from_dict
 from mpnflow.infer import InferConfig, read_mask_pgm, run_inference
-from mpnflow.mpn import ModelParams
-from mpnflow.synthdata import (Detection, attach_embeddings, attach_roi_grids, load_gt_masks,
-                               load_mot_detections, load_track_assignment, load_tracks,
-                               write_detections, write_embeddings, write_roi_grids)
-from mpnflow.train import build_gradcheck_case
+from mpnflow.mpn import ModelParams, MpnConfig
+from mpnflow.synthdata import (Detection, ScenarioConfig, attach_embeddings, attach_roi_grids,
+                               load_gt_masks, load_mot_detections, load_track_assignment,
+                               load_tracks, write_detections, write_embeddings, write_roi_grids)
+from mpnflow.train import TrainConfig, build_gradcheck_case
 
 
 def _write_config(path, **sections):
@@ -166,6 +167,19 @@ def test_gradcheck_exit_codes(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-1e-4", "inf"])
+def test_gradcheck_tolerance_must_be_finite_and_positive(tolerance, monkeypatch, capsys):
+    # a bad tolerance fails or passes every comparison; it is a usage error,
+    # reported before any case is built
+    def no_case(with_masks, seed):
+        raise AssertionError("a case was built before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "build_gradcheck_case", no_case)
+    capsys.readouterr()
+    assert main(["gradcheck", f"--tolerance={tolerance}"]) == 1
+    assert "--tolerance must be finite and > 0" in capsys.readouterr().err
+
+
 def test_gradcheck_reads_no_sabotage_variable(monkeypatch, capsys):
     monkeypatch.setenv("MPNFLOW_SABOTAGE_GRADCHECK", "1")
     assert main(["gradcheck"]) == 0
@@ -274,6 +288,7 @@ MALFORMED = {
     "embedding_nan": ("infer", "data/embeddings.csv", _set_field(1, 3, "nan"), 1),
     "roi_grid_inf": ("infer", "data/roi.csv", _set_field(2, 10, "-inf"), 2),
     "gt_mask_nan": ("eval", "data/gt_masks.csv", _set_field(1, 6, "nan"), 1),
+    "gt_mask_not_binary": ("eval", "data/gt_masks.csv", _set_field(1, 6, "0.7"), 1),
     "gt_mask_negative_dims": ("eval", "data/gt_masks.csv", _negative_mask_dims, 1),
     "tracks_non_integer": ("eval", "run/tracks.csv",
                            lambda text: "track_id,node_id\n1,seven\n", 2),
@@ -372,7 +387,7 @@ def test_malformed_input_exits_1_naming_the_file(case, mask_run, tmp_path, capsy
 
 
 # case: (command, config sections, flags, text the error must contain);
-# eval takes no config, so its cases are flags alone
+# eval and gradcheck take no config, so their cases are flags alone
 BAD_CONFIGS = {
     "scenario_int_as_str": ("generate", {"scenario": {"num_frames": "10"}}, [], "num_frames"),
     "scenario_float_as_bool": ("generate", {"scenario": {"speed_max": True}}, [], "speed_max"),
@@ -403,6 +418,10 @@ BAD_CONFIGS = {
     "train_lr_nan": ("train", {"train": {"lr": float("nan")}}, [], "lr must be finite"),
     "train_beta1_1": ("train", {"train": {"beta1": 1.0}}, [], "beta1 must be in [0, 1)"),
     "train_beta2_negative": ("train", {"train": {"beta2": -0.5}}, [], "beta2 must be in [0, 1)"),
+    # numpy's generators take no negative seed
+    "generate_seed_flag_negative": ("generate", None, ["--seed", "-1"], "seed must be >= 0"),
+    "train_seed_flag_negative": ("train", None, ["--seed", "-1"], "seed must be >= 0"),
+    "gradcheck_seed_flag_negative": ("gradcheck", None, ["--seed", "-2"], "seed must be >= 0"),
 }
 
 
@@ -417,11 +436,63 @@ def test_wrongly_typed_config_exits_1_naming_the_key(case, mask_run, tmp_path, c
             "infer": ["infer", "--data", data, "--out", out,
                       "--checkpoint", str(mask_run / "model" / "checkpoint.json")],
             "eval": ["eval", "--data", data, "--run", str(mask_run / "run"),
-                     "--out", str(tmp_path / "report.csv")]}[command]
+                     "--out", str(tmp_path / "report.csv")],
+            "gradcheck": ["gradcheck"]}[command]
     capsys.readouterr()
     assert main(argv + flags + config) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+CONFIG_CLASSES = {"scenario": ScenarioConfig, "model": MpnConfig, "train": TrainConfig,
+                  "infer": InferConfig}
+# fields checked by a rule over two of them, whose message names the rule
+PAIRED = {"box_size_min": "box_size_min <= box_size_max",
+          "mask_fill_min": "mask fill fractions", "mask_fill_max": "mask fill fractions"}
+FLOAT_FIELDS = [(section, f.name) for section, cls in CONFIG_CLASSES.items()
+                for f in fields(cls) if f.type == "float"]
+
+
+def test_float_field_sweep_covers_every_section_with_floats():
+    assert {section for section, _ in FLOAT_FIELDS} == {"scenario", "train", "infer"}
+    assert len(FLOAT_FIELDS) >= 20
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, name", FLOAT_FIELDS,
+                         ids=[f"{s}.{n}" for s, n in FLOAT_FIELDS])
+def test_non_finite_float_config_value_is_rejected_naming_the_field(section, name, value):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(CONFIG_CLASSES[section], section, {name: value})
+    assert PAIRED.get(name, name) in str(info.value)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("check, args, kwargs, message", [
+    (check_at_least, ("top_k", 0, 1), {}, "top_k must be >= 1, got 0"),
+    (check_at_least, ("seed", NAN, 0), {}, "seed must be >= 0, got nan"),
+    (check_in, ("p", 1.5, 0, 1), {}, "p must be in [0, 1], got 1.5"),
+    (check_in, ("p", -0.1, 0, 1), {}, "p must be in [0, 1], got -0.1"),
+    (check_in, ("b", 1.0, 0, 1), {"open_high": True}, "b must be in [0, 1), got 1.0"),
+    (check_in, ("t", 0, 0, 1), {"open_low": True, "open_high": True},
+     "t must be in (0, 1), got 0"),
+    (check_in, ("t", NAN, 0, 1), {"open_low": True}, "t must be in (0, 1], got nan"),
+])
+def test_range_checks_spell_one_message_and_fail_nan(check, args, kwargs, message):
+    with pytest.raises(ConfigError) as info:
+        check(*args, **kwargs)
+    assert str(info.value) == message
+
+
+def test_range_checks_accept_their_closed_bounds():
+    check_at_least("top_k", 1, 1)
+    check_in("p", 0, 0, 1)
+    check_in("p", 1.0, 0, 1)
+    check_in("iou_min", 1.0, 0, 1, open_low=True)
+    check_in("beta1", 0.0, 0, 1, open_high=True)
 
 
 def test_config_float_fields_accept_ints(tmp_path):

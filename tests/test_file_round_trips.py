@@ -2,6 +2,9 @@
 input: boxes and confidences to 2 decimals, mask PGM levels to 1/255, and
 repr-written floats (sidecar CSVs, checkpoints) exactly."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from mpnflow import synthdata as sd
 from mpnflow import tensorkit as tk
+from mpnflow.errors import ConfigError, ParseError
 from mpnflow.infer import read_mask_pgm, write_mask_pgm
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -101,6 +105,23 @@ def test_gt_masks_csv_reads_back_every_binary_mask_with_identity_and_frame(data,
         d = want[nid]
         assert (ident, frame) == (-1 if d.gt_identity is None else d.gt_identity, d.frame)
         assert grid.tobytes() == d.gt_mask.tobytes()
+
+
+@pytest.mark.parametrize("value", [0.7, 2.0, -1.0, float("nan")])
+def test_gt_mask_value_other_than_0_or_1_is_rejected_on_write_and_read(value, tmp_path):
+    # int(v) would truncate 0.7 to 0, so the file would read back a different mask
+    path = tmp_path / "gt_masks.csv"
+    mask = np.array([[0.0, 1.0], [value, 1.0]])
+    dets = [sd.Detection(4, 0, (0, 0, 5, 5), gt_mask=np.ones((2, 2))),
+            sd.Detection(3, 1, (0, 0, 5, 5), gt_mask=mask)]
+    with pytest.raises(ConfigError, match="^detection 3: gt mask values must be 0 or 1$"):
+        sd.write_gt_masks(dets, path)
+    assert not path.exists()
+    if math.isfinite(value):
+        path.write_text(f"4,-1,0,2,2,1,1,1,1\n3,-1,1,2,2,0,1,{value!r},1\n")
+        where = re.escape(f"{path}:2:")
+        with pytest.raises(ParseError, match=f"^{where} mask values must be 0 or 1$"):
+            sd.load_gt_masks(path)
 
 
 @st.composite

@@ -249,3 +249,57 @@ def test_model_and_training_code_never_sees_a_detection(module):
     # a window reaches them as a graph.NodeTable, built once per sequence
     source = (ROOT / "src" / "mpnflow" / f"{module}.py").read_text()
     assert "Detection" not in imported_names(source)
+
+
+RANGE_PHRASES = ("must be >=", "must be in [", "must be in (")
+
+
+def _literal_text(node: ast.expr) -> str:
+    """The literal text of a string expression, {} for each formatted field."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_literal_text(v) if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _literal_text(node.left) + _literal_text(node.right)
+    return ""
+
+
+def range_messages(source: str) -> list[str]:
+    """Raises of ConfigError, bare or through a module, whose literal message
+    spells a range rule that errors.check_at_least or errors.check_in owns."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        func = node.exc.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name != "ConfigError":
+            continue
+        text = "".join(map(_literal_text, node.exc.args))
+        if any(phrase in text for phrase in RANGE_PHRASES):
+            found.append((node.lineno, f"{text} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_range_message_check_finds_a_spelled_out_range():
+    source = ("if k < 1:\n    raise ConfigError(f\"top_k must be >= 1, got {k}\")\n"
+              "if not 0 < t < 1:\n    raise errors.ConfigError(\"tau must be in (0, 1), \"\n"
+              "                             f\"got {t}\")\n"
+              "raise ConfigError(\"p must be in \" + \"[0, 1]\")\n"
+              "raise ConfigError(f\"threads must be 1, got {n}\")\n"
+              "raise ParseError(\"frame must be >= 0\")\n"
+              "raise ValueError(\"x must be in [0, 1]\")\n")
+    assert range_messages(source) == ["top_k must be >= 1, got {} (line 2)",
+                                      "tau must be in (0, 1), got {} (line 4)",
+                                      "p must be in [0, 1] (line 6)"]
+
+
+NOT_ERRORS = [p for p in SOURCES if p.name != "errors.py"]
+
+
+@pytest.mark.parametrize("path", NOT_ERRORS, ids=[p.name for p in NOT_ERRORS])
+def test_range_rules_are_spelled_only_in_errors(path):
+    # every "must be >= k" and "must be in [a, b)" check calls the errors helpers
+    assert range_messages(path.read_text()) == []
