@@ -72,33 +72,29 @@ def _section(config: dict, name: str, args, flags) -> dict:
 def cmd_generate(args) -> int:
     cfg = config_from_dict(ScenarioConfig, "scenario",
                            _section(_load_config(args.config), "scenario", args, ("seed",)))
-    scenario = generate_scenario(cfg)
+    # ids run 0..n-1 in frame order, the row order det.txt is written and
+    # reloaded in, so the sidecar files' node ids match the reloaded ones
+    detections = generate_scenario(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # renumber into the row order det.txt is written in, so node ids keyed
-    # by the sidecar files line up with the ids assigned on reload
-    ordered = sorted(scenario.detections, key=lambda d: (d.frame, d.node_id))
-    renumbered = [replace(d, node_id=i) for i, d in enumerate(ordered)]
-
-    write_detections([replace(d, gt_identity=None) for d in renumbered],
-                     out / "det.txt")
+    write_detections([replace(d, gt_identity=None) for d in detections], out / "det.txt")
     by_identity: dict[int, list] = {}
-    for d in renumbered:
+    for d in detections:
         if d.gt_identity is not None:
             by_identity.setdefault(d.gt_identity, []).append(
                 (d.frame, d.box, 1.0))
     gt_tracks = [sorted(by_identity[i]) for i in sorted(by_identity)]
     write_results(gt_tracks, out / "gt.txt")
-    write_embeddings(renumbered, out / "embeddings.csv")
-    write_roi_grids(renumbered, out / "roi.csv")
-    write_gt_masks(renumbered, out / "gt_masks.csv")
+    write_embeddings(detections, out / "embeddings.csv")
+    write_roi_grids(detections, out / "roi.csv")
+    write_gt_masks(detections, out / "gt_masks.csv")
     with open(out / "scenario.json", "w") as fh:
         json.dump(asdict(cfg), fh, indent=2)
         fh.write("\n")
 
-    clutter = sum(1 for d in renumbered if d.gt_identity is None)
-    print(f"wrote {len(renumbered)} detections over {cfg.num_frames} frames "
+    clutter = sum(1 for d in detections if d.gt_identity is None)
+    print(f"wrote {len(detections)} detections over {cfg.num_frames} frames "
           f"to {out} ({len(by_identity)} identities, {clutter} clutter)")
     return 0
 

@@ -65,6 +65,7 @@ class ModelParams:
     def __init__(self, config: MpnConfig, d_app: int, seed: int = 0):
         config.validate()
         check_at_least("d_app", d_app, 1)
+        check_at_least("seed", seed, 0)
         self.config = config
         self.d_app = d_app
         rng = np.random.default_rng(seed)
@@ -310,8 +311,6 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
         state.roi_grid = tk.ConvGrid(graph.num_nodes, config.roi_h, config.roi_w,
                                      params.mask_head.kernel)
         state.tilde_h.append(_roi_tensor(graph, config))
-    m = config.resolved_last_m()
-    first_recorded = num_steps - m + 1
     for l in range(1, num_steps + 1):
         _edge_step(state, params, l)
         if l < num_steps:
@@ -321,10 +320,9 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
                 _node_step_time_aware(state, params, l)
         if config.with_masks:
             _mask_step(state, params, l)
-        if l >= first_recorded:
-            classify_edges(state, params, l)
-    if num_steps == 0:
-        classify_edges(state, params, 0)
+    # the last m steps; a depth-0 model's m is 1, so it records step 0
+    for l in range(num_steps - config.resolved_last_m() + 1, num_steps + 1):
+        classify_edges(state, params, l)
     return state
 
 

@@ -11,7 +11,7 @@ config reproduces byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,12 +92,6 @@ class ScenarioConfig:
         check_at_least("seed", self.seed, 0)
 
 
-@dataclass
-class Scenario:
-    config: ScenarioConfig
-    detections: list[Detection]             # ground truth in each gt_identity
-
-
 def _render_mask(h: int, w: int, shape: str, fill: float) -> np.ndarray:
     # shape indicator on pixel centers of the box-local unit square
     v = (np.arange(h) + 0.5) / h - 0.5
@@ -126,8 +120,9 @@ def _roi_grid(cfg: ScenarioConfig, indicator: np.ndarray, appearance: np.ndarray
     return grid
 
 
-def generate_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Simulate one scenario; the output is a pure function of the config."""
+def generate_scenario(cfg: ScenarioConfig) -> list[Detection]:
+    """Simulate one scenario as its detections, a pure function of the config:
+    node ids 0..n-1 in frame order, ground truth in each gt_identity."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     m = cfg.num_identities
@@ -178,7 +173,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
                 node_id=next_id, frame=frame, box=(x, y, w, h), confidence=conf,
                 appearance=app, roi_grid=roi, gt_identity=None, gt_mask=None))
             next_id += 1
-    return Scenario(config=replace(cfg), detections=detections)
+    return detections
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +313,15 @@ def load_track_assignment(path) -> list[list[int]]:
 # sidecar files: embeddings, RoI grids, ground-truth masks
 
 def write_embeddings(detections: list[Detection], path) -> None:
+    """Write node_id,v0,...,vk rows, or nothing if a detection lacks its vector."""
+    rows = []
+    for d in detections:
+        if d.appearance is None:
+            raise ConfigError(f"detection {d.node_id} has no appearance vector")
+        vals = ",".join(repr(float(v)) for v in d.appearance)
+        rows.append(f"{d.node_id},{vals}\n")
     with open(path, "w") as fh:
-        for d in detections:
-            if d.appearance is None:
-                raise ConfigError(f"detection {d.node_id} has no appearance vector")
-            vals = ",".join(repr(float(v)) for v in d.appearance)
-            fh.write(f"{d.node_id},{vals}\n")
+        fh.writelines(rows)
 
 
 def attach_embeddings(detections: list[Detection], path) -> None:
@@ -351,13 +349,16 @@ def attach_embeddings(detections: list[Detection], path) -> None:
 
 
 def write_roi_grids(detections: list[Detection], path) -> None:
+    """Write node_id,h,w,c,values rows, or nothing if a detection lacks its grid."""
+    rows = []
+    for d in detections:
+        if d.roi_grid is None:
+            raise ConfigError(f"detection {d.node_id} has no roi grid")
+        h, w, c = d.roi_grid.shape
+        vals = ",".join(repr(float(v)) for v in d.roi_grid.reshape(-1))
+        rows.append(f"{d.node_id},{h},{w},{c},{vals}\n")
     with open(path, "w") as fh:
-        for d in detections:
-            if d.roi_grid is None:
-                raise ConfigError(f"detection {d.node_id} has no roi grid")
-            h, w, c = d.roi_grid.shape
-            vals = ",".join(repr(float(v)) for v in d.roi_grid.reshape(-1))
-            fh.write(f"{d.node_id},{h},{w},{c},{vals}\n")
+        fh.writelines(rows)
 
 
 def attach_roi_grids(detections: list[Detection], path) -> None:
@@ -369,11 +370,11 @@ def attach_roi_grids(detections: list[Detection], path) -> None:
         return _int(vals[0]), grid.reshape(h, w, c)
 
     table = dict(_read_rows(path, parse, key=lambda r: f"node id {r[0]}"))
+    missing = next((d.node_id for d in detections if d.node_id not in table), None)
+    if missing is not None:
+        raise ParseError(f"{path}: no roi grid for node id {missing}")
     for d in detections:
-        if d.node_id in table:
-            d.roi_grid = table[d.node_id]
-        else:
-            raise ParseError(f"{path}: no roi grid for node id {d.node_id}")
+        d.roi_grid = table[d.node_id]
 
 
 def _binary(mask: np.ndarray) -> bool:

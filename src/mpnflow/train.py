@@ -20,7 +20,7 @@ from .errors import ConfigError, TrainingError, check_at_least, check_finite_sig
 from .graph import (NodeTable, Partners, build_graph, check_window_options, ground_truth_labels,
                     split_windows, window_gap)
 from .mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
-from .synthdata import Scenario, ScenarioConfig, generate_scenario
+from .synthdata import ScenarioConfig, generate_scenario
 
 log = logging.getLogger(__name__)
 
@@ -161,11 +161,12 @@ def _sample_graph(nodes: NodeTable, windows: list[np.ndarray], partners: Partner
     raise TrainingError("could not sample a window with edges after 50 tries")
 
 
-def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
+def train_loop(scenarios: list[list], cfg: TrainConfig, mpn_cfg: MpnConfig,
                params: ModelParams | None = None,
                snapshot=None) -> tuple[ModelParams, list[LossReport]]:
     """Optimize model parameters on scenario windows.
 
+    Each scenario is its detection list, as generate_scenario returns it.
     snapshot, if given, is called as snapshot(iteration, params) every
     checkpoint_every iterations.  Returns the trained parameters and the
     per-iteration loss history.  The (seed, config, data) triple fully
@@ -173,11 +174,10 @@ def train_loop(scenarios: list[Scenario], cfg: TrainConfig, mpn_cfg: MpnConfig,
     """
     cfg.validate()
     mpn_cfg.validate()
-    if not scenarios or all(not s.detections for s in scenarios):
+    if not any(scenarios):
         raise ConfigError("training needs at least one scenario with detections")
-    usable = [(NodeTable.from_detections(s.detections),
-               split_windows(s.detections, cfg.frames_per_graph))
-              for s in scenarios if s.detections]
+    usable = [(NodeTable.from_detections(s), split_windows(s, cfg.frames_per_graph))
+              for s in scenarios if s]
     d_app = next((v.size for t, _ in usable for v in t.appearance if v is not None), None)
     if d_app is None:
         raise ConfigError("training scenarios carry no appearance vectors")
@@ -237,8 +237,7 @@ def build_gradcheck_case(with_masks: bool, seed: int = 0):
                             pos_noise_std=2.0, detection_dropout=0.1,
                             false_positive_rate=0.3, roi_h=4, roi_w=4, d_roi=2,
                             seed=seed)
-    scenario = generate_scenario(sc_cfg)
-    table = NodeTable.from_detections(scenario.detections[:10])
+    table = NodeTable.from_detections(generate_scenario(sc_cfg)[:10])
     graph = build_graph(table, Partners(table, 4), top_k=3)
     labels = ground_truth_labels(graph)
     mpn_cfg = MpnConfig(num_steps=2, variant="time_aware", with_masks=with_masks,

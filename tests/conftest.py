@@ -108,9 +108,9 @@ class ModelBank:
         """(graph, thresholded labels) for every validation window."""
         pairs = []
         for sc in self.val_scenarios:
-            nodes = NodeTable.from_detections(sc.detections)
+            nodes = NodeTable.from_detections(sc)
             partners = Partners(nodes, window_gap(MAX_FRAME_GAP, FRAMES_PER_GRAPH))
-            for rows in split_windows(sc.detections, FRAMES_PER_GRAPH):
+            for rows in split_windows(sc, FRAMES_PER_GRAPH):
                 if len(rows) < 2:
                     continue
                 g = build_graph(nodes.take(rows), partners, TOP_K)
@@ -129,7 +129,7 @@ class ModelBank:
         """IDF1 of end-to-end inference, averaged over validation scenarios."""
         vals = []
         for sc in self.val_scenarios:
-            sol = run_inference(sc.detections, params,
+            sol = run_inference(sc, params,
                                 InferConfig(frames_per_graph=FRAMES_PER_GRAPH, top_k=TOP_K,
                                             max_frame_gap=MAX_FRAME_GAP))
             vals.append(idf1(gt_boxes_from_scenario(sc), track_boxes(sol.tracks)))

@@ -18,7 +18,7 @@ def constraint_rate(graph_label_pairs: list) -> float:
 
 def gt_boxes_from_scenario(scenario) -> dict:
     gt: dict = {}
-    for det in scenario.detections:
+    for det in scenario:
         if det.gt_identity is not None:
             gt.setdefault(det.gt_identity, {})[det.frame] = det.box
     return gt
@@ -26,7 +26,7 @@ def gt_boxes_from_scenario(scenario) -> dict:
 
 def gt_masks_from_scenario(scenario) -> dict:
     gt: dict = {}
-    for det in scenario.detections:
+    for det in scenario:
         if det.gt_identity is not None and det.gt_mask is not None:
             gt.setdefault(det.gt_identity, {})[det.frame] = \
                 (det.box, np.asarray(det.gt_mask, dtype=bool))

@@ -131,14 +131,14 @@ def test_mask_learning(mask_setup):
     ious = []
     smotsas = []
     for sc in val_scens:
-        sol = run_inference(sc.detections, params,
+        sol = run_inference(sc, params,
                             InferConfig(frames_per_graph=FRAMES_PER_GRAPH, top_k=TOP_K,
                                         max_frame_gap=MAX_FRAME_GAP))
-        for det in sc.detections:
+        for det in sc:
             if det.gt_mask is None or det.node_id not in sol.node_masks:
                 continue
             ious.append(_grid_iou(sol.node_masks[det.node_id], det.gt_mask))
-        pred = track_masks(sol.track_node_ids, sol.node_masks, sc.detections)
+        pred = track_masks(sol.track_node_ids, sol.node_masks, sc)
         smotsas.append(mots_metrics(gt_masks_from_scenario(sc), pred).smotsa)
     mean_iou = float(np.mean(ious))
     mean_smotsa = float(np.mean(smotsas))
@@ -291,9 +291,9 @@ def test_invariant_suite():
         false_positive_rate=0.2, seed=31))
     feasible = True
     windows = 0
-    nodes = NodeTable.from_detections(scenario.detections)
+    nodes = NodeTable.from_detections(scenario)
     partners = Partners(nodes, window_gap(MAX_FRAME_GAP, FRAMES_PER_GRAPH))
-    for rows in split_windows(scenario.detections, FRAMES_PER_GRAPH):
+    for rows in split_windows(scenario, FRAMES_PER_GRAPH):
         if len(rows) < 2:
             continue
         g = build_graph(nodes.take(rows), partners, TOP_K)
@@ -310,12 +310,12 @@ def test_invariant_suite():
     sc_a = generate_scenario(cfg_a)
     sc_b = generate_scenario(ScenarioConfig(num_frames=30, num_identities=3,
                                             seed=12))
-    same_scenario = len(sc_a.detections) == len(sc_b.detections) and all(
+    same_scenario = len(sc_a) == len(sc_b) and all(
         a.frame == b.frame and a.box == b.box
         and np.array_equal(a.appearance, b.appearance)
         and np.array_equal(a.roi_grid, b.roi_grid)
         and a.gt_identity == b.gt_identity
-        for a, b in zip(sc_a.detections, sc_b.detections))
+        for a, b in zip(sc_a, sc_b))
     tcfg = TrainConfig(iterations=40, frames_per_graph=8, top_k=3,
                        max_frame_gap=3, seed=9)
     mcfg = MpnConfig(num_steps=2, variant="time_aware", d_node=6, d_edge=4,
@@ -326,8 +326,8 @@ def test_invariant_suite():
                         for (_, t1), (_, t2) in zip(p1.named_parameters(),
                                                     p2.named_parameters()))
     icfg = InferConfig(frames_per_graph=8, top_k=3, max_frame_gap=3)
-    sol1 = run_inference(sc_a.detections, p1, icfg)
-    sol2 = run_inference(sc_a.detections, p1, icfg)
+    sol1 = run_inference(sc_a, p1, icfg)
+    sol2 = run_inference(sc_a, p1, icfg)
     same_inference = (np.array_equal(sol1.edge_probs, sol2.edge_probs)
                       and sol1.trajectories == sol2.trajectories)
     checks.append(("seed determinism",

@@ -124,6 +124,28 @@ def test_gt_mask_value_other_than_0_or_1_is_rejected_on_write_and_read(value, tm
             sd.load_gt_masks(path)
 
 
+@pytest.mark.parametrize("writer, payload, why", [
+    (sd.write_embeddings, {"appearance": np.ones(3)}, "has no appearance vector"),
+    (sd.write_roi_grids, {"roi_grid": np.ones((2, 2, 1))}, "has no roi grid"),
+], ids=["embeddings", "roi_grids"])
+def test_sidecar_writer_missing_a_payload_writes_nothing(writer, payload, why, tmp_path):
+    path = tmp_path / "sidecar.csv"
+    dets = [sd.Detection(4, 0, (0, 0, 5, 5), **payload),
+            sd.Detection(3, 1, (0, 0, 5, 5))]
+    with pytest.raises(ConfigError, match=f"^detection 3 {why}$"):
+        writer(dets, path)
+    assert not path.exists()
+
+
+def test_attach_roi_grids_missing_an_id_attaches_nothing(tmp_path):
+    path = tmp_path / "roi.csv"
+    sd.write_roi_grids([sd.Detection(4, 0, (0, 0, 5, 5), roi_grid=np.ones((2, 2, 1)))], path)
+    dets = [sd.Detection(4, 0, (0, 0, 5, 5)), sd.Detection(3, 1, (0, 0, 5, 5))]
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no roi grid for node id 3$"):
+        sd.attach_roi_grids(dets, path)
+    assert all(d.roi_grid is None for d in dets)
+
+
 @st.composite
 def track_series(draw):
     """Non-empty tracks of (frame, box, conf), one entry per frame."""

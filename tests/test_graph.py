@@ -387,7 +387,7 @@ def test_labels_respect_degree_constraints_on_random_scenarios():
                                 detection_dropout=0.25, false_positive_rate=0.8,
                                 pos_noise_std=1.0, seed=seed)
         sc = sd.generate_scenario(cfg)
-        g = graph_over(sc.detections, 12, 4)
+        g = graph_over(sc, 12, 4)
         labels = gr.ground_truth_labels(g)   # raises if infeasible
         assert set(np.unique(labels)).issubset({0.0, 1.0})
 

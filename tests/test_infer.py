@@ -221,13 +221,13 @@ def _inference_fixture():
 
 def test_run_inference_produces_feasible_partition():
     scenario, params = _inference_fixture()
-    sol = run_inference(scenario.detections, params, InferConfig(frames_per_graph=5, top_k=3))
-    assert sol.constraint_report.total == 2 * len(scenario.detections)
-    union = graph_from_edge_list(scenario.detections, list(sol.labels))
+    sol = run_inference(scenario, params, InferConfig(frames_per_graph=5, top_k=3))
+    assert sol.constraint_report.total == 2 * len(scenario)
+    union = graph_from_edge_list(scenario, list(sol.labels))
     y = np.array([sol.labels[pair] for pair in union.edge_pairs()])
     assert check_constraints(union, y).violations == []
     covered = sorted(n for traj in sol.trajectories for n in traj)
-    assert covered == sorted(d.node_id for d in scenario.detections)
+    assert covered == sorted(d.node_id for d in scenario)
     for track, ids in zip(sol.tracks, sol.track_node_ids):
         assert len(ids) >= 2
         frames = [f for f, _, _ in track]
@@ -236,13 +236,13 @@ def test_run_inference_produces_feasible_partition():
 
 def test_run_inference_greedy_rounder_feasible():
     scenario, params = _inference_fixture()
-    sol = run_inference(scenario.detections, params,
+    sol = run_inference(scenario, params,
                         InferConfig(frames_per_graph=5, top_k=3, rounder="greedy"))
-    union = graph_from_edge_list(scenario.detections, list(sol.labels))
+    union = graph_from_edge_list(scenario, list(sol.labels))
     y = np.array([sol.labels[pair] for pair in union.edge_pairs()])
     assert check_constraints(union, y).violations == []
     with pytest.raises(ConfigError):
-        run_inference(scenario.detections, params,
+        run_inference(scenario, params,
                       InferConfig(frames_per_graph=5, top_k=3, rounder="fancy"))
 
 
@@ -252,7 +252,7 @@ def test_run_inference_greedy_rounder_feasible():
 def test_run_inference_checks_graph_options_without_a_window_to_build(count, option, message):
     # no window holds two detections, so no graph is ever built
     scenario, params = _inference_fixture()
-    dets = scenario.detections[:count]
+    dets = scenario[:count]
     options = {"frames_per_graph": 5, "top_k": 3}
     assert run_inference(dets, params, InferConfig(**options)).trajectories == \
         [[d.node_id] for d in dets]
@@ -277,9 +277,9 @@ def test_run_inference_checks_tau_before_any_window_forward(tau, monkeypatch):
     calls = _count_forwards(monkeypatch)
     options = {"frames_per_graph": 5, "top_k": 3}
     with pytest.raises(ConfigError, match=r"^tau must be in \(0, 1\), got"):
-        run_inference(scenario.detections, params, InferConfig(**options, tau=tau))
+        run_inference(scenario, params, InferConfig(**options, tau=tau))
     assert calls == []
-    run_inference(scenario.detections, params, InferConfig(**options))
+    run_inference(scenario, params, InferConfig(**options))
     assert calls
 
 
@@ -288,7 +288,7 @@ def test_run_inference_rejects_a_repeated_node_id_before_any_window_forward(monk
         num_frames=40, num_identities=2, detection_dropout=0.0, false_positive_rate=0.0,
         d_app=8, seed=3))
     _, params = _inference_fixture()
-    dets = list(scenario.detections)
+    dets = list(scenario)
     assert len(dets) == 80
     first = min(range(len(dets)), key=lambda i: dets[i].frame)
     last = max(range(len(dets)), key=lambda i: dets[i].frame)
@@ -303,7 +303,7 @@ def test_run_inference_rejects_a_repeated_node_id_before_any_window_forward(monk
 def test_run_inference_builds_one_graph_per_window_of_two_or_more(monkeypatch):
     # the benchmark counts graphs, nodes and visited frames from these calls
     scenario, params = _inference_fixture()
-    dets = scenario.detections
+    dets = scenario
     calls = []
 
     def counted(nodes, *args, **kwargs):
@@ -318,7 +318,7 @@ def test_run_inference_builds_one_graph_per_window_of_two_or_more(monkeypatch):
 
 def test_run_inference_names_a_detection_without_appearance():
     scenario, params = _inference_fixture()
-    dets = list(scenario.detections)
+    dets = list(scenario)
     dets[5] = replace(dets[5], appearance=None)
     with pytest.raises(ConfigError, match=f"^detection {dets[5].node_id} has no appearance"):
         run_inference(dets, params, InferConfig(frames_per_graph=5, top_k=3))
@@ -336,8 +336,8 @@ def test_run_inference_emits_masks_when_enabled():
     cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
                     conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
     params = ModelParams(cfg, d_app=6, seed=0)
-    sol = run_inference(scenario.detections, params, InferConfig(frames_per_graph=4, top_k=3))
-    node_ids = {d.node_id for d in scenario.detections}
+    sol = run_inference(scenario, params, InferConfig(frames_per_graph=4, top_k=3))
+    node_ids = {d.node_id for d in scenario}
     assert set(sol.node_masks) <= node_ids
     assert sol.node_masks, "expected at least one predicted mask"
     for grid in sol.node_masks.values():
@@ -352,11 +352,11 @@ def test_run_inference_averages_windows_in_window_order():
     cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
                     conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
     params = ModelParams(cfg, d_app=6, seed=2)
-    sol = run_inference(scenario.detections, params, InferConfig(frames_per_graph=4, top_k=3))
+    sol = run_inference(scenario, params, InferConfig(frames_per_graph=4, top_k=3))
 
     probs: dict = {}
     masks: dict = {}
-    windows = reference_windows(scenario.detections, 4)
+    windows = reference_windows(scenario, 4)
     assert len(windows) > 3
     for dets in windows:
         if len(dets) < 2:
@@ -386,8 +386,7 @@ def test_run_inference_averages_eight_or_more_windows_bit_for_bit():
     cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
                     conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
     params = ModelParams(cfg, d_app=6, seed=3)
-    dets = [scenario.detections[i]
-            for i in np.random.default_rng(0).permutation(len(scenario.detections))]
+    dets = [scenario[i] for i in np.random.default_rng(0).permutation(len(scenario))]
     sol = run_inference(dets, params, InferConfig(frames_per_graph=10, top_k=3))
 
     probs: dict = {}

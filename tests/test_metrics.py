@@ -168,15 +168,15 @@ def test_mask_adapters():
         num_frames=4, num_identities=2, d_app=4, roi_h=4, roi_w=4, d_roi=2, seed=2))
     gt = gt_masks_from_scenario(scenario)
     assert set(gt) == {0, 1}
-    ids = [[d.node_id for d in scenario.detections if d.gt_identity == ident] for ident in (0, 1)]
-    node_masks = {d.node_id: np.full((4, 4), 0.7) for d in scenario.detections}
-    pred = track_masks(ids, node_masks, scenario.detections, threshold=0.5)
+    ids = [[d.node_id for d in scenario if d.gt_identity == ident] for ident in (0, 1)]
+    node_masks = {d.node_id: np.full((4, 4), 0.7) for d in scenario}
+    pred = track_masks(ids, node_masks, scenario, threshold=0.5)
     for entries in pred.values():
         for frame, (box, grid) in entries.items():
             assert grid.dtype == bool and grid.all()
     # thresholding: a grid below tau becomes an empty mask, still present
-    low = {d.node_id: np.full((4, 4), 0.3) for d in scenario.detections}
-    pred_low = track_masks(ids, low, scenario.detections, threshold=0.5)
+    low = {d.node_id: np.full((4, 4), 0.3) for d in scenario}
+    pred_low = track_masks(ids, low, scenario, threshold=0.5)
     assert all(not grid.any() for entries in pred_low.values()
                for _, grid in entries.values())
 

@@ -325,6 +325,11 @@ def test_params_init_is_seed_deterministic():
         assert pa.data.tobytes() == pb.data.tobytes()
 
 
+def test_params_reject_a_negative_seed_naming_it():
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        mpn.ModelParams(tiny_config(), d_app=4, seed=-1)
+
+
 def test_model_params_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(14)
     _, g = path_graph(4, rng)

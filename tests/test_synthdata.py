@@ -1,7 +1,12 @@
+import json
+from dataclasses import asdict
+from itertools import groupby
+
 import numpy as np
 import pytest
 
 from mpnflow import synthdata as sd
+from mpnflow.cli import main
 from mpnflow.errors import ConfigError, ParseError, config_from_dict
 
 
@@ -14,11 +19,11 @@ def small_cfg(**kw):
 
 def test_single_identity_three_frames_no_noise():
     sc = sd.generate_scenario(small_cfg())
-    assert len(sc.detections) == 3
-    assert [d.frame for d in sc.detections] == [1, 2, 3]
-    assert [d.gt_identity for d in sc.detections] == [0, 0, 0]
+    assert len(sc) == 3
+    assert [d.frame for d in sc] == [1, 2, 3]
+    assert [d.gt_identity for d in sc] == [0, 0, 0]
     # constant velocity: centers advance by the same step each frame
-    centers = [(d.box[0] + d.box[2] / 2, d.box[1] + d.box[3] / 2) for d in sc.detections]
+    centers = [(d.box[0] + d.box[2] / 2, d.box[1] + d.box[3] / 2) for d in sc]
     step1 = np.subtract(centers[1], centers[0])
     step2 = np.subtract(centers[2], centers[1])
     assert np.allclose(step1, step2, atol=1e-9)
@@ -30,8 +35,8 @@ def test_generation_is_byte_deterministic():
                             box_jitter_std=0.5, seed=123)
     a = sd.generate_scenario(cfg)
     b = sd.generate_scenario(cfg)
-    assert len(a.detections) == len(b.detections)
-    for da, db in zip(a.detections, b.detections):
+    assert len(a) == len(b)
+    for da, db in zip(a, b):
         assert da.node_id == db.node_id and da.frame == db.frame
         assert da.box == db.box and da.confidence == db.confidence
         assert da.appearance.tobytes() == db.appearance.tobytes()
@@ -42,30 +47,30 @@ def test_generation_is_byte_deterministic():
 def test_full_dropout_leaves_only_clutter():
     cfg = small_cfg(detection_dropout=1.0, false_positive_rate=1.0, num_frames=5)
     sc = sd.generate_scenario(cfg)
-    assert sc.detections and all(d.gt_identity is None for d in sc.detections)
+    assert sc and all(d.gt_identity is None for d in sc)
 
 
 def test_false_positives_have_no_mask_and_fresh_appearance():
     cfg = small_cfg(false_positive_rate=2.0, num_frames=4, roi_noise_std=0.0)
     sc = sd.generate_scenario(cfg)
-    fps = [d for d in sc.detections if d.gt_identity is None]
+    fps = [d for d in sc if d.gt_identity is None]
     assert fps, "expected some spurious detections"
     for d in fps:
         assert d.gt_mask is None
         assert np.all(d.roi_grid[:, :, 0] == 0.0)
-    true = [d for d in sc.detections if d.gt_identity == 0]
+    true = [d for d in sc if d.gt_identity == 0]
     assert np.array_equal(true[0].roi_grid[:, :, 0], true[0].gt_mask)
 
 
 def test_roi_shape_channel_noise_varies_per_detection():
     cfg = small_cfg(num_frames=4, roi_noise_std=0.5)
     sc = sd.generate_scenario(cfg)
-    views = [d.roi_grid[:, :, 0] for d in sc.detections if d.gt_identity == 0]
+    views = [d.roi_grid[:, :, 0] for d in sc if d.gt_identity == 0]
     assert len(views) >= 2
     assert not np.array_equal(views[0], views[1])
     # the noise is centered on the mask: averaging views recovers it
     mean_view = np.mean(views, axis=0) >= 0.5
-    mask = next(d.gt_mask for d in sc.detections if d.gt_identity == 0)
+    mask = next(d.gt_mask for d in sc if d.gt_identity == 0)
     assert np.mean(mean_view == (mask >= 0.5)) > 0.8
 
 
@@ -73,7 +78,7 @@ def test_masks_are_nontrivial_and_stable_per_identity():
     cfg = sd.ScenarioConfig(num_frames=4, num_identities=5, seed=3)
     sc = sd.generate_scenario(cfg)
     by_ident = {}
-    for d in sc.detections:
+    for d in sc:
         frac = d.gt_mask.mean()
         assert 0.05 < frac < 1.0
         by_ident.setdefault(d.gt_identity, d.gt_mask)
@@ -116,7 +121,38 @@ def test_config_rejects_non_finite_values_naming_the_field(key, value, why):
 def test_frame_stride_subsamples():
     cfg = small_cfg(num_frames=9, frame_stride=4)
     sc = sd.generate_scenario(cfg)
-    assert sorted({d.frame for d in sc.detections}) == [1, 5, 9]
+    assert sorted({d.frame for d in sc}) == [1, 5, 9]
+
+
+NUMBERING_CFG = small_cfg(num_frames=20, num_identities=3, frame_stride=3,
+                          detection_dropout=0.3, false_positive_rate=2.5, seed=200)
+
+
+def test_node_ids_run_in_frame_order_true_detections_before_clutter():
+    dets = sd.generate_scenario(NUMBERING_CFG)
+    assert [d.node_id for d in dets] == list(range(len(dets)))
+    frames = [d.frame for d in dets]
+    assert frames == sorted(frames)
+    # the config drops some true detections and adds some clutter
+    assert sum(d.gt_identity is None for d in dets) > 0
+    assert sum(d.gt_identity is not None for d in dets) < 3 * len(set(frames))
+    for _, group in groupby(dets, key=lambda d: d.frame):
+        idents = [d.gt_identity for d in group]
+        true = [i for i in idents if i is not None]
+        assert idents == sorted(true) + [None] * (len(idents) - len(true))
+
+
+def test_generated_files_reload_with_the_generated_ids(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": asdict(NUMBERING_CFG)}))
+    assert main(["generate", "--out", str(tmp_path / "data"), "--config", str(cfg)]) == 0
+    want = sd.generate_scenario(NUMBERING_CFG)
+    got = sd.load_mot_detections(tmp_path / "data" / "det.txt")
+    sd.attach_embeddings(got, tmp_path / "data" / "embeddings.csv")
+    assert [d.node_id for d in got] == [d.node_id for d in want]
+    for g, w in zip(got, want):
+        assert g.frame == w.frame and g.box == tuple(float(f"{v:.2f}") for v in w.box)
+        assert g.appearance.tobytes() == w.appearance.tobytes()
 
 
 def test_load_mot_detections_and_errors(tmp_path):
@@ -161,10 +197,10 @@ def test_write_results_round_trip_and_id_assignment(tmp_path):
 def test_embedding_round_trip_is_exact(tmp_path):
     sc = sd.generate_scenario(small_cfg(num_frames=4))
     p = tmp_path / "emb.csv"
-    sd.write_embeddings(sc.detections, p)
-    stripped = [sd.Detection(d.node_id, d.frame, d.box) for d in sc.detections]
+    sd.write_embeddings(sc, p)
+    stripped = [sd.Detection(d.node_id, d.frame, d.box) for d in sc]
     sd.attach_embeddings(stripped, p)
-    for orig, got in zip(sc.detections, stripped):
+    for orig, got in zip(sc, stripped):
         assert np.array_equal(orig.appearance, got.appearance)
 
 
@@ -172,17 +208,17 @@ def test_roi_and_mask_round_trip(tmp_path):
     sc = sd.generate_scenario(small_cfg(num_frames=3, false_positive_rate=1.0))
     roi_p = tmp_path / "roi.csv"
     mask_p = tmp_path / "masks.csv"
-    sd.write_roi_grids(sc.detections, roi_p)
-    sd.write_gt_masks(sc.detections, mask_p)
-    stripped = [sd.Detection(d.node_id, d.frame, d.box) for d in sc.detections]
+    sd.write_roi_grids(sc, roi_p)
+    sd.write_gt_masks(sc, mask_p)
+    stripped = [sd.Detection(d.node_id, d.frame, d.box) for d in sc]
     sd.attach_roi_grids(stripped, roi_p)
-    for orig, got in zip(sc.detections, stripped):
+    for orig, got in zip(sc, stripped):
         assert np.array_equal(orig.roi_grid, got.roi_grid)
     table = sd.load_gt_masks(mask_p)
-    for d in sc.detections:
+    for d in sc:
         if d.gt_mask is not None:
             ident, frame, mask = table[d.node_id]
             assert ident == d.gt_identity and frame == d.frame
             assert np.array_equal(mask, d.gt_mask)
-    assert all(sc.detections[i].gt_mask is not None or i not in table
-               for i in range(len(sc.detections)))
+    assert all(sc[i].gt_mask is not None or i not in table
+               for i in range(len(sc)))

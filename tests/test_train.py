@@ -81,10 +81,10 @@ def test_mask_loss_skips_unsupervised_nodes():
 
 def test_augment_noop_and_full_drop():
     sc = sd.generate_scenario(sd.ScenarioConfig(num_frames=3, num_identities=2, seed=0))
-    boxes = NodeTable.from_detections(sc.detections).boxes
+    boxes = NodeTable.from_detections(sc).boxes
     kept, same = tr.augment(boxes, 0.0, 0.0, np.random.default_rng(0))
-    assert same.tolist() == [list(d.box) for d in sc.detections]
-    assert kept.tolist() == list(range(len(sc.detections)))
+    assert same.tolist() == [list(d.box) for d in sc]
+    assert kept.tolist() == list(range(len(sc)))
     kept, gone = tr.augment(boxes, 1.0, 0.0, np.random.default_rng(1))
     assert kept.shape == (0,) and gone.shape == (0, 4)
 
@@ -167,11 +167,10 @@ def test_train_loop_builds_one_graph_per_sampling_attempt(monkeypatch):
 
 def test_train_loop_names_a_detection_without_appearance():
     scenario = easy_scenario()
-    dets = list(scenario.detections)
+    dets = list(scenario)
     dets[3] = replace(dets[3], appearance=None)
     with pytest.raises(ConfigError, match=f"^detection {dets[3].node_id} has no appearance"):
-        tr.train_loop([replace(scenario, detections=dets)], quick_cfg(iterations=1),
-                      small_model())
+        tr.train_loop([dets], quick_cfg(iterations=1), small_model())
 
 
 def test_train_loop_reduces_loss():
@@ -259,7 +258,7 @@ def test_train_loop_with_masks_runs_and_reports():
 def test_train_loop_with_masks_on_unsupervised_windows_gives_mask_stacks_zero_gradients():
     sc = sd.generate_scenario(sd.ScenarioConfig(
         num_frames=6, num_identities=2, d_app=4, roi_h=4, roi_w=4, d_roi=2, seed=1))
-    sc = replace(sc, detections=[replace(d, gt_mask=None) for d in sc.detections])
+    sc = [replace(d, gt_mask=None) for d in sc]
     cfg = quick_cfg(iterations=3, frames_per_graph=4)
     params, history = tr.train_loop([sc], cfg, small_model(with_masks=True))
     assert all(r.mask == 0.0 and np.isfinite(r.total) for r in history)
@@ -299,8 +298,8 @@ def live_stacks(num_steps: int, variant: str, with_masks: bool) -> list[str]:
 @pytest.fixture(scope="module")
 def bench_window():
     scenario = sd.generate_scenario(bench_scenario_config(100))
-    window = split_windows(scenario.detections, FRAMES_PER_GRAPH)[0]
-    table = NodeTable.from_detections(scenario.detections)
+    window = split_windows(scenario, FRAMES_PER_GRAPH)[0]
+    table = NodeTable.from_detections(scenario)
     graph = build_graph(table.take(window),
                         Partners(table, window_gap(MAX_FRAME_GAP, FRAMES_PER_GRAPH)), TOP_K)
     return graph, ground_truth_labels(graph)
