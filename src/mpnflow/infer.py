@@ -192,23 +192,24 @@ def run_inference(detections: list[Detection], params: ModelParams, cfg: InferCo
     cfg.validate()
     table = NodeTable.from_detections(detections)
     partners = Partners(table, window_gap(cfg.max_frame_gap, cfg.frames_per_graph))
-    mpn_cfg = params.config
     srcs, dsts, probs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    mask_ids, grids = [np.zeros(0, np.int64)], [np.zeros((0, mpn_cfg.roi_h, mpn_cfg.roi_w))]
+    mask_ids, grids = [], []   # a mask model's node ids and masks, window by window
     for rows in split_windows(detections, cfg.frames_per_graph):
         if len(rows) < 2:
             continue
         g = build_graph(table.take(rows), partners, cfg.top_k)
         with tk.no_grad():
             state = mpn_forward(g, params)
-            if mpn_cfg.with_masks:
+            if params.config.with_masks:
                 mask_ids.append(g.node_ids)
                 grids.append(predict_masks(state, params).data)
         srcs.append(g.node_ids[g.edge_src])
         dsts.append(g.node_ids[g.edge_dst])
         probs.append(state.final_probs())
-    nodes, node_mean = _window_means((np.concatenate(mask_ids),), np.concatenate(grids))
-    node_masks = dict(zip(nodes[:, 0].tolist(), node_mean))
+    node_masks = {}
+    if grids:
+        nodes, node_mean = _window_means((np.concatenate(mask_ids),), np.concatenate(grids))
+        node_masks = dict(zip(nodes[:, 0].tolist(), node_mean))
     pairs, mean = _window_means((np.concatenate(srcs), np.concatenate(dsts)),
                                 np.concatenate(probs))
     pair_keys = list(map(tuple, pairs.tolist()))

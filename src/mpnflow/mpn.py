@@ -26,6 +26,8 @@ VARIANTS = ("vanilla", "time_aware")
 
 @dataclass
 class MpnConfig:
+    """The model section; no field sets the RoI grid size, which the grids carry."""
+
     num_steps: int = 4
     variant: str = "time_aware"
     with_masks: bool = False
@@ -33,17 +35,11 @@ class MpnConfig:
     d_edge: int = 16
     hidden: int = 32
     conv_hidden: int = 8
-    roi_h: int = 8
-    roi_w: int = 8
     d_roi: int = 4
-    last_m_steps: int | None = None   # None resolves to min(num_steps, 6)
+    last_m_steps: int | None = None   # None resolves to min(num_steps, 6), at least 1
 
     def resolved_last_m(self) -> int:
-        if self.num_steps == 0:
-            return 1
-        if self.last_m_steps is None:
-            return min(self.num_steps, 6)
-        return self.last_m_steps
+        return max(1, min(self.num_steps, 6)) if self.last_m_steps is None else self.last_m_steps
 
     def validate(self) -> None:
         check_at_least("num_steps", self.num_steps, 0)
@@ -51,8 +47,6 @@ class MpnConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name in ("d_node", "d_edge", "hidden", "conv_hidden", "d_roi"):
             check_at_least(name, getattr(self, name), 1)
-        if self.roi_h < 4 or self.roi_w < 4:
-            raise ConfigError(f"roi grid must be at least 4x4, got {self.roi_h}x{self.roi_w}")
         m = self.resolved_last_m()
         if not 1 <= m <= max(self.num_steps, 1):
             raise ConfigError(
@@ -132,7 +126,8 @@ class ModelParams:
         try:
             check_config("checkpoint metadata", {"model": extra["model"], "d_app": extra["d_app"]},
                          {"model": "dict", "d_app": "int"})
-            model = dict(extra["model"])
+            # checkpoints from when the RoI grid size was a config field record it
+            model = {k: v for k, v in extra["model"].items() if k not in ("roi_h", "roi_w")}
             # checkpoints written while aggregation was a config field record its
             # only legal value, "sum"; any other value names a model not built here
             aggregation = model.pop("aggregation", "sum")
@@ -209,10 +204,12 @@ def _appearance(graph: TrackGraph, params: ModelParams) -> np.ndarray:
 
 
 def _roi_tensor(graph: TrackGraph, config: MpnConfig) -> tk.Tensor:
-    shape = (config.roi_h, config.roi_w, config.d_roi)
+    """The nodes' RoI grids as one (n, H, W, d_roi) tensor, of any H and W; an
+    empty graph has no grid size, so its tensor is (0, 1, 1, d_roi)."""
     if not graph.num_nodes:
-        return tk.Tensor(np.zeros((0,) + shape))
+        return tk.Tensor(np.zeros((0, 1, 1, config.d_roi)))
     roi = graph.nodes.stack("roi", "roi grid but masks are enabled")
+    shape = roi.shape[1:3] + (config.d_roi,)
     if roi.shape[1:] != shape:
         raise ConfigError(
             f"detection {graph.node_ids[0]}: roi grid {roi.shape[1:]} does not match {shape}")
@@ -308,9 +305,8 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
         state.node_h.append(params.node_encoder(tk.Tensor(app)))
     state.edge_h.append(params.edge_encoder(tk.Tensor(edge_feature_matrix(graph, app))))
     if config.with_masks:
-        state.roi_grid = tk.ConvGrid(graph.num_nodes, config.roi_h, config.roi_w,
-                                     params.mask_head.kernel)
         state.tilde_h.append(_roi_tensor(graph, config))
+        state.roi_grid = tk.ConvGrid(*state.tilde_h[0].data.shape[:3], params.mask_head.kernel)
     for l in range(1, num_steps + 1):
         _edge_step(state, params, l)
         if l < num_steps:
@@ -327,7 +323,7 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
 
 
 def predict_masks(state: MpnState, params: ModelParams, step: int | None = None) -> tk.Tensor:
-    """Per-node (H, W) mask probabilities from the RoI embeddings of a step."""
+    """Per-node mask probabilities, of the pass's RoI grid size, from a step's RoI embeddings."""
     if not params.config.with_masks:
         raise ConfigError("mask prediction requires with_masks=True")
     if step is None:
@@ -335,6 +331,4 @@ def predict_masks(state: MpnState, params: ModelParams, step: int | None = None)
     if not 0 <= step < len(state.tilde_h):
         raise ConfigError(f"step {step} outside computed range 0..{len(state.tilde_h) - 1}")
     joined = tk.concat([state.tilde_h[step], state.tilde_h[0]], axis=3)
-    grids = params.mask_head(joined, state.roi_grid)
-    n = state.graph.num_nodes
-    return tk.reshape(grids, (n, params.config.roi_h, params.config.roi_w))
+    return tk.reshape(params.mask_head(joined, state.roi_grid), state.roi_grid.shape)

@@ -250,6 +250,8 @@ def load_mot_detections(path) -> list[Detection]:
 
 
 def write_detections(detections: list[Detection], path) -> None:
+    """Write MOT rows in (frame, id) order, without node ids: reloaded, rows are numbered
+    0..n-1, so the sidecars match them only if the ids already run 0..n-1 in that order."""
     with open(path, "w") as fh:
         for d in sorted(detections, key=lambda d: (d.frame, d.node_id)):
             ident = -1 if d.gt_identity is None else d.gt_identity
@@ -313,7 +315,8 @@ def load_track_assignment(path) -> list[list[int]]:
 # sidecar files: embeddings, RoI grids, ground-truth masks
 
 def write_embeddings(detections: list[Detection], path) -> None:
-    """Write node_id,v0,...,vk rows, or nothing if a detection lacks its vector."""
+    """Write node_id,v0,...,vk rows, or nothing if a detection lacks its vector;
+    the ids must be det.txt's reloaded row numbers (see write_detections)."""
     rows = []
     for d in detections:
         if d.appearance is None:
@@ -349,7 +352,8 @@ def attach_embeddings(detections: list[Detection], path) -> None:
 
 
 def write_roi_grids(detections: list[Detection], path) -> None:
-    """Write node_id,h,w,c,values rows, or nothing if a detection lacks its grid."""
+    """Write node_id,h,w,c,values rows, or nothing if a detection lacks its grid;
+    the ids must be det.txt's reloaded row numbers (see write_detections)."""
     rows = []
     for d in detections:
         if d.roi_grid is None:
@@ -383,7 +387,8 @@ def _binary(mask: np.ndarray) -> bool:
 
 def write_gt_masks(detections: list[Detection], path) -> None:
     """Write each detection's mask as a node_id,identity,frame,h,w,values row;
-    a mask value other than 0 or 1 is a ConfigError and writes nothing."""
+    a mask value other than 0 or 1 is a ConfigError and writes nothing.  The
+    ids must be det.txt's reloaded row numbers (see write_detections)."""
     rows = []
     for d in detections:
         if d.gt_mask is None:

@@ -241,8 +241,7 @@ def build_gradcheck_case(with_masks: bool, seed: int = 0):
     graph = build_graph(table, Partners(table, 4), top_k=3)
     labels = ground_truth_labels(graph)
     mpn_cfg = MpnConfig(num_steps=2, variant="time_aware", with_masks=with_masks,
-                        d_node=4, d_edge=3, hidden=4, conv_hidden=2,
-                        roi_h=4, roi_w=4, d_roi=2)
+                        d_node=4, d_edge=3, hidden=4, conv_hidden=2, d_roi=2)
     params = ModelParams(mpn_cfg, d_app=3, seed=seed + 1)
     gt_masks = graph.nodes.gt_masks
 

@@ -223,8 +223,7 @@ def test_invariant_suite():
     # permutation equivariance: relabeled nodes give bit-identical outputs
     dets = _random_detections(rng, frames=5, per_frame=3)
     cfg = MpnConfig(num_steps=2, variant="time_aware", with_masks=True,
-                    d_node=6, d_edge=4, hidden=6, conv_hidden=2,
-                    roi_h=4, roi_w=4, d_roi=2)
+                    d_node=6, d_edge=4, hidden=6, conv_hidden=2, d_roi=2)
     params = ModelParams(cfg, d_app=4, seed=3)
     g1 = graph_over(dets, 3, 3)
     state1 = mpn_forward(g1, params)
@@ -280,7 +279,7 @@ def test_invariant_suite():
             zeros = tk.Tensor(np.zeros_like(tilde0.data))
             want = att_params.context_update(
                 tk.concat([zeros, zeros, tilde0], axis=3),
-                tk.ConvGrid(1, cfg.roi_h, cfg.roi_w, att_params.context_update.kernel))
+                tk.ConvGrid(*tilde0.data.shape[:3], att_params.context_update.kernel))
             mask_ctx_zero = mask_ctx_zero and np.array_equal(
                 att_state.tilde_h[l].data[i], want.data[0])
     checks.append(("empty aggregation zeros", vanilla_zero and mask_ctx_zero))

@@ -103,7 +103,7 @@ def test_pipeline_with_masks(tmp_path):
         scenario={"num_frames": 6, "num_identities": 2, "d_app": 6,
                   "roi_h": 4, "roi_w": 4, "d_roi": 2, "seed": 5},
         model={"num_steps": 1, "with_masks": True, "d_node": 6, "d_edge": 4,
-               "hidden": 6, "conv_hidden": 2, "roi_h": 4, "roi_w": 4, "d_roi": 2},
+               "hidden": 6, "conv_hidden": 2, "d_roi": 2},
         train={"iterations": 8, "frames_per_graph": 6, "top_k": 2, "seed": 0},
         infer={"frames_per_graph": 6, "top_k": 2},
     )

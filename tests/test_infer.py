@@ -334,7 +334,7 @@ def test_run_inference_emits_masks_when_enabled():
     scenario = generate_scenario(ScenarioConfig(
         num_frames=4, num_identities=2, d_app=6, roi_h=4, roi_w=4, d_roi=2, seed=1))
     cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
-                    conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
+                    conv_hidden=4, d_roi=2)
     params = ModelParams(cfg, d_app=6, seed=0)
     sol = run_inference(scenario, params, InferConfig(frames_per_graph=4, top_k=3))
     node_ids = {d.node_id for d in scenario}
@@ -345,12 +345,22 @@ def test_run_inference_emits_masks_when_enabled():
         assert np.all((grid >= 0.0) & (grid <= 1.0))
 
 
+def test_mask_model_on_a_sequence_without_a_window_returns_no_masks():
+    # no window holds two detections, so no mask is predicted, at any grid size
+    dets = [Detection(node_id=0, frame=1, box=(1.0, 2.0, 3.0, 4.0), appearance=np.zeros(6),
+                      roi_grid=np.zeros((5, 6, 2)))]
+    params = ModelParams(MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
+                                   conv_hidden=4, d_roi=2), d_app=6, seed=0)
+    sol = run_inference(dets, params, InferConfig(frames_per_graph=4, top_k=3))
+    assert sol.node_masks == {} and sol.edge_probs == {} and sol.trajectories == [[0]]
+
+
 def test_run_inference_averages_windows_in_window_order():
     scenario = generate_scenario(ScenarioConfig(
         num_frames=9, num_identities=3, detection_dropout=0.2, false_positive_rate=0.3,
         d_app=6, roi_h=4, roi_w=4, d_roi=2, seed=4))
     cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
-                    conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
+                    conv_hidden=4, d_roi=2)
     params = ModelParams(cfg, d_app=6, seed=2)
     sol = run_inference(scenario, params, InferConfig(frames_per_graph=4, top_k=3))
 
@@ -384,7 +394,7 @@ def test_run_inference_averages_eight_or_more_windows_bit_for_bit():
         num_frames=20, num_identities=3, detection_dropout=0.1, false_positive_rate=0.3,
         d_app=6, roi_h=4, roi_w=4, d_roi=2, seed=5))
     cfg = MpnConfig(num_steps=2, with_masks=True, d_node=8, d_edge=6, hidden=8,
-                    conv_hidden=4, roi_h=4, roi_w=4, d_roi=2)
+                    conv_hidden=4, d_roi=2)
     params = ModelParams(cfg, d_app=6, seed=3)
     dets = [scenario[i] for i in np.random.default_rng(0).permutation(len(scenario))]
     sol = run_inference(dets, params, InferConfig(frames_per_graph=10, top_k=3))

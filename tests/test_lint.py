@@ -303,3 +303,38 @@ NOT_ERRORS = [p for p in SOURCES if p.name != "errors.py"]
 def test_range_rules_are_spelled_only_in_errors(path):
     # every "must be >= k" and "must be in [a, b)" check calls the errors helpers
     assert range_messages(path.read_text()) == []
+
+
+ROI_SIZE = ("roi_h", "roi_w")
+
+
+def roi_size_reads(source: str) -> list[str]:
+    """Reads of an attribute named roi_h or roi_w, dotted or through getattr
+    with a literal name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ROI_SIZE \
+                and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, f"{ast.unparse(node)} (line {node.lineno})"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "getattr" \
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant) \
+                and node.args[1].value in ROI_SIZE:
+            found.append((node.lineno, f"{ast.unparse(node)} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+def test_roi_size_read_check_finds_every_spelling():
+    source = ("h = cfg.roi_h\nself.roi_w = 4\nw = getattr(config, 'roi_w')\n"
+              "keys = ('roi_h', 'roi_w')\nshape = (params.config.roi_h, 8)\n")
+    assert roi_size_reads(source) == ["cfg.roi_h (line 1)", "getattr(config, 'roi_w') (line 3)",
+                                      "params.config.roi_h (line 5)"]
+
+
+NOT_SYNTHDATA = [p for p in SOURCES if p.name != "synthdata.py"]
+
+
+@pytest.mark.parametrize("path", NOT_SYNTHDATA, ids=[p.name for p in NOT_SYNTHDATA])
+def test_only_synthdata_reads_a_roi_grid_size(path):
+    # synthdata renders the grids at its config's size; every other module
+    # reads the size from the grids themselves
+    assert roi_size_reads(path.read_text()) == []

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ def det(nid, frame, box=(0.0, 0.0, 10.0, 10.0), app=None, rng=None, d_app=4):
 
 def tiny_config(**kw):
     base = dict(num_steps=2, variant="time_aware", with_masks=False,
-                d_node=5, d_edge=4, hidden=6, conv_hidden=3,
-                roi_h=4, roi_w=4, d_roi=2)
+                d_node=5, d_edge=4, hidden=6, conv_hidden=3, d_roi=2)
     base.update(kw)
     return mpn.MpnConfig(**base)
 
@@ -221,11 +221,40 @@ def test_mask_prediction_shape_and_range():
         mpn.predict_masks(state, params, step=9)
 
 
-def masked_path_graph(rng):
+def masked_path_graph(rng, roi=(4, 4, 2)):
     dets = [det(i, f, rng=rng) for i, f in enumerate([1, 2, 3])]
     for d in dets:
-        d.roi_grid = rng.normal(size=(4, 4, 2))
+        d.roi_grid = rng.normal(size=roi)
     return gr.graph_from_edge_list(dets, [(0, 1), (1, 2)])
+
+
+def test_mask_model_takes_its_grid_size_from_the_roi_grids():
+    # a default model (d_roi 4) runs on 5x6 grids; no config field sizes them
+    params = mpn.ModelParams(mpn.MpnConfig(with_masks=True), d_app=4, seed=12)
+    state = mpn.mpn_forward(masked_path_graph(np.random.default_rng(12), (5, 6, 4)), params)
+    masks = mpn.predict_masks(state, params)
+    assert state.roi_grid.shape == (3, 5, 6) and masks.data.shape == (3, 5, 6)
+    assert [t.data.shape for t in state.tilde_h] == [(3, 5, 6, 4)] * 5
+    tk.backward(tk.tsum(masks))
+    assert all(p.grad.shape == p.data.shape for _, p in params.mask_head.parameters())
+
+
+@pytest.mark.parametrize("roi, message", [
+    ((5, 6, 3), "detection 0: roi grid (5, 6, 3) does not match (5, 6, 4)"),
+    ((5, 6), "detection 0: roi grid (5, 6) does not match (5, 6, 4)")],
+    ids=["three channels", "no channel axis"])
+def test_roi_grids_need_the_models_channel_count(roi, message):
+    params = mpn.ModelParams(mpn.MpnConfig(with_masks=True), d_app=4, seed=12)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        mpn.mpn_forward(masked_path_graph(np.random.default_rng(12), roi), params)
+
+
+def test_empty_graph_has_a_one_pixel_roi_grid():
+    params = mpn.ModelParams(tiny_config(with_masks=True), d_app=4, seed=9)
+    g = gr.graph_from_edge_list([], [])
+    state = mpn.mpn_forward(g, params)
+    assert state.tilde_h[0].data.shape == (0, 1, 1, 2)
+    assert mpn.predict_masks(state, params).data.shape == (0, 1, 1)
 
 
 def test_mask_inference_builds_no_col2im_operator(monkeypatch):
@@ -344,13 +373,13 @@ def test_model_params_checkpoint_round_trip(tmp_path):
     assert np.array_equal(before, after)
 
 
-def _checkpoint_with_aggregation(tmp_path, params, aggregation):
-    # the model metadata of checkpoints written while aggregation was a
-    # config field
-    path = tmp_path / f"model_{aggregation}.json"
+def _checkpoint_with_old_keys(tmp_path, params, **keys):
+    # the model metadata of checkpoints written while aggregation, or the
+    # RoI grid size, was a config field
+    path = tmp_path / "model_old.json"
     params.save(path)
     doc = json.loads(path.read_text())
-    doc["extra"]["model"]["aggregation"] = aggregation
+    doc["extra"]["model"].update(keys)
     path.write_text(json.dumps(doc))
     return path
 
@@ -360,7 +389,7 @@ def test_checkpoint_with_sum_aggregation_loads_bit_identically(tmp_path):
     _, g = path_graph(4, rng)
     params = mpn.ModelParams(tiny_config(), d_app=4, seed=17)
     before = mpn.mpn_forward(g, params).final_probs()
-    loaded = mpn.ModelParams.load(_checkpoint_with_aggregation(tmp_path, params, "sum"))
+    loaded = mpn.ModelParams.load(_checkpoint_with_old_keys(tmp_path, params, aggregation="sum"))
     assert loaded.config == params.config
     assert np.array_equal(mpn.mpn_forward(g, loaded).final_probs(), before)
 
@@ -368,7 +397,19 @@ def test_checkpoint_with_sum_aggregation_loads_bit_identically(tmp_path):
 def test_checkpoint_with_other_aggregation_is_rejected(tmp_path):
     params = mpn.ModelParams(tiny_config(), d_app=4, seed=17)
     with pytest.raises(CheckpointError, match="aggregation 'max'"):
-        mpn.ModelParams.load(_checkpoint_with_aggregation(tmp_path, params, "max"))
+        mpn.ModelParams.load(_checkpoint_with_old_keys(tmp_path, params, aggregation="max"))
+
+
+def test_checkpoint_with_a_roi_grid_size_loads_bit_identically(tmp_path):
+    g = masked_path_graph(np.random.default_rng(18), (5, 6, 2))
+    params = mpn.ModelParams(tiny_config(with_masks=True), d_app=4, seed=19)
+    state = mpn.mpn_forward(g, params)
+    loaded = mpn.ModelParams.load(_checkpoint_with_old_keys(tmp_path, params, roi_h=5, roi_w=6))
+    assert loaded.config == params.config
+    again = mpn.mpn_forward(g, loaded)
+    assert np.array_equal(again.final_probs(), state.final_probs())
+    assert np.array_equal(mpn.predict_masks(again, loaded).data,
+                          mpn.predict_masks(state, params).data)
 
 
 def test_config_validation():
@@ -382,6 +423,17 @@ def test_config_validation():
         config_from_dict(mpn.MpnConfig, "model", {"nope": 1})
     assert mpn.MpnConfig(num_steps=8).resolved_last_m() == 6
     assert mpn.MpnConfig(num_steps=0).resolved_last_m() == 1
+    # the RoI grids carry their size, so no model key sets it
+    with pytest.raises(ConfigError, match=r"unknown model config keys: \['roi_h', 'roi_w'\]"):
+        config_from_dict(mpn.MpnConfig, "model", {"roi_h": 4, "roi_w": 4})
+
+
+@pytest.mark.parametrize("last_m", [3, 0, -5])
+def test_depth_zero_accepts_only_one_last_step(last_m):
+    with pytest.raises(ConfigError, match=f"last_m_steps={last_m} out of range for num_steps=0"):
+        mpn.MpnConfig(num_steps=0, last_m_steps=last_m).validate()
+    mpn.MpnConfig(num_steps=0, last_m_steps=1).validate()
+    assert mpn.MpnConfig(num_steps=0, last_m_steps=1).resolved_last_m() == 1
 
 
 @pytest.mark.parametrize("key, value", [

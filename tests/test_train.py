@@ -138,7 +138,7 @@ def quick_cfg(**kw):
 
 def small_model(**kw):
     base = dict(num_steps=2, variant="time_aware", d_node=6, d_edge=5, hidden=8,
-                roi_h=4, roi_w=4, d_roi=2, conv_hidden=2)
+                d_roi=2, conv_hidden=2)
     base.update(kw)
     return MpnConfig(**base)
 
@@ -275,6 +275,44 @@ def test_mask_training_iteration_builds_one_col2im_operator(monkeypatch):
         num_frames=6, num_identities=2, d_app=4, roi_h=4, roi_w=4, d_roi=2, seed=1))
     tr.train_loop([sc], quick_cfg(iterations=1, frames_per_graph=4), small_model(with_masks=True))
     assert len(builds) == 1
+
+
+def test_two_graphs_per_step_average_their_losses_and_gradients(monkeypatch):
+    # each iteration descends the mean over its graphs: its history row is
+    # the mean of their loss reports, and Adam gets the mean of their own
+    # gradients, each recomputed alone at the parameters of that iteration
+    sc = sd.generate_scenario(sd.ScenarioConfig(
+        num_frames=6, num_identities=2, d_app=4, roi_h=4, roi_w=4, d_roi=2, seed=1))
+    joint_loss, adam_step = tr.joint_loss, tk.adam_step
+    calls, steps = [], []
+
+    def spy_joint_loss(state, params, labels, gt_masks):
+        total, report = joint_loss(state, params, labels, gt_masks)
+        calls.append((state.graph, params, labels, gt_masks, report))
+        return total, report
+
+    def spy_adam_step(named, adam):
+        handed = [p.grad.copy() for _, p in named]
+        own = []
+        for graph, params, labels, gt_masks, _ in calls[-2:]:
+            params.zero_grad()
+            tk.backward(joint_loss(mpn_forward(graph, params), params, labels, gt_masks)[0])
+            own.append([p.grad for _, p in named])
+        for (name, p), g, g1, g2 in zip(named, handed, *own):
+            np.testing.assert_allclose(g, (g1 + g2) / 2, rtol=1e-12, atol=0, err_msg=name)
+            p.grad = g
+        steps.append(len(calls))
+        adam_step(named, adam)
+
+    monkeypatch.setattr(tr, "joint_loss", spy_joint_loss)
+    monkeypatch.setattr(tk, "adam_step", spy_adam_step)
+    cfg = quick_cfg(iterations=2, frames_per_graph=4, graphs_per_step=2)
+    _, history = tr.train_loop([sc], cfg, small_model(with_masks=True))
+    assert steps == [2, 4] and len(history) == 2
+    reports = [c[-1] for c in calls]
+    for row, a, b in zip(history, reports[::2], reports[1::2]):
+        assert (row.edge, row.mask, row.total) == ((a.edge + b.edge) / 2, (a.mask + b.mask) / 2,
+                                                   (a.total + b.total) / 2)
 
 
 STACK_ORDER = ("node_encoder", "edge_encoder", "edge_update", "node_update_past",
