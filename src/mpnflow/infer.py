@@ -21,7 +21,7 @@ from .errors import ConfigError, ParseError, check_at_least, check_in, read_text
 from .graph import (ConstraintReport, NodeTable, Partners, TrackGraph, _assert_feasible,
                     _degrees, build_graph, check_constraints, check_window_options,
                     graph_from_edge_list, split_windows, violating_edges, window_gap)
-from .mpn import ModelParams, mpn_forward, predict_masks
+from .mpn import ModelParams, classify_edges, encode, predict_masks, propagate
 from .synthdata import Box, Detection
 
 
@@ -185,41 +185,55 @@ def _window_means(keys: tuple[np.ndarray, ...], values: np.ndarray):
     return keys[starts], mean
 
 
+def _rows(t: tk.Tensor | None, rows: np.ndarray) -> tk.Tensor | None:
+    return None if t is None else tk.Tensor(t.data[rows])
+
+
 def run_inference(detections: list[Detection], params: ModelParams, cfg: InferConfig) -> Solution:
     """Classify each window, average every edge and node over its windows in
     window order, round, and extract tracks.  Graph partners are ranked once
-    for the whole sequence, and each window's graph is cut from them."""
+    for the whole sequence, and each window's graph is cut from them.  The
+    union of the window graphs is encoded once, and each window's message
+    passing starts from its rows of that encoding."""
     cfg.validate()
     table = NodeTable.from_detections(detections)
     partners = Partners(table, window_gap(cfg.max_frame_gap, cfg.frames_per_graph))
-    srcs, dsts, probs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    mask_ids, grids = [], []   # a mask model's node ids and masks, window by window
-    for rows in split_windows(detections, cfg.frames_per_graph):
-        if len(rows) < 2:
-            continue
-        g = build_graph(table.take(rows), partners, cfg.top_k)
-        with tk.no_grad():
-            state = mpn_forward(g, params)
+    graphs = [build_graph(table.take(rows), partners, cfg.top_k)
+              for rows in split_windows(detections, cfg.frames_per_graph) if len(rows) >= 2]
+    # a node's slot is its rank by id, so keys of slot pairs sort as id pairs do
+    n = max(len(table.ids), 1)
+    slots = [partners._slots(g.node_ids) for g in graphs]
+    keys, edge_key = np.unique(np.concatenate([np.zeros(0, np.int64)] + [
+        s[g.edge_src] * n + s[g.edge_dst] for g, s in zip(graphs, slots)]), return_inverse=True)
+    slot_pairs = np.column_stack(np.divmod(keys, n))
+    pairs = partners.ids[slot_pairs]   # distinct, in id order
+    union = graph_from_edge_list(table, pairs)
+    # each slot's union node, and each pair's union edge
+    node_at = np.empty(len(table.ids), np.int64)
+    node_at[partners._slots(union.node_ids)] = np.arange(union.num_nodes)
+    at = node_at[slot_pairs]
+    pair_edge = np.searchsorted(union.edge_src * n + union.edge_dst, at[:, 0] * n + at[:, 1])
+    edge_at = pair_edge[edge_key]   # every window edge's union edge, window by window
+    ends = np.cumsum([g.num_edges for g in graphs], dtype=np.int64)
+
+    probs, mask_ids, grids = [np.zeros(0)], [], []   # a mask model's node ids and masks too
+    with tk.no_grad():
+        node_h0, edge_h0, roi = encode(union, params)
+        for g, s, edges in zip(graphs, slots, np.split(edge_at, ends[:-1])):
+            rows = node_at[s]
+            state = propagate(g, params, _rows(node_h0, rows), _rows(edge_h0, edges),
+                              _rows(roi, rows))
+            # final_probs reads the last step alone
+            probs.append(classify_edges(state, params, params.config.num_steps).data)
             if params.config.with_masks:
                 mask_ids.append(g.node_ids)
                 grids.append(predict_masks(state, params).data)
-        srcs.append(g.node_ids[g.edge_src])
-        dsts.append(g.node_ids[g.edge_dst])
-        probs.append(state.final_probs())
     node_masks = {}
     if grids:
         nodes, node_mean = _window_means((np.concatenate(mask_ids),), np.concatenate(grids))
         node_masks = dict(zip(nodes[:, 0].tolist(), node_mean))
-    pairs, mean = _window_means((np.concatenate(srcs), np.concatenate(dsts)),
-                                np.concatenate(probs))
-    pair_keys = list(map(tuple, pairs.tolist()))
-    edge_probs = dict(zip(pair_keys, mean.tolist()))
-
-    union = graph_from_edge_list(table, pairs)
-    # the union's edges are exactly the pairs; by_pair[i] is pair i's edge
-    by_pair = np.lexsort((union.node_ids[union.edge_dst], union.node_ids[union.edge_src]))
-    probs_arr = np.empty(len(mean))
-    probs_arr[by_pair] = mean
+    # every union edge lies in a window, so the means come in union edge order
+    _, probs_arr = _window_means((edge_at,), np.concatenate(probs))
     tentative = threshold(probs_arr, cfg.tau)
     report = check_constraints(union, tentative)
     y = exact_round(union, probs_arr, cfg.tau) if cfg.rounder == "exact" \
@@ -234,9 +248,10 @@ def run_inference(detections: list[Detection], params: ModelParams, cfg: InferCo
             continue
         tracks.append(interpolate_track(traj, det_by_id))
         track_node_ids.append(traj)
-    labels = dict(zip(pair_keys, y[by_pair].tolist()))
-    return Solution(edge_probs=edge_probs, labels=labels, trajectories=trajectories,
-                    tracks=tracks, track_node_ids=track_node_ids,
+    pair_keys = list(map(tuple, pairs.tolist()))
+    return Solution(edge_probs=dict(zip(pair_keys, probs_arr[pair_edge].tolist())),
+                    labels=dict(zip(pair_keys, y[pair_edge].tolist())),
+                    trajectories=trajectories, tracks=tracks, track_node_ids=track_node_ids,
                     node_masks=node_masks, constraint_report=report)
 
 

@@ -7,7 +7,8 @@ edges.  The time-aware variant aggregates past and future neighbors through
 separate networks before fusing; the attentive variant additionally routes
 RoI feature grids through per-neighborhood softmax attention and decodes
 them into per-pixel masks.  The same logit head drives both the edge
-classifier and the attention weights.
+classifier and the attention weights.  A pass is encode, then propagate
+from the encoded rows, then classification of the steps the caller reads.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ class MpnState:
 
     With L message passing steps, edge_h and tilde_h hold steps 0..L and
     node_h holds steps 0..L-1: the last step's node embeddings feed no
-    output, so they are not computed.
+    output, so they are not computed.  edge_probs holds the steps the
+    caller classified.
     """
 
     graph: TrackGraph
@@ -288,11 +290,29 @@ def _mask_step(state: MpnState, params: ModelParams, l: int) -> None:
     state.tilde_h.append(params.context_update(joined, state.roi_grid))
 
 
-def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
-    """Run the forward pass, recording probabilities for the last m steps.
+def encode(graph: TrackGraph, params: ModelParams
+           ) -> tuple[tk.Tensor | None, tk.Tensor, tk.Tensor | None]:
+    """A graph's step-0 rows: the encoded appearance of each node (None at
+    depth 0, where nothing reads it), the encoded edge_feature_matrix row of
+    each edge, and with masks the RoI tensor (else None).
 
-    Only what an output reads is computed: no node embeddings at depth 0,
-    and no node update in the last step.
+    Each row is computed from its own node or edge alone, so a window of a
+    larger graph may take its rows of that graph's encoding.
+    """
+    config = params.config
+    app = _appearance(graph, params)
+    node_h0 = params.node_encoder(tk.Tensor(app)) if config.num_steps else None
+    edge_h0 = params.edge_encoder(tk.Tensor(edge_feature_matrix(graph, app)))
+    roi = _roi_tensor(graph, config) if config.with_masks else None
+    return node_h0, edge_h0, roi
+
+
+def propagate(graph: TrackGraph, params: ModelParams, node_h0: tk.Tensor | None,
+              edge_h0: tk.Tensor, roi: tk.Tensor | None) -> MpnState:
+    """Run the message passing steps from the graph's step-0 rows, as encode
+    gives them; no step is classified.
+
+    Only what an output reads is computed: no node update in the last step.
     """
     config = params.config
     num_steps = config.num_steps
@@ -300,13 +320,12 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
     # sum and attention softmax of the pass, and one ConvGrid every conv
     state = MpnState(graph=graph, src=tk.Segments(graph.edge_src, graph.num_nodes),
                      dst=tk.Segments(graph.edge_dst, graph.num_nodes))
-    app = _appearance(graph, params)
-    if num_steps:
-        state.node_h.append(params.node_encoder(tk.Tensor(app)))
-    state.edge_h.append(params.edge_encoder(tk.Tensor(edge_feature_matrix(graph, app))))
+    if node_h0 is not None:
+        state.node_h.append(node_h0)
+    state.edge_h.append(edge_h0)
     if config.with_masks:
-        state.tilde_h.append(_roi_tensor(graph, config))
-        state.roi_grid = tk.ConvGrid(*state.tilde_h[0].data.shape[:3], params.mask_head.kernel)
+        state.tilde_h.append(roi)
+        state.roi_grid = tk.ConvGrid(*roi.data.shape[:3], params.mask_head.kernel)
     for l in range(1, num_steps + 1):
         _edge_step(state, params, l)
         if l < num_steps:
@@ -316,8 +335,15 @@ def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
                 _node_step_time_aware(state, params, l)
         if config.with_masks:
             _mask_step(state, params, l)
-    # the last m steps; a depth-0 model's m is 1, so it records step 0
-    for l in range(num_steps - config.resolved_last_m() + 1, num_steps + 1):
+    return state
+
+
+def mpn_forward(graph: TrackGraph, params: ModelParams) -> MpnState:
+    """Encode the graph, propagate, and classify the last m steps; a depth-0
+    model's m is 1, so it records step 0."""
+    state = propagate(graph, params, *encode(graph, params))
+    num_steps = params.config.num_steps
+    for l in range(num_steps - params.config.resolved_last_m() + 1, num_steps + 1):
         classify_edges(state, params, l)
     return state
 

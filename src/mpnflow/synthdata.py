@@ -38,6 +38,13 @@ class Detection:
         if not (w > 0 and h > 0):
             raise ConfigError(f"detection {self.node_id}: box needs positive size, got w={w}, h={h}")
         check_at_least(f"detection {self.node_id}: frame", self.frame, 0)
+        if self.roi_grid is not None:
+            shape = np.shape(self.roi_grid)
+            if len(shape) != 3:
+                raise ConfigError(f"detection {self.node_id}: roi grid needs 3 axes (H, W, d_roi), "
+                                  f"got shape {shape}")
+            check_at_least(f"detection {self.node_id}: roi grid height", shape[0], 1)
+            check_at_least(f"detection {self.node_id}: roi grid width", shape[1], 1)
         if self.roi_grid is not None and self.gt_mask is not None:
             if self.roi_grid.shape[:2] != self.gt_mask.shape:
                 raise ConfigError(
@@ -250,10 +257,18 @@ def load_mot_detections(path) -> list[Detection]:
 
 
 def write_detections(detections: list[Detection], path) -> None:
-    """Write MOT rows in (frame, id) order, without node ids: reloaded, rows are numbered
-    0..n-1, so the sidecars match them only if the ids already run 0..n-1 in that order."""
+    """Write MOT rows in (frame, id) order, without node ids: reloaded, rows are
+    numbered 0..n-1, which the sidecars match only if the ids already run 0..n-1
+    in that order.  Other ids are a ConfigError naming the first misplaced one,
+    and nothing is written."""
+    rows = sorted(detections, key=lambda d: (d.frame, d.node_id))
+    misplaced = next(((k, d.node_id) for k, d in enumerate(rows) if d.node_id != k), None)
+    if misplaced is not None:
+        k, nid = misplaced
+        raise ConfigError(f"detection {nid} would reload as row {k}: node ids must run "
+                          f"0..{len(rows) - 1} in (frame, id) order")
     with open(path, "w") as fh:
-        for d in sorted(detections, key=lambda d: (d.frame, d.node_id)):
+        for d in rows:
             ident = -1 if d.gt_identity is None else d.gt_identity
             x, y, w, h = d.box
             fh.write(f"{d.frame},{ident},{x:.2f},{y:.2f},{w:.2f},{h:.2f},{d.confidence:.2f},-1,-1,-1\n")

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mpnflow.errors import ConfigError, FeasibilityError, ShapeError
-from mpnflow.graph import ConstraintReport, NodeTable, TrackGraph, graph_from_edge_list
+from mpnflow.graph import (ConstraintReport, NodeTable, Partners, TrackGraph, build_graph,
+                           graph_from_edge_list, window_gap)
 from mpnflow.infer import threshold, violating_edges
+from mpnflow.mpn import mpn_forward, predict_masks
 from mpnflow.synthdata import Detection
 from mpnflow.tensorkit import (AdamState, Tensor, _accum, _checked_grad, _live, _record,
-                               _unbroadcast, add, astensor, mul)
+                               _unbroadcast, add, astensor, mul, no_grad)
 
 
 def subgraph_objective(graph, probs, tau, y):
@@ -350,6 +352,33 @@ def reference_window_means(keys, values):
     nodes = sorted(acc)
     mean = np.asarray([np.sum(acc[nid], axis=0) / len(acc[nid]) for nid in nodes])
     return np.asarray(nodes, dtype=np.int64).reshape(-1, 1), mean.reshape((-1,) + values.shape[1:])
+
+
+def reference_window_inference(detections, params, frames_per_graph, top_k, max_frame_gap=None):
+    """run_inference's edge and mask means in the per-window form, as
+    ({(src id, dst id): prob}, {node id: mask}) in key order.
+
+    Every window of two or more detections is its own node table, ranked at
+    the inference gap, and gets a whole mpn_forward: it encodes its own
+    nodes and edges.  Each mean is np.sum over its values in window order,
+    divided by their count.
+    """
+    probs, masks = {}, {}
+    gap = window_gap(max_frame_gap, frames_per_graph)
+    for window in reference_windows(detections, frames_per_graph):
+        if len(window) < 2:
+            continue
+        table = NodeTable.from_detections(window)
+        g = build_graph(table, Partners(table, gap), top_k)
+        with no_grad():
+            state = mpn_forward(g, params)
+            grids = predict_masks(state, params).data if params.config.with_masks else []
+        for pair, p in zip(g.edge_pairs(), state.final_probs()):
+            probs.setdefault(pair, []).append(p)
+        for nid, grid in zip(g.node_ids.tolist(), grids):
+            masks.setdefault(nid, []).append(grid)
+    return ({pair: float(np.sum(probs[pair]) / len(probs[pair])) for pair in sorted(probs)},
+            {nid: np.sum(masks[nid], axis=0) / len(masks[nid]) for nid in sorted(masks)})
 
 
 def reference_conv2d(x, w, b, kernel: int) -> Tensor:

@@ -4,10 +4,11 @@ repr-written floats (sidecar CSVs, checkpoints) exactly."""
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -32,23 +33,30 @@ def folder(tmp_path_factory):
     return tmp_path_factory.mktemp("round_trips")
 
 
-def detection_lists(payload=None):
-    """Detections with distinct node ids in no order; payload() is a
-    strategy for one detection's payload arrays as keyword arguments."""
+def detection_lists(payload=None, in_order=False):
+    """Detections with distinct node ids in no order, listed in no order; with
+    in_order, the ids are renumbered 0..n-1 in (frame, id) order, as det.txt
+    reloads them.  payload() is a strategy for one detection's payload arrays
+    as keyword arguments."""
     @st.composite
     def draw_list(draw):
         n = draw(st.integers(0, 12))
         ids = draw(st.permutations(range(50)))[:n]
-        return [sd.Detection(node_id=nid, frame=draw(st.integers(0, 300)), box=draw(BOX),
+        dets = [sd.Detection(node_id=nid, frame=draw(st.integers(0, 300)), box=draw(BOX),
                              confidence=draw(st.floats(0.0, 1.0)),
                              gt_identity=draw(st.none() | st.integers(0, 1000)),
                              **(draw(payload()) if payload else {}))
                 for nid in ids]
+        if in_order:
+            rank = sorted(range(n), key=lambda i: (dets[i].frame, dets[i].node_id))
+            for k, i in enumerate(rank):
+                dets[i] = replace(dets[i], node_id=k)
+        return dets
     return draw_list()
 
 
 @settings(max_examples=100, deadline=None)
-@given(dets=detection_lists())
+@given(dets=detection_lists(in_order=True))
 def test_det_txt_reads_back_rounded_in_frame_then_id_order(dets, folder):
     path = folder / "det.txt"
     sd.write_detections(dets, path)
@@ -59,6 +67,21 @@ def test_det_txt_reads_back_rounded_in_frame_then_id_order(dets, folder):
         assert (g.frame, g.gt_identity) == (d.frame, d.gt_identity)
         assert g.box == tuple(map(two_decimals, d.box))
         assert g.confidence == two_decimals(d.confidence)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dets=detection_lists())
+def test_det_txt_rejects_ids_its_rows_would_not_reload_as(dets, folder):
+    # reloaded rows are numbered 0..n-1, and the sidecars are keyed by node id
+    rows = sorted(dets, key=lambda d: (d.frame, d.node_id))
+    misplaced = [(k, d.node_id) for k, d in enumerate(rows) if d.node_id != k]
+    assume(misplaced)
+    k, nid = misplaced[0]
+    path = folder / "never_written.txt"
+    with pytest.raises(ConfigError, match=rf"^detection {nid} would reload as row {k}: node ids "
+                                          rf"must run 0\.\.{len(dets) - 1} in \(frame, id\) order$"):
+        sd.write_detections(dets, path)
+    assert not path.exists()
 
 
 def stripped(dets):

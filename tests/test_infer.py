@@ -2,22 +2,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import graph_over
+from conftest import count_calls, graph_over
 from oracles import (brute_force_round, hand_built_graphs, random_rounding_instance,
-                     reference_exact_round, reference_window_means, reference_windows,
-                     subgraph_objective)
+                     reference_exact_round, reference_window_inference, reference_window_means,
+                     reference_windows, subgraph_objective)
 
 from mpnflow.errors import ConfigError, FeasibilityError, ParseError
-from mpnflow.graph import build_graph, graph_from_edge_list, split_windows
+from mpnflow.graph import (NodeTable, Partners, build_graph, graph_from_edge_list,
+                           split_windows, window_gap)
 from mpnflow.infer import (InferConfig, _window_means, check_constraints, exact_round,
                            extract_trajectories, greedy_round, interpolate_track, read_mask_pgm,
                            run_inference, threshold, violating_edges, write_mask_pgm)
-from mpnflow.mpn import ModelParams, MpnConfig, mpn_forward, predict_masks
-from mpnflow.tensorkit import no_grad
+from mpnflow.mpn import ModelParams, MpnConfig, mpn_forward, predict_masks, propagate
+from mpnflow.tensorkit import DenseStack, no_grad
 from mpnflow.synthdata import Detection, ScenarioConfig, generate_scenario
 
 
@@ -261,13 +262,14 @@ def test_run_inference_checks_graph_options_without_a_window_to_build(count, opt
 
 
 def _count_forwards(monkeypatch):
+    # each window's forward is its message passing from the encoded union's rows
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return mpn_forward(*args)
+        return propagate(*args)
 
-    monkeypatch.setattr("mpnflow.infer.mpn_forward", counted)
+    monkeypatch.setattr("mpnflow.infer.propagate", counted)
     return calls
 
 
@@ -422,3 +424,79 @@ def test_run_inference_averages_eight_or_more_windows_bit_for_bit():
     assert sorted(sol.node_masks) == sorted(masks)
     for nid, grids in masks.items():
         assert sol.node_masks[nid].tobytes() == (np.sum(grids, axis=0) / len(grids)).tobytes()
+
+
+def test_run_inference_encodes_once_and_classifies_one_step_per_window(monkeypatch):
+    # a 4-step model records steps 1..4 in training; inference reads only step 4
+    scenario, _ = _inference_fixture()
+    params = ModelParams(MpnConfig(num_steps=4, d_node=8, d_edge=6, hidden=8), d_app=8, seed=0)
+    windows = [rows for rows in split_windows(scenario, 5) if len(rows) >= 2]
+    assert len(windows) > 3
+    stacks = count_calls(monkeypatch, DenseStack, "__call__")
+    forwards = _count_forwards(monkeypatch)
+    run_inference(scenario, params, InferConfig(frames_per_graph=5, top_k=3))
+    assert len(forwards) == len(windows)
+    assert [sum(s is stack for s in stacks) for stack in
+            (params.node_encoder, params.edge_encoder, params.edge_logits)] == [1, 1, len(windows)]
+
+
+def _assert_matches_per_window_forwards(dets, params, cfg):
+    sol = run_inference(dets, params, cfg)
+    probs, masks = reference_window_inference(dets, params, cfg.frames_per_graph, cfg.top_k,
+                                              cfg.max_frame_gap)
+    assert list(sol.edge_probs) == list(probs) == list(sol.labels)
+    assert np.asarray(list(sol.edge_probs.values())).tobytes() == \
+        np.asarray(list(probs.values())).tobytes()
+    assert list(sol.node_masks) == list(masks)
+    for nid, grid in masks.items():
+        assert sol.node_masks[nid].tobytes() == grid.tobytes()
+    return sol
+
+
+@pytest.mark.parametrize("with_masks", [False, True], ids=["no masks", "masks"])
+@pytest.mark.parametrize("variant", ["vanilla", "time_aware"])
+@pytest.mark.parametrize("num_steps", [0, 1, 2, 3])
+def test_run_inference_matches_per_window_forwards_bit_for_bit(num_steps, variant, with_masks):
+    # the union's encoding gives each window the rows its own encoding would
+    scenario = generate_scenario(ScenarioConfig(
+        num_frames=12, num_identities=3, detection_dropout=0.2, false_positive_rate=0.3,
+        d_app=6, roi_h=4, roi_w=4, d_roi=2, seed=4))
+    cfg = MpnConfig(num_steps=num_steps, variant=variant, with_masks=with_masks, d_node=8,
+                    d_edge=6, hidden=8, conv_hidden=4, d_roi=2)
+    params = ModelParams(cfg, d_app=6, seed=2)
+    sol = _assert_matches_per_window_forwards(
+        scenario, params, InferConfig(frames_per_graph=4, top_k=3, max_frame_gap=2))
+    assert sol.edge_probs and bool(sol.node_masks) == with_masks
+
+
+@st.composite
+def dense_sequences(draw):
+    """2 to 5 detections in each of 3 to 8 frames, over a few shared appearances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dets = []
+    for frame in range(draw(st.integers(3, 8))):
+        for _ in range(draw(st.integers(2, 5))):
+            dets.append(Detection(node_id=len(dets), frame=frame,
+                                  box=tuple(rng.uniform(1.0, 40.0, size=4)),
+                                  appearance=rng.normal(size=4) + rng.integers(3),
+                                  roi_grid=rng.normal(size=(3, 2, 2))))
+    return [dets[i] for i in draw(st.permutations(range(len(dets))))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dets=dense_sequences(), frames_per_graph=st.integers(2, 5), top_k=st.integers(2, 4),
+       num_steps=st.integers(0, 3), variant=st.sampled_from(["vanilla", "time_aware"]),
+       with_masks=st.booleans())
+def test_run_inference_matches_per_window_forwards_on_drawn_sequences(
+        dets, frames_per_graph, top_k, num_steps, variant, with_masks):
+    # a one-edge window would encode its edge by a matrix-vector product
+    table = NodeTable.from_detections(dets)
+    partners = Partners(table, window_gap(None, frames_per_graph))
+    assume(all(build_graph(table.take(rows), partners, top_k).num_edges >= 2
+               for rows in split_windows(dets, frames_per_graph) if len(rows) >= 2))
+    params = ModelParams(MpnConfig(num_steps=num_steps, variant=variant, with_masks=with_masks,
+                                   d_node=5, d_edge=4, hidden=6, conv_hidden=3, d_roi=2),
+                         d_app=4, seed=1)
+    _assert_matches_per_window_forwards(dets, params,
+                                        InferConfig(frames_per_graph=frames_per_graph,
+                                                    top_k=top_k))

@@ -251,6 +251,14 @@ def test_model_and_training_code_never_sees_a_detection(module):
     assert "Detection" not in imported_names(source)
 
 
+def test_inference_never_runs_a_whole_forward():
+    # each window propagates from its rows of one union encoding; a per-window
+    # mpn_forward would encode every node and edge again in every window
+    source = (ROOT / "src" / "mpnflow" / "infer.py").read_text()
+    attributes = [n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)]
+    assert "mpn_forward" not in imported_names(source) + attributes
+
+
 RANGE_PHRASES = ("must be >=", "must be in [", "must be in (")
 
 

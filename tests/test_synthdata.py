@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 from itertools import groupby
 
@@ -153,6 +154,18 @@ def test_generated_files_reload_with_the_generated_ids(tmp_path):
     for g, w in zip(got, want):
         assert g.frame == w.frame and g.box == tuple(float(f"{v:.2f}") for v in w.box)
         assert g.appearance.tobytes() == w.appearance.tobytes()
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((0, 4, 4), "detection 3: roi grid height must be >= 1, got 0"),
+    ((5, 0, 4), "detection 3: roi grid width must be >= 1, got 0"),
+    ((4, 4), "detection 3: roi grid needs 3 axes (H, W, d_roi), got shape (4, 4)")],
+    ids=["no rows", "no columns", "no channel axis"])
+def test_detection_names_itself_for_a_roi_grid_without_pixels(shape, message):
+    # such a grid would otherwise first fail in the conv layers, naming no detection
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sd.Detection(3, 1, (0.0, 0.0, 5.0, 5.0), roi_grid=np.zeros(shape))
+    sd.Detection(3, 1, (0.0, 0.0, 5.0, 5.0), roi_grid=np.zeros((1, 1, 1)))
 
 
 def test_load_mot_detections_and_errors(tmp_path):
