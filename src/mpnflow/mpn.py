@@ -297,7 +297,8 @@ def encode(graph: TrackGraph, params: ModelParams
     each edge, and with masks the RoI tensor (else None).
 
     Each row is computed from its own node or edge alone, so a window of a
-    larger graph may take its rows of that graph's encoding.
+    larger graph may take its rows of that graph's encoding; they equal the
+    window's own encoding bit for bit when it has at least two rows of each.
     """
     config = params.config
     app = _appearance(graph, params)

@@ -483,7 +483,7 @@ def dense_sequences(draw):
     return [dets[i] for i in draw(st.permutations(range(len(dets))))]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(dets=dense_sequences(), frames_per_graph=st.integers(2, 5), top_k=st.integers(2, 4),
        num_steps=st.integers(0, 3), variant=st.sampled_from(["vanilla", "time_aware"]),
        with_masks=st.booleans())
